@@ -20,7 +20,7 @@ from fjfade import (
     exponential,
     gap,
     generate_erdos_renyi,
-    lower_bound_series,
+    lower_bound,
     metropolis_weights,
     upper_bound,
 )
@@ -50,11 +50,12 @@ def main():
     sigma = w.spectral.sigma_max
     print(f"er(20, 0.1) seed {args.graph_seed}: sigma_max = {sigma:.6f}")
 
+    steps = np.arange(1, args.horizon + 1)
     rows = []
     for rate in (float(r) for r in args.rates.split(",")):
         sched = exponential(rate)
-        uppers = np.array([upper_bound(sigma, sched, t) for t in range(1, args.horizon + 1)])
-        lowers = lower_bound_series(sigma, sched, args.horizon)[1:]
+        uppers = upper_bound(sigma, sched, steps)
+        lowers = lower_bound(sigma, sched, steps)
         t_cert = first_below(uppers, args.threshold)
         rows.append({
             "rate": rate,

@@ -11,11 +11,16 @@ is sandwiched between
            + sum_{k<t} Lambda_{k+1}^{t-1} lambda_k (sigma^{t-1-k} + 1 - Lambda_t^inf)
            + sum_{k>=t} Lambda_{k+1}^inf lambda_k
 
-and their difference (the gap) does not depend on sigma_max. The truncated
-tail of upper() always includes its certified remainder, so the reported
-value never undershoots the true bound. Note that upper(t) vanishes as t
-grows only for summable schedules; for the hyperbolic schedule it tends
-to 1 while lower(t) still decays like 1/t.
+By partition of unity and the telescoping step
+Lambda_{k+1}^inf lambda_k = Lambda_{k+1}^inf - Lambda_k^inf, the upper bound
+has the closed form upper(t) = lower(t) + gap(t) with gap(t) = 2 (1 - Lambda_t^inf),
+or gap(t) = 1 when every Lambda^inf is 0; the gap does not depend on sigma_max.
+Every bound here takes a step or an integer array of steps >= 1 and costs
+O(max t): one pass of the lower_bound_series recurrence and one table lookup.
+A truncated table overestimates Lambda_t^inf by up to a factor 1/(1 - remainder),
+so gap() adds 2 * remainder, and the reported upper bound never undershoots
+the true one. upper(t) vanishes as t grows only for summable schedules; for
+the hyperbolic schedule it tends to 1 while lower(t) still decays like 1/t.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .schedules import (
     TruncationPolicy,
     infinite_products,
     schedule_values,
-    suffix_products,
 )
 
 
@@ -49,10 +53,11 @@ def _check_sigma(sigma_max: float) -> float:
     return sigma_max
 
 
-def _check_t(t: int) -> int:
-    if t < 1:
-        raise InvalidParameter(f"bounds are defined for t >= 1, got {t}")
-    return int(t)
+def _check_steps(t: int | np.ndarray) -> np.ndarray:
+    ts = np.asarray(t, dtype=int)
+    if ts.size == 0 or ts.min() < 1:
+        raise InvalidParameter(f"bounds are defined for steps t >= 1, got {t}")
+    return ts
 
 
 def _check_vanishing(schedule: CompetitionSchedule) -> None:
@@ -60,15 +65,14 @@ def _check_vanishing(schedule: CompetitionSchedule) -> None:
         raise NonVanishingSchedule("rate bounds require lambda_t -> 0")
 
 
-def lower_bound(sigma_max: float, schedule: CompetitionSchedule, t: int) -> float:
-    """Worst-case ratio lower bound; a finite sum, no truncation involved."""
-    sigma_max = _check_sigma(sigma_max)
-    t = _check_t(t)
-    _check_vanishing(schedule)
-    r = suffix_products(schedule, t - 1)
-    lam = schedule_values(schedule, 0, t)
-    pows = sigma_max ** np.arange(t, -1, -1)
-    return float(r[0] * pows[0] + np.sum(r[1:] * lam * pows[1:]))
+def lower_bound(
+    sigma_max: float, schedule: CompetitionSchedule, t: int | np.ndarray
+) -> float | np.ndarray:
+    """Worst-case ratio lower bound at step t, or at each step of an integer
+    array t; a finite sum, no truncation involved. O(max t)."""
+    ts = _check_steps(t)
+    lower = lower_bound_series(sigma_max, schedule, int(ts.max()))[ts]
+    return float(lower) if ts.ndim == 0 else lower
 
 
 def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon: int) -> np.ndarray:
@@ -95,42 +99,34 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
 def upper_bound(
     sigma_max: float,
     schedule: CompetitionSchedule,
-    t: int,
+    t: int | np.ndarray,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
-    """Worst-case ratio upper bound, including the certified tail remainder."""
-    sigma_max = _check_sigma(sigma_max)
-    t = _check_t(t)
-    _check_vanishing(schedule)
-    table = infinite_products(schedule, trunc)
-    r = suffix_products(schedule, t - 1)
-    lam = schedule_values(schedule, 0, t)
-    pows = sigma_max ** np.arange(t, -1, -1)
-    linf_t = table.lam_to_inf(t)
-    aut = r[0] * (pows[0] + 1.0 - linf_t)
-    inp = np.sum(r[1:] * lam * (pows[1:] + 1.0 - linf_t))
-    return float(aut + inp + table.tail_sum(t))
+) -> float | np.ndarray:
+    """Worst-case ratio upper bound, lower_bound + gap, at step t or at each
+    step of an integer array t. O(max t); certified, see gap()."""
+    return lower_bound(sigma_max, schedule, t) + gap(schedule, t, trunc)
 
 
 def gap(
     schedule: CompetitionSchedule,
-    t: int,
+    t: int | np.ndarray,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
-    """upper_bound - lower_bound, evaluated directly; independent of sigma_max.
+) -> float | np.ndarray:
+    """upper_bound - lower_bound at step t or at each step of an integer
+    array t; independent of sigma_max. O(max t).
 
-    gap(t) = Lambda_0^{t-1} - Lambda_0^inf
-           + sum_{k<t} (Lambda_{k+1}^{t-1} - Lambda_{k+1}^inf) lambda_k
-           + sum_{k>=t} Lambda_{k+1}^inf lambda_k
+    gap(t) = 2 (1 - Lambda_t^inf + remainder), or 1 when every Lambda^inf is
+    0. 1 - Lambda_t^inf enters the upper bound twice, so the certified slack
+    is 2 * remainder.
     """
-    t = _check_t(t)
+    ts = _check_steps(t)
     _check_vanishing(schedule)
     table = infinite_products(schedule, trunc)
-    r = suffix_products(schedule, t - 1)
-    lam = schedule_values(schedule, 0, t)
-    linfs = table.lam_to_inf_array(np.arange(1, t + 1))
-    finite = (r[0] - table.lam_to_inf(0)) + np.sum((r[1:] - linfs) * lam)
-    return float(finite + table.tail_sum(t))
+    if table.limit_is_zero:
+        gaps = np.ones(ts.shape)
+    else:
+        gaps = 2.0 * (1.0 - table.lam_to_inf_array(ts) + table.remainder)
+    return float(gaps) if ts.ndim == 0 else gaps
 
 
 def empirical_ratio(traj: Trajectory) -> np.ndarray:
@@ -187,15 +183,14 @@ def rate_envelope(
         raise InvalidParameter("ts must be a nonempty grid of steps >= 1")
     if (np.diff(ts) <= 0).any():
         raise InvalidParameter("ts must be strictly increasing")
-    upper = np.array([upper_bound(sigma_max, schedule, int(t), trunc) for t in ts])
-    lower = np.array([lower_bound(sigma_max, schedule, int(t)) for t in ts])
-    gaps = np.array([gap(schedule, int(t), trunc) for t in ts])
+    lower = lower_bound(sigma_max, schedule, ts)
+    gaps = gap(schedule, ts, trunc)
     report = infinite_products(schedule, trunc).describe()
     return RateEnvelope(
         sigma_max=sigma_max,
         schedule=schedule,
         ts=ts,
-        upper=upper,
+        upper=lower + gaps,
         lower=lower,
         gap=gaps,
         trunc_report=report,

@@ -8,6 +8,7 @@ serializes back to an equivalent text.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -135,9 +136,12 @@ class _Section:
         if raw is default:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
-            raise self._error(key, f"expected a number for {key!r}, got {raw!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise self._error(key, f"expected a finite number for {key!r}, got {raw!r}")
+        return value
 
     def get_str(self, key: str, required: bool = False, default: str | None = None,
                 choices: tuple[str, ...] | None = None) -> str | None:
@@ -164,9 +168,12 @@ class _Section:
         if raw is None:
             return None
         try:
-            return tuple(float(v) for v in raw.split())
+            values = tuple(float(v) for v in raw.split())
         except ValueError:
-            raise self._error(key, f"expected space-separated numbers for {key!r}") from None
+            values = (math.nan,)
+        if not all(map(math.isfinite, values)):
+            raise self._error(key, f"expected space-separated finite numbers for {key!r}, got {raw!r}")
+        return values
 
     def reject_unknown(self, known: set[str]) -> None:
         for key in self.items:

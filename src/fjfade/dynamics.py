@@ -228,6 +228,8 @@ def simulate_until(
     """
     n = weighted.n
     x0 = _check_vec("x0", x0, n)
+    if not np.isfinite(x0).all():
+        raise InvalidParameter("x0 must be finite")
     x_ss = weighted.consensus_value(x0)
     W = weighted.W
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import lower_bound_series, upper_bound, worst_case_initial_condition
+from .bounds import lower_bound, upper_bound, worst_case_initial_condition
 from .config import ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
 from .dynamics import Trajectory, simulate
@@ -205,12 +205,9 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
     upper = lower = None
     if run.bounds_used:
         sigma = result.weighted.spectral.sigma_max
-        trunc = truncation_policy(cfg)
-        lower_full = lower_bound_series(sigma, run.schedule, horizon)
-        lower = lower_full[1:]
-        upper = np.array([
-            upper_bound(sigma, run.schedule, t, trunc) for t in range(1, horizon + 1)
-        ])
+        steps = np.arange(1, horizon + 1)
+        lower = lower_bound(sigma, run.schedule, steps)
+        upper = upper_bound(sigma, run.schedule, steps, truncation_policy(cfg))
 
     header = CSV_HEADER + ("," + ALT_COLUMN if cfg.emit_alt_distance else "")
     lines = [header]
@@ -403,16 +400,15 @@ def verify_bounds(
     rng = np.random.default_rng([cfg.seed, 3])
     trunc = truncation_policy(cfg)
     horizon = cfg.horizon
+    steps = np.arange(1, horizon + 1)
     check_lower = cfg.weights == "lazy_metropolis"
     shift = -0.1 if self_test else 0.0
 
     checks = []
     for spec in uniform:
         sched = spec.build_uniform()
-        lower = lower_bound_series(sp.sigma_max, sched, horizon)[1:]
-        upper = np.array([
-            upper_bound(sp.sigma_max, sched, t, trunc) for t in range(1, horizon + 1)
-        ]) + shift
+        lower = lower_bound(sp.sigma_max, sched, steps)
+        upper = upper_bound(sp.sigma_max, sched, steps, trunc) + shift
 
         traj = simulate(weighted, witness, sched, horizon)
         ratio = traj.distances / traj.distances[0]

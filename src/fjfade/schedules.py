@@ -289,19 +289,17 @@ class InfiniteProducts:
     def tail_sum(self, t: int) -> float:
         """sum_{k=t}^{inf} Lambda_{k+1}^inf lambda_k (series of the limits).
 
-        For the non-summable hyperbolic schedule every Lambda_{k+1}^inf is 0
-        and the series is 0. For truncated tables the certified remainder is
-        added, so the returned value never undershoots the true series.
+        Each term is Lambda_{k+1}^inf - Lambda_k^inf, so the series
+        telescopes to 1 - Lambda_t^inf. For the non-summable hyperbolic
+        schedule every Lambda_{k+1}^inf is 0 and the series is 0. For
+        truncated tables the certified remainder is added, so the returned
+        value never undershoots the true series.
         """
         if t < 0:
             raise InvalidParameter(f"t must be >= 0, got {t}")
         if self.limit_is_zero:
             return 0.0
-        total = self.remainder
-        if t < self.cutoff:
-            lam = schedule_values(self.schedule, t, self.cutoff)
-            total += float(np.sum(self.back[t + 1 : self.cutoff + 1] * lam))
-        return total
+        return 1.0 - self.lam_to_inf(t) + self.remainder
 
     def describe(self) -> dict:
         return {

@@ -23,6 +23,7 @@ from fjfade import (
     exponential,
     gap,
     hyperbolic,
+    infinite_products,
     lower_bound,
     lower_bound_series,
     rate_envelope,
@@ -61,6 +62,25 @@ def brute_upper(sigma, sched, t):
     for k in range(t, FAR):
         total += brute_lambda(sched, k + 1, FAR) * sched.value(k)
     return total
+
+
+def exact_upper(sigma, sched, horizon):
+    """lower(t) + 2 (1 - Lambda_t^inf) for t = 1..horizon, the closed form of
+    upper(t) with every limit summed in log space far past any truncation
+    cutoff, so no table and no remainder is involved."""
+    logs = np.log1p(-sched.values(np.arange(1, horizon + 20_000)))
+    log_lam_inf = np.cumsum(logs[::-1])[::-1][:horizon]
+    return lower_bound_series(sigma, sched, horizon)[1:] - 2.0 * np.expm1(log_lam_inf)
+
+
+def assert_array_form(f, horizon=50):
+    """f over an array of steps equals f step by step, bit for bit, and an
+    array with a step 0, or no step at all, is rejected."""
+    ts = np.arange(1, horizon + 1)
+    np.testing.assert_array_equal(f(ts), [f(int(t)) for t in ts])
+    for bad in (np.array([0, 1, 2]), np.array([], dtype=int)):
+        with pytest.raises(InvalidParameter):
+            f(bad)
 
 
 class TestLowerBound:
@@ -103,6 +123,10 @@ class TestLowerBound:
     def test_zero_schedule_is_pure_power(self):
         assert lower_bound(0.6, zero_consensus(), 7) == pytest.approx(0.6 ** 7, abs=1e-15)
 
+    def test_array_steps(self):
+        for sched in (exponential(0.5), hyperbolic(), custom([0.8, 0.3, 0.1])):
+            assert_array_form(lambda t: lower_bound(0.7, sched, t))
+
 
 class TestUpperBound:
     def test_matches_brute_force(self):
@@ -131,6 +155,21 @@ class TestUpperBound:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] == pytest.approx(1.0 + lower_bound(0.8, sched, 1000), abs=1e-12)
 
+    def test_certified_near_cutoff(self):
+        # the truncated table overestimates Lambda_t^inf and 1 - Lambda_t^inf
+        # enters the bound twice, so the upper bound needs the remainder twice
+        for rate in (0.05, 0.5, 1.5):
+            sched = exponential(rate)
+            cutoff = infinite_products(sched).cutoff
+            for sigma in (0.5, 0.9):
+                exact = exact_upper(sigma, sched, cutoff + 10)
+                for t in range(max(1, cutoff - 10), cutoff + 11):
+                    assert upper_bound(sigma, sched, t) >= exact[t - 1] - 1e-15, (rate, sigma, t)
+
+    def test_array_steps(self):
+        for sched in (exponential(0.5), hyperbolic(), custom([0.8, 0.3, 0.1])):
+            assert_array_form(lambda t: upper_bound(0.7, sched, t))
+
 
 class TestGap:
     def test_equals_difference(self):
@@ -147,6 +186,10 @@ class TestGap:
 
     def test_summable_gap_vanishes(self):
         assert gap(exponential(0.5), 200) < 1e-12
+
+    def test_array_steps(self):
+        for sched in (exponential(0.5), hyperbolic(), custom([0.8, 0.3, 0.1])):
+            assert_array_form(lambda t: gap(sched, t))
 
 
 class TestEmpiricalRatio:

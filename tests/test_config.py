@@ -121,6 +121,14 @@ class TestRejection:
             parse_config(GOOD.replace("tstar = auto", "tstar = -3"))
         with pytest.raises(ConfigError):
             parse_config(GOOD.replace("target = argmax", "target = 17"))
+        for old, new in (
+            ("rate = 0.5", "rate = inf"),
+            ("eps_conv = 1e-9", "eps_conv = nan"),
+            ("uniform = 0 5", "uniform = -inf 5"),
+            ("uniform = 0 5", "values = nan 0 1 2 3 4"),
+        ):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(GOOD.replace(old, new))
 
     def test_x0_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):

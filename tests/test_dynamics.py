@@ -154,6 +154,10 @@ class TestSimulateUntil:
             simulate_until(star3, np.array([3.0, 0.0, 0.0]), zero_consensus(),
                            eps=1e-9, max_steps=3)
 
+    def test_non_finite_start_rejected(self, star3):
+        with pytest.raises(InvalidParameter, match="finite"):
+            simulate_until(star3, np.array([np.nan, 0.0, 0.0]), zero_consensus(), max_steps=3)
+
 
 class TestTransitionDecomposition:
     def test_t_zero_is_identity(self, star3):
