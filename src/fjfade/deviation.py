@@ -94,8 +94,9 @@ def deviation_experiment(
     step t <= tstar; afterwards the run is pure consensus, continued until
     the opinions equalize. The reported consensus value is perron^T y_tstar
     and the deviation is its distance from the nominal x_ss. The dominance
-    y_t >= x_t of the held run over the nominal one is asserted for every
-    step up to tstar.
+    y_t >= x_t of the held run over the nominal one is checked for every
+    step up to tstar; it fails, with InvalidParameter, only for weights
+    with a negative entry.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
@@ -114,7 +115,9 @@ def deviation_experiment(
     nominal = simulate(weighted, x0, zero_consensus(), horizon=tstar)
     for t in range(tstar + 1):
         if (held.x(t) < nominal.x(t) - STRICT_DROP_MARGIN).any():
-            raise AssertionError(f"held trajectory fell below the nominal one at step {t}")
+            raise InvalidParameter(
+                f"held trajectory fell below the nominal one at step {t}: W must be nonnegative"
+            )
     y_tstar = held.x(tstar)
     if not certified and tstar >= 1:
         certified = bool(nominal.x(tstar)[target] < x0[target])

@@ -287,7 +287,6 @@ def render_manifest(result: ExperimentResult) -> str:
         lines += [
             f"symmetric = {str(sp.symmetric).lower()}",
             f"sigma_max = {_fmt(sp.sigma_max)}",
-            f"spectral_iterations = {sp.iterations}",
             "perron = " + " ".join(_fmt(v) for v in sp.perron),
         ]
     source = (

@@ -15,15 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    DisconnectedNetwork,
-    InvalidParameter,
-)
-
-SPECTRAL_TOL = 1e-10
-SPECTRAL_MAX_ITER = 100_000
+from .errors import DimensionMismatch, DisconnectedNetwork, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -150,6 +142,10 @@ class SpectralData:
       stochastic).
     v2, u2: right and left singular vectors of the deflated matrix for
       sigma_max, unit norm, with v2 orthogonal to the all-ones vector.
+    symmetric: whether W is symmetric, which selects the factorization
+      (eigh when true, LU solve plus SVD when false).
+    iterations: always 0, since no iterative solver runs; kept only because
+      the benchmark's tracer (perfbench/spans.py) reads it.
     """
 
     perron: np.ndarray
@@ -200,8 +196,9 @@ class WeightedNetwork:
             actual = set(np.flatnonzero(support[i]).tolist())
             if expected != actual:
                 raise InvalidParameter(f"row {i} support {sorted(actual)} != closed neighborhood {sorted(expected)}")
-        if not is_primitive(W):
-            raise InvalidParameter("weight matrix is not primitive")
+        # a positive diagonal on a connected support makes W primitive
+        if not net.connected:
+            raise InvalidParameter("weight matrix is not primitive: the network is disconnected")
 
 
 def is_primitive(W: np.ndarray, atol: float = 0.0) -> bool:
@@ -286,88 +283,63 @@ def _row_stochastic_from_rng(net: Network, rng, spectral: bool = True) -> Weight
     return wn
 
 
-def compute_spectral(
-    weighted: WeightedNetwork,
-    tol: float = SPECTRAL_TOL,
-    max_iter: int = SPECTRAL_MAX_ITER,
-) -> SpectralData:
-    """Power-iteration Perron vector and dominant deflated singular triple.
+def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
+    """Perron vector and dominant deflated singular triple by dense factorization.
 
-    The Perron vector is iterated on W^T until the residual |W^T v - v|_inf
-    drops below tol. The singular triple comes from iterating A^T A with
-    A = W - 1 perron^T (equivalently W - 11^T / n in the doubly stochastic
-    case), stopping when both singular residuals are below tol. Raises
-    ConvergenceFailure if either loop exhausts max_iter.
+    Symmetric W (within 1e-12) is doubly stochastic, so perron = 1/n, and
+    A = W - 11^T / n is symmetric: eigh gives its eigenvalue lam of largest
+    magnitude, sigma_max = |lam|, v2 its eigenvector and u2 = sign(lam) v2.
+    For general W, perron solves (W^T - I) v = 0 with the last equation
+    replaced by sum(v) = 1 (one LU solve), and the triple is the leading one
+    of the SVD of A = W - 1 perron^T. Raises InvalidParameter when that solve
+    is singular or gives a nonpositive entry, i.e. when W is not primitive.
+    Both are O(n^3) with no tolerance or iteration cap. The sign is fixed so
+    the largest-magnitude entry of v2 is nonnegative.
     """
     W = weighted.W
     n = weighted.n
-    ones = np.ones(n)
     symmetric = bool(np.abs(W - W.T).max() <= 1e-12)
-    iterations = 0
-
-    # left Perron vector; W^T preserves the probability simplex here
-    WT = W.T
-    v = np.full(n, 1.0 / n)
-    y = WT @ v
-    converged = False
-    for _ in range(max_iter):
-        iterations += 1
-        total = y.sum()
-        if total <= 0:
-            raise ConvergenceFailure("perron iteration collapsed to zero")
-        v = y / total
-        y = WT @ v
-        if np.abs(y - v).max() < tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceFailure(f"perron vector did not converge within {max_iter} iterations")
-
-    A = W - np.outer(ones, v)
-    rng = np.random.default_rng(weighted.network.seed)
-    z = rng.standard_normal(n)
-    z -= z.mean()  # remove the all-ones component, which A annihilates
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
-        z = np.zeros(n)
-        z[0], z[-1] = 1.0, -1.0
-        norm = np.linalg.norm(z)
-    z /= norm
+    perron = np.full(n, 1.0 / n) if symmetric else _perron_vector(W)
+    A = W - np.outer(np.ones(n), perron)
 
     if np.abs(A).max() < 1e-15:
         # rank-one consensus matrix: the deflated operator vanishes
-        return SpectralData(perron=v, sigma_max=0.0, v2=_fix_sign(z), u2=_fix_sign(z),
-                            symmetric=symmetric, iterations=iterations)
+        z = np.random.default_rng(weighted.network.seed).standard_normal(n)
+        z -= z.mean()  # orthogonal to the all-ones vector
+        if not z.any():
+            z[0], z[-1] = 1.0, -1.0
+        z /= np.linalg.norm(z)
+        v2, u2 = _fix_sign(z, z)
+        return SpectralData(perron=perron, sigma_max=0.0, v2=v2, u2=u2,
+                            symmetric=symmetric, iterations=0)
 
-    sigma = 0.0
-    u = z.copy()
-    converged = False
-    for _ in range(max_iter):
-        iterations += 1
-        w = A @ z
-        sigma = float(np.linalg.norm(w))
-        if sigma < 1e-300:
-            break
-        y2 = A.T @ w
-        # singular residual |A^T u - sigma v2|_inf with u = w / sigma
-        if np.abs(y2 - sigma * sigma * z).max() / sigma < tol:
-            u = w / sigma
-            converged = True
-            break
-        nrm = np.linalg.norm(y2)
-        if nrm < 1e-300:
-            break
-        z = y2 / nrm
-    if sigma < 1e-300:
-        return SpectralData(perron=v, sigma_max=0.0, v2=_fix_sign(z), u2=_fix_sign(z),
-                            symmetric=symmetric, iterations=iterations)
-    if not converged:
-        raise ConvergenceFailure(f"singular iteration did not converge within {max_iter} iterations")
-
-    sign = 1.0 if z[np.argmax(np.abs(z))] >= 0 else -1.0
-    return SpectralData(perron=v, sigma_max=sigma, v2=sign * z, u2=sign * u,
-                        symmetric=symmetric, iterations=iterations)
+    if symmetric:
+        lam, V = np.linalg.eigh(A)
+        k = int(np.argmax(np.abs(lam)))
+        sigma, v2, u2 = abs(lam[k]), V[:, k], np.sign(lam[k]) * V[:, k]
+    else:
+        U, s, Vt = np.linalg.svd(A)
+        sigma, v2, u2 = s[0], Vt[0], U[:, 0]
+    v2, u2 = _fix_sign(v2, u2)
+    return SpectralData(perron=perron, sigma_max=float(sigma), v2=v2, u2=u2,
+                        symmetric=symmetric, iterations=0)
 
 
-def _fix_sign(z: np.ndarray) -> np.ndarray:
-    return z if z[np.argmax(np.abs(z))] >= 0 else -z
+def _perron_vector(W: np.ndarray) -> np.ndarray:
+    n = W.shape[0]
+    M = W.T - np.eye(n)
+    M[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise InvalidParameter("weight matrix is not primitive: its stationary vector is not unique") from None
+    if not (v > 0).all():
+        raise InvalidParameter("weight matrix is not primitive: its stationary vector is not positive")
+    return v
+
+
+def _fix_sign(v2: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip both vectors so the largest-magnitude entry of v2 is nonnegative."""
+    return (v2, u2) if v2[np.argmax(np.abs(v2))] >= 0 else (-v2, -u2)

@@ -6,6 +6,8 @@ Holding agent 0 for t <= 1 gives y_1 = (1, 1/2), so perron^T y_1 = 3/4
 against a nominal consensus of 1/2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ class TestValidation:
     def test_convergence_cap(self, star3):
         with pytest.raises(ConvergenceFailure):
             deviation_experiment(star3, np.array([3.0, 0.0, 0.0]), tstar=1, max_steps=2)
+
+    def test_negative_weight_breaks_dominance(self, star3):
+        # leaf 1 puts weight -0.1 on the held center, so from step 2 on it
+        # sits below its nominal opinion: a typed error, not an assertion
+        W = np.array([
+            [1 / 3, 1 / 3, 1 / 3],
+            [-0.1, 1.1, 0.0],
+            [1 / 3, 0.0, 2 / 3],
+        ])
+        with pytest.raises(InvalidParameter, match="fell below the nominal one at step 2"):
+            deviation_experiment(replace(star3, W=W), np.array([3.0, 0.0, 0.0]), tstar=3)
 
 
 class TestStudyFixture:

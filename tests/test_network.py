@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjfade import (
-    ConvergenceFailure,
     DimensionMismatch,
     DisconnectedNetwork,
     InvalidParameter,
     Network,
+    WeightedNetwork,
     WeightKind,
     complete_graph,
     compute_spectral,
@@ -145,6 +145,13 @@ class TestMetropolisWeights:
         with pytest.raises(DisconnectedNetwork):
             metropolis_weights(Network(n=4, edges=((0, 1), (2, 3))))
 
+    def test_validate_rejects_disjoint_blocks(self, path2):
+        # two averaging blocks: row supports match, but W is reducible
+        W = np.kron(np.eye(2), path2.W)
+        w = WeightedNetwork(Network(4, ((0, 1), (2, 3))), W, WeightKind.DOUBLY_STOCHASTIC)
+        with pytest.raises(InvalidParameter, match="not primitive"):
+            w.validate()
+
     def test_doubly_stochastic_on_random_graphs(self):
         for seed in range(5):
             net = generate_erdos_renyi(10, 0.4, seed + 20)
@@ -207,15 +214,28 @@ class TestSpectralOracle:
         w = metropolis_weights(complete_graph(5))
         assert w.spectral.sigma_max == 0.0
 
-    def test_convergence_cap(self, study_network):
-        w = metropolis_weights(study_network, spectral=False)
-        with pytest.raises(ConvergenceFailure):
-            compute_spectral(w, max_iter=2)
+    def test_long_lazy_path_closed_form(self):
+        # lazy Metropolis on a path: sigma_max = 1 - (1 - cos(pi / n)) / 3,
+        # with a spectral gap of 1e-5 at n = 400
+        n = 400
+        sp = metropolis_weights(path_graph(n), lazy=True).spectral
+        assert abs(sp.sigma_max - (1 - (1 - np.cos(np.pi / n)) / 3)) <= 1e-12
+        assert sp.iterations == 0
 
-    def test_singular_vector_residual(self, study_weights):
-        sp = study_weights.spectral
-        A = study_weights.W - np.outer(np.ones(20), sp.perron)
-        np.testing.assert_allclose(A @ sp.v2, sp.sigma_max * sp.u2, atol=1e-8)
+    def test_singular_vector_residual(self, study_weights, row_stochastic_fixture):
+        for w in (study_weights, row_stochastic_fixture):
+            sp = w.spectral
+            A = w.W - np.outer(np.ones(w.n), sp.perron)
+            np.testing.assert_allclose(A @ sp.v2, sp.sigma_max * sp.u2, atol=1e-8)
+            np.testing.assert_allclose(A.T @ sp.u2, sp.sigma_max * sp.v2, atol=1e-8)
+            assert sp.v2[np.argmax(np.abs(sp.v2))] >= 0
+
+    def test_reducible_rejected(self):
+        # agent 0 ignores agent 1: the stationary vector (1, 0) is not positive
+        W = np.array([[1.0, 0.0], [0.5, 0.5]])
+        w = WeightedNetwork(path_graph(2), W, WeightKind.ROW_STOCHASTIC)
+        with pytest.raises(InvalidParameter, match="not primitive"):
+            compute_spectral(w)
 
 
 class TestPrimitivity:
