@@ -29,15 +29,12 @@ from .bounds import (
 )
 from .deviation import DeviationReport, deviation_experiment, find_tstar
 from .dynamics import (
-    State,
     Trajectory,
     TransitionCalculator,
     TransitionDecomposition,
     input_limit_vector,
+    iterate,
     simulate,
-    simulate_until,
-    step_nonuniform,
-    step_uniform,
     transition_decomposition,
 )
 from .errors import (
@@ -62,7 +59,6 @@ from .network import (
     complete_graph,
     compute_spectral,
     generate_erdos_renyi,
-    is_primitive,
     metropolis_weights,
     path_graph,
     row_stochastic_weights,

@@ -130,9 +130,9 @@ def gap(
 
 
 def empirical_ratio(traj: Trajectory) -> np.ndarray:
-    """d(t) / d(0) for a simulated trajectory."""
+    """d(t) / d(0) for a simulated trajectory; per column for a block of starts."""
     d0 = traj.distances[0]
-    if d0 < 1e-14:
+    if (d0 < 1e-14).any():
         raise ConsensusInitialCondition("x0 is numerically a consensus; the ratio is undefined")
     return traj.distances / d0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _apply_step, simulate, simulate_until
+from .dynamics import iterate
 from .errors import ConvergenceFailure, InvalidParameter, NoStrictDrop
 from .network import WeightedNetwork
 from .schedules import make_adversarial_nonuniform, zero_consensus
@@ -60,23 +60,32 @@ def find_tstar(
 ) -> int:
     """Smallest tstar after which the nominal run stays strictly below x0[target].
 
-    The plain consensus run is simulated until it settles within eps of
-    x_ss, then extended to ten times that horizon. tstar is placed right
-    after the last step where the target's opinion still reached its
-    initial value, and persistence is certified by checking the target sits
-    within eps of x_ss at the extended horizon.
+    One pass over the plain consensus run: once the distance to x_ss has
+    stayed below eps for `window` steps, at step t, the run is continued to
+    the horizon 10 t. tstar is placed right after the last step where the
+    target's opinion still reached its initial value, and persistence is
+    certified by checking the target sits within eps of x_ss at that
+    horizon. Memory is O(n) however long the run.
     """
     x0 = np.asarray(x0, dtype=float)
     x_ss = _validate_target(weighted, x0, target)
-    probe = simulate_until(weighted, x0, zero_consensus(), eps=eps, window=window, max_steps=max_steps)
-    cap = 10 * max(probe.horizon, 1)
-    traj = simulate(weighted, x0, zero_consensus(), horizon=cap)
-    series = np.array([traj.x(t)[target] for t in range(cap + 1)])
-    if abs(series[-1] - x_ss) > eps:
+    run = 0
+    cap = None
+    for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
+        if x[target] >= x0[target]:  # always true at t = 0
+            last_not_below = t
+        if cap is None:
+            run = run + 1 if np.linalg.norm(x - x_ss) < eps else 0
+            # the window may count step 0 but closes no earlier than step 1
+            if run >= window and t >= 1:
+                cap = 10 * t
+            elif t >= max_steps:
+                raise ConvergenceFailure(f"no sustained convergence below {eps} within {max_steps} steps")
+        if t == cap:
+            break
+    if abs(x[target] - x_ss) > eps:
         raise ConvergenceFailure("target opinion did not persist near x_ss at the extended horizon")
-    not_below = np.flatnonzero(series >= x0[target])
-    tstar = int(not_below[-1]) + 1 if not_below.size else 1
-    return tstar
+    return last_not_below + 1
 
 
 def deviation_experiment(
@@ -93,10 +102,12 @@ def deviation_experiment(
     The target (argmax of x0 by default) is held at lambda = 1 for every
     step t <= tstar; afterwards the run is pure consensus, continued until
     the opinions equalize. The reported consensus value is perron^T y_tstar
-    and the deviation is its distance from the nominal x_ss. The dominance
-    y_t >= x_t of the held run over the nominal one is checked for every
-    step up to tstar; it fails, with InvalidParameter, only for weights
-    with a negative entry.
+    and the deviation is its distance from the nominal x_ss. The held and
+    nominal runs are streamed in lock-step through tstar, and the dominance
+    y_t >= x_t of the held run over the nominal one is checked at every
+    step; it fails, with InvalidParameter, only for weights with a negative
+    entry. The held stream then goes on alone to equalization, holding
+    O(n) memory throughout.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
@@ -110,30 +121,26 @@ def deviation_experiment(
     if tstar < 0:
         raise InvalidParameter(f"tstar must be >= 0, got {tstar}")
 
-    sched = make_adversarial_nonuniform(tstar=tstar, target=target)
-    held = simulate(weighted, x0, sched, horizon=tstar + 1)
-    nominal = simulate(weighted, x0, zero_consensus(), horizon=tstar)
-    for t in range(tstar + 1):
-        if (held.x(t) < nominal.x(t) - STRICT_DROP_MARGIN).any():
+    held = iterate(weighted, x0, make_adversarial_nonuniform(tstar=tstar, target=target))
+    nominal = iterate(weighted, x0, zero_consensus())
+    for t, y, x in zip(range(tstar + 1), held, nominal):
+        if (y < x - STRICT_DROP_MARGIN).any():
             raise InvalidParameter(
                 f"held trajectory fell below the nominal one at step {t}: W must be nonnegative"
             )
-    y_tstar = held.x(tstar)
+    y_tstar = y
     if not certified and tstar >= 1:
-        certified = bool(nominal.x(tstar)[target] < x0[target])
+        certified = bool(x[target] < x0[target])
 
     # past tstar the schedule is identically zero: plain consensus to equalization
-    W = weighted.W
-    y = held.x(tstar + 1)
     run = 0
-    for _ in range(max_steps):
+    for _, y in zip(range(max_steps), held):
         if float(y.max() - y.min()) < eps_consensus:
             run += 1
             if run >= window:
                 break
         else:
             run = 0
-        y = _apply_step(W, y, x0, 0.0)
     else:
         raise ConvergenceFailure(f"held run did not equalize within {max_steps} steps")
 

@@ -2,6 +2,8 @@
 
 The uniform update is x_{t+1} = (1 - lambda_t) W x_t + lambda_t x_0; the
 non-uniform variant applies a per-agent competition vector elementwise.
+`iterate` is the one simulation kernel: it streams the states of one start
+or of a block of starts, and every consumer reduces the stream itself.
 Every step uses the same evaluation order (matrix-vector product first,
 then the convex combination), so a uniform schedule and the equivalent
 constant per-agent vector produce bit-identical trajectories.
@@ -9,12 +11,12 @@ constant per-agent vector produce bit-identical trajectories.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     InvalidParameter,
     NonUniformUnsupported,
@@ -27,21 +29,7 @@ from .schedules import (
     NonUniformSchedule,
     TruncationPolicy,
     infinite_products,
-    schedule_values,
-    suffix_products,
 )
-
-# full state storage is kept while (horizon + 1) * n stays below this
-DENSE_ELEMENT_LIMIT = 20_000_000
-CHECKPOINT_STRIDE = 100
-
-
-@dataclass(frozen=True)
-class State:
-    """Opinion vector at one time step."""
-
-    t: int
-    x: np.ndarray
 
 
 def _apply_step(W: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarray:
@@ -49,92 +37,76 @@ def _apply_step(W: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarray
     return (1.0 - lam) * y + lam * x0
 
 
-def _check_vec(name: str, v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({n},)")
-    return v
+def iterate(
+    weighted: WeightedNetwork,
+    x0: np.ndarray,
+    schedule: CompetitionSchedule | NonUniformSchedule,
+) -> Iterator[np.ndarray]:
+    """Yield the states x_0, x_1, x_2, ... of the dynamics, without end.
 
-
-def step_uniform(state: State, x0: np.ndarray, W: np.ndarray, lam: float) -> State:
-    """One uniform update; lam is the scalar competition level at state.t."""
-    n = W.shape[0]
-    if W.shape != (n, n):
-        raise DimensionMismatch(f"W must be square, got {W.shape}")
-    x = _check_vec("state.x", state.x, n)
-    x0 = _check_vec("x0", x0, n)
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidParameter(f"lambda must lie in [0, 1], got {lam}")
-    return State(t=state.t + 1, x=_apply_step(W, x, x0, lam))
-
-
-def step_nonuniform(state: State, x0: np.ndarray, W: np.ndarray, lam: np.ndarray) -> State:
-    """One per-agent update; lam is the length-n competition vector at state.t."""
-    n = W.shape[0]
-    if W.shape != (n, n):
-        raise DimensionMismatch(f"W must be square, got {W.shape}")
-    x = _check_vec("state.x", state.x, n)
-    x0 = _check_vec("x0", x0, n)
-    lam = _check_vec("lambda", lam, n)
-    if lam.min() < 0.0 or lam.max() > 1.0:
-        raise InvalidParameter("lambda entries must lie in [0, 1]")
-    return State(t=state.t + 1, x=_apply_step(W, x, x0, lam))
+    x0 is one start (an n vector) or a block of starts (an n x B array, one
+    start per column) that advance together. The start's shape and
+    finiteness are checked when the first state is drawn, and each uniform
+    lambda_t is checked against [0, 1] before the step that uses it. Every
+    yielded array is new and is not touched again by the generator. Consumers
+    keep what they need, so memory stays O(n B) whatever the number of steps.
+    """
+    n = weighted.n
+    x0 = np.array(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[0] != n:
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},) or ({n}, B)")
+    if not np.isfinite(x0).all():
+        raise InvalidParameter("x0 must be finite")
+    uniform = isinstance(schedule, CompetitionSchedule)
+    if not uniform and not isinstance(schedule, NonUniformSchedule):
+        raise InvalidParameter(f"unsupported schedule type {type(schedule).__name__}")
+    W = weighted.W
+    x = x0.copy()
+    t = 0
+    while True:
+        yield x
+        if uniform:
+            lam = schedule.value(t)
+            if not 0.0 <= lam <= 1.0:
+                raise InvalidParameter(f"lambda_{t} = {lam} outside [0, 1]")
+        else:
+            lam = schedule.vector(t, n)
+            if x0.ndim == 2:
+                lam = lam[:, None]
+        x = _apply_step(W, x, x0, lam)
+        t += 1
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated opinion trajectory with its distance-to-consensus series.
+    """Distance-to-consensus series of a simulated run, with its end states.
 
-    distances[t] is the l2 distance |x_t - x_ss 1|. States are stored
-    densely when they fit; otherwise only checkpoints are kept and
-    intermediate states are recomputed on demand.
+    distances[t] is the l2 distance |x_t - x_ss 1| and avg_distances[t] the
+    mean absolute deviation from x_ss, for t = 0..horizon. For a block of B
+    starts both are (horizon + 1) x B arrays and x_ss holds one value per
+    column. Only the start and the final state are kept.
     """
 
     weighted: WeightedNetwork
-    schedule: object
     x0: np.ndarray
-    x_ss: float
+    x_ss: float | np.ndarray
     horizon: int
     distances: np.ndarray
-    _xs: np.ndarray | None = None
-    _checkpoints: dict | None = None
-    _stride: int = CHECKPOINT_STRIDE
-
-    @property
-    def dense(self) -> bool:
-        return self._xs is not None
+    avg_distances: np.ndarray
+    _x_final: np.ndarray
 
     def x(self, t: int) -> np.ndarray:
-        """Opinion vector at step t."""
-        if not 0 <= t <= self.horizon:
-            raise InvalidParameter(f"t={t} outside [0, {self.horizon}]")
-        if self._xs is not None:
-            return self._xs[t].copy()
-        base = (t // self._stride) * self._stride
-        x = self._checkpoints[base].copy()
-        for u in range(base, t):
-            x = _apply_step(self.weighted.W, x, self.x0, _lambda_at(self.schedule, u, self.weighted.n))
-        return x
-
-    def state(self, t: int) -> State:
-        return State(t=t, x=self.x(t))
-
-    @property
-    def states(self) -> list[State]:
-        if self._xs is None:
-            raise InvalidParameter("trajectory was stored sparsely; use state(t)")
-        return [State(t=t, x=self._xs[t].copy()) for t in range(self.horizon + 1)]
-
-    @property
-    def final(self) -> State:
-        return self.state(self.horizon)
-
-    def distance(self, t: int) -> float:
-        return float(self.distances[t])
+        """Opinions at step t, which must be 0 or the horizon."""
+        if t == self.horizon:
+            return self._x_final.copy()
+        if t == 0:
+            return self.x0.copy()
+        raise InvalidParameter(f"only steps 0 and {self.horizon} are kept, got t={t}")
 
     def converged_at(self, eps: float = 1e-8, window: int = 10) -> int | None:
-        """Smallest t with distances below eps for `window` consecutive steps."""
-        below = self.distances < eps
+        """Smallest t with distances below eps for `window` consecutive steps
+        (for a block, in every column)."""
+        below = (self.distances < eps).reshape(self.horizon + 1, -1).all(axis=1)
         run = 0
         for t, ok in enumerate(below):
             run = run + 1 if ok else 0
@@ -143,21 +115,13 @@ class Trajectory:
         return None
 
 
-def _lambda_at(schedule, t: int, n: int):
-    if isinstance(schedule, CompetitionSchedule):
-        return schedule.value(t)
-    if isinstance(schedule, NonUniformSchedule):
-        return schedule.vector(t, n)
-    raise InvalidParameter(f"unsupported schedule type {type(schedule).__name__}")
-
-
 def simulate(
     weighted: WeightedNetwork,
     x0: np.ndarray,
     schedule: CompetitionSchedule | NonUniformSchedule,
     horizon: int,
 ) -> Trajectory:
-    """Run the dynamics for `horizon` steps from x0.
+    """Run the dynamics for `horizon` steps from x0 and record its distances.
 
     Parameters
     ----------
@@ -165,101 +129,37 @@ def simulate(
         Weight matrix with spectral data (needed for the nominal consensus
         value x_ss = perron^T x0).
     x0 : array
-        Initial opinions.
+        Initial opinions: an n vector, or an n x B block of starts that are
+        simulated together, one per column.
     schedule : CompetitionSchedule or NonUniformSchedule
         Uniform or per-agent competition levels.
     horizon : int
-        Number of steps T; the trajectory holds states 0..T.
+        Number of steps T; the distance series cover steps 0..T, and the
+        trajectory keeps x_0 and x_T.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
-    n = weighted.n
-    x0 = _check_vec("x0", x0, n)
-    if not np.isfinite(x0).all():
-        raise InvalidParameter("x0 must be finite")
-    x_ss = weighted.consensus_value(x0)
-    W = weighted.W
-
-    dense = (horizon + 1) * n <= DENSE_ELEMENT_LIMIT
-    xs = np.empty((horizon + 1, n)) if dense else None
-    checkpoints = None if dense else {}
-    distances = np.empty(horizon + 1)
-
-    x = x0.copy()
+    states = iterate(weighted, x0, schedule)
+    x = start = next(states)
+    x_ss = weighted.consensus_value(start)
+    axis = None if start.ndim == 1 else 0
+    distances = np.empty((horizon + 1, *start.shape[1:]))
+    avg_distances = np.empty_like(distances)
     for t in range(horizon + 1):
-        distances[t] = np.linalg.norm(x - x_ss)
-        if dense:
-            xs[t] = x
-        elif t % CHECKPOINT_STRIDE == 0:
-            checkpoints[t] = x.copy()
-        if t == horizon:
-            break
-        lam = _lambda_at(schedule, t, n)
-        if isinstance(schedule, CompetitionSchedule):
-            if not 0.0 <= lam <= 1.0:
-                raise InvalidParameter(f"lambda_{t} = {lam} outside [0, 1]")
-        x = _apply_step(W, x, x0, lam)
-
+        dev = x - x_ss
+        distances[t] = np.linalg.norm(dev, axis=axis)
+        avg_distances[t] = np.abs(dev).mean(axis=axis)
+        if t < horizon:
+            x = next(states)
     return Trajectory(
         weighted=weighted,
-        schedule=schedule,
-        x0=x0.copy(),
+        x0=start,
         x_ss=x_ss,
         horizon=horizon,
         distances=distances,
-        _xs=xs,
-        _checkpoints=checkpoints,
+        avg_distances=avg_distances,
+        _x_final=x,
     )
-
-
-def simulate_until(
-    weighted: WeightedNetwork,
-    x0: np.ndarray,
-    schedule: CompetitionSchedule | NonUniformSchedule,
-    eps: float = 1e-8,
-    window: int = 10,
-    max_steps: int = 1_000_000,
-    chunk: int = 512,
-) -> Trajectory:
-    """Simulate until the distance stays below eps for `window` steps.
-
-    Returns the trajectory up to the step where convergence was certified.
-    Raises ConvergenceFailure if max_steps is reached first.
-    """
-    n = weighted.n
-    x0 = _check_vec("x0", x0, n)
-    if not np.isfinite(x0).all():
-        raise InvalidParameter("x0 must be finite")
-    x_ss = weighted.consensus_value(x0)
-    W = weighted.W
-
-    xs = [x0.copy()]
-    distances = [float(np.linalg.norm(x0 - x_ss))]
-    run = 1 if distances[0] < eps else 0
-    x = x0.copy()
-    t = 0
-    while t < max_steps:
-        for _ in range(chunk):
-            lam = _lambda_at(schedule, t, n)
-            x = _apply_step(W, x, x0, lam)
-            t += 1
-            xs.append(x.copy())
-            d = float(np.linalg.norm(x - x_ss))
-            distances.append(d)
-            run = run + 1 if d < eps else 0
-            if run >= window:
-                return Trajectory(
-                    weighted=weighted,
-                    schedule=schedule,
-                    x0=x0.copy(),
-                    x_ss=x_ss,
-                    horizon=t,
-                    distances=np.array(distances),
-                    _xs=np.array(xs),
-                )
-            if t >= max_steps:
-                break
-    raise ConvergenceFailure(f"no sustained convergence below {eps} within {max_steps} steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +178,13 @@ class TransitionDecomposition:
 
 
 class TransitionCalculator:
-    """Evaluates the transition decomposition with cached matrix powers."""
+    """Evaluates the transition decomposition by its one-step recurrence.
+
+    psi_aut <- (1 - lambda_t) W psi_aut and
+    psi_in <- (1 - lambda_t) W psi_in + lambda_t I advance t by one, so
+    memory is O(n^2) whatever t. `at` continues from the last step it
+    computed and starts again from t = 0 when asked for an earlier one.
+    """
 
     def __init__(self, weighted: WeightedNetwork | np.ndarray, schedule: CompetitionSchedule):
         if isinstance(weighted, WeightedNetwork):
@@ -291,28 +197,25 @@ class TransitionCalculator:
             raise NonUniformUnsupported("transition decomposition is defined for uniform schedules")
         self.W = W
         self.schedule = schedule
-        self._powers = [np.eye(W.shape[0])]
+        self._eye = np.eye(W.shape[0])
+        self._restart()
 
-    def _power(self, k: int) -> np.ndarray:
-        while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] @ self.W)
-        return self._powers[k]
+    def _restart(self) -> None:
+        self._t = 0
+        self._aut = self._eye
+        self._in = np.zeros_like(self._eye)
 
     def at(self, t: int) -> TransitionDecomposition:
         if t < 0:
             raise InvalidParameter(f"t must be >= 0, got {t}")
-        n = self.W.shape[0]
-        if t == 0:
-            return TransitionDecomposition(t=0, psi_aut=np.eye(n), psi_in=np.zeros((n, n)))
-        r = suffix_products(self.schedule, t - 1)  # r[j] = Lambda_j^{t-1}, j = 0..t
-        lam = schedule_values(self.schedule, 0, t)
-        psi_aut = r[0] * self._power(t)
-        psi_in = np.zeros((n, n))
-        for k in range(t):
-            coeff = r[k + 1] * lam[k]
-            if coeff != 0.0:
-                psi_in += coeff * self._power(t - 1 - k)
-        return TransitionDecomposition(t=t, psi_aut=psi_aut, psi_in=psi_in)
+        if t < self._t:
+            self._restart()
+        while self._t < t:
+            lam = self.schedule.value(self._t)
+            self._aut = (1.0 - lam) * (self.W @ self._aut)
+            self._in = (1.0 - lam) * (self.W @ self._in) + lam * self._eye
+            self._t += 1
+        return TransitionDecomposition(t=t, psi_aut=self._aut.copy(), psi_in=self._in.copy())
 
 
 def transition_decomposition(

@@ -169,14 +169,15 @@ class WeightedNetwork:
     def n(self) -> int:
         return self.network.n
 
-    def consensus_value(self, x0: np.ndarray) -> float:
-        """Nominal consensus value perron^T x0."""
+    def consensus_value(self, x0: np.ndarray) -> float | np.ndarray:
+        """Nominal consensus value perron^T x0; one per column of an n x B block."""
         if self.spectral is None:
             raise InvalidParameter("spectral data not computed for this weighted network")
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (self.n,):
-            raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({self.n},)")
-        return float(self.spectral.perron @ x0)
+        if x0.ndim not in (1, 2) or x0.shape[0] != self.n:
+            raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({self.n},) or ({self.n}, B)")
+        x_ss = self.spectral.perron @ x0
+        return float(x_ss) if x0.ndim == 1 else x_ss
 
     def validate(self, atol: float = 1e-12) -> None:
         """Check structural invariants; raises InvalidParameter on violation."""
@@ -199,26 +200,6 @@ class WeightedNetwork:
         # a positive diagonal on a connected support makes W primitive
         if not net.connected:
             raise InvalidParameter("weight matrix is not primitive: the network is disconnected")
-
-
-def is_primitive(W: np.ndarray, atol: float = 0.0) -> bool:
-    """Primitivity via boolean matrix powers up to the Wielandt bound.
-
-    A nonnegative square matrix is primitive iff its support raised to the
-    power n^2 - 2n + 2 is everywhere positive.
-    """
-    n = W.shape[0]
-    if W.shape != (n, n):
-        raise DimensionMismatch(f"W must be square, got {W.shape}")
-    base = (W > atol).astype(np.int32)
-    exponent = n * n - 2 * n + 2
-    result = np.eye(n, dtype=np.int32)
-    while exponent:
-        if exponent & 1:
-            result = ((result @ base) > 0).astype(np.int32)
-        base = ((base @ base) > 0).astype(np.int32)
-        exponent >>= 1
-    return bool(result.all())
 
 
 def metropolis_weights(net: Network, lazy: bool = False, spectral: bool = True) -> WeightedNetwork:

@@ -6,7 +6,9 @@ Holding agent 0 for t <= 1 gives y_1 = (1, 1/2), so perron^T y_1 = 3/4
 against a nominal consensus of 1/2.
 """
 
+import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from fjfade import (
     NoStrictDrop,
     deviation_experiment,
     find_tstar,
+    iterate,
+    metropolis_weights,
+    path_graph,
     simulate,
     zero_consensus,
 )
@@ -52,14 +57,33 @@ class TestFindTstar:
     def test_last_step_at_or_above_start(self, study_weights, study_x0):
         target = int(np.argmax(study_x0))
         tstar = find_tstar(study_weights, study_x0, target)
-        traj = simulate(study_weights, study_x0, zero_consensus(), horizon=tstar + 5)
+        xs = list(islice(iterate(study_weights, study_x0, zero_consensus()), tstar + 6))
         # definition: tstar is one past the last step where the free-running
         # target still matches its initial opinion
-        assert traj.x(tstar - 1)[target] >= study_x0[target] - 1e-12
-        assert traj.x(tstar)[target] < study_x0[target]
+        assert xs[tstar - 1][target] >= study_x0[target] - 1e-12
+        assert xs[tstar][target] < study_x0[target]
 
     def test_at_least_one(self, star3):
         assert find_tstar(star3, np.array([3.0, 0.0, 0.0]), 0) >= 1
+
+    def test_cap_raises(self, star3):
+        with pytest.raises(ConvergenceFailure):
+            find_tstar(star3, np.array([3.0, 0.0, 0.0]), 0, max_steps=3)
+
+    def test_memory_is_linear_in_n(self):
+        # the run settles after thousands of steps and is followed to ten
+        # times that; storing its states would take megabytes
+        n = 32
+        w = metropolis_weights(path_graph(n))
+        x0 = 5.0 * np.arange(n) / (n - 1)
+        tracemalloc.start()
+        try:
+            tstar = find_tstar(w, x0, n - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tstar >= 1
+        assert peak < 2**20
 
 
 class TestValidation:

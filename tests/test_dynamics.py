@@ -1,30 +1,32 @@
-"""Tests for the update map, trajectory storage, and transition operators."""
+"""Tests for the update map, the streaming kernel, and transition operators."""
+
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fjfade.dynamics as dyn
 from fjfade import (
-    ConvergenceFailure,
+    CompetitionSchedule,
     DimensionMismatch,
     InvalidParameter,
     NonUniformUnsupported,
     NonVanishingSchedule,
-    State,
+    ScheduleKind,
     TransitionCalculator,
     constant,
     custom,
     exponential,
     hyperbolic,
     input_limit_vector,
+    iterate,
     lambda_product,
     make_adversarial_nonuniform,
+    metropolis_weights,
+    path_graph,
     simulate,
-    simulate_until,
-    step_nonuniform,
-    step_uniform,
     transition_decomposition,
     zero_consensus,
 )
@@ -32,41 +34,54 @@ from fjfade import (
 VANISHING = [exponential(0.5), hyperbolic(), zero_consensus(), custom([0.8, 0.4, 0.2, 0.1])]
 
 
+def states(weighted, x0, schedule, horizon):
+    """x_0..x_horizon of the stream, stacked along the first axis."""
+    return np.array(list(islice(iterate(weighted, x0, schedule), horizon + 1)))
+
+
 class TestStep:
     def test_uniform_blends_toward_anchor(self, path2):
         x0 = np.array([1.0, 0.0])
-        s1 = step_uniform(State(0, x0), x0, path2.W, 0.5)
+        xs = states(path2, x0, constant(0.5), 1)
         # W x0 = (.5, .5); blend: 0.5 * (.5,.5) + 0.5 * (1,0)
-        np.testing.assert_allclose(s1.x, [0.75, 0.25], atol=1e-15)
-        assert s1.t == 1
+        np.testing.assert_array_equal(xs[0], x0)
+        np.testing.assert_allclose(xs[1], [0.75, 0.25], atol=1e-15)
 
     def test_lambda_one_freezes(self, path2):
         x0 = np.array([1.0, 0.0])
-        s1 = step_uniform(State(0, x0), x0, path2.W, 1.0)
-        np.testing.assert_array_equal(s1.x, x0)
+        for x in states(path2, x0, constant(1.0), 5):
+            np.testing.assert_array_equal(x, x0)
 
     def test_lambda_zero_is_pure_averaging(self, path2):
         x0 = np.array([1.0, 0.0])
-        s1 = step_uniform(State(0, x0), x0, path2.W, 0.0)
-        np.testing.assert_allclose(s1.x, [0.5, 0.5], atol=1e-15)
+        xs = states(path2, x0, zero_consensus(), 1)
+        np.testing.assert_allclose(xs[1], [0.5, 0.5], atol=1e-15)
 
-    def test_uniform_and_constant_vector_bit_equal(self, star3):
-        rng = np.random.default_rng(5)
-        x0 = rng.random(3)
-        x = rng.random(3)
-        for lam in (0.0, 0.3, 1.0):
-            a = step_uniform(State(2, x), x0, star3.W, lam)
-            b = step_nonuniform(State(2, x), x0, star3.W, np.full(3, lam))
-            np.testing.assert_array_equal(a.x, b.x)
+    def test_uniform_and_constant_vector_bit_equal(self, study_weights):
+        # past tstar the held run's per-agent vector is all zeros; it must
+        # match the uniform zero schedule restarted from the held state
+        x0 = np.random.default_rng(5).uniform(-3.0, 3.0, 20)
+        tstar = 4
+        held = states(study_weights, x0, make_adversarial_nonuniform(tstar, 0), tstar + 31)
+        free = states(study_weights, held[tstar + 1], zero_consensus(), 30)
+        np.testing.assert_array_equal(held[tstar + 1:], free)
 
     def test_validation(self, star3):
-        x0 = np.ones(3)
-        with pytest.raises(InvalidParameter):
-            step_uniform(State(0, x0), x0, star3.W, 1.5)
         with pytest.raises(DimensionMismatch):
-            step_nonuniform(State(0, x0), x0, star3.W, np.array([0.5, 0.5]))
+            next(iterate(star3, np.ones(2), hyperbolic()))
+        with pytest.raises(DimensionMismatch):
+            next(iterate(star3, np.ones((3, 2, 1)), hyperbolic()))
         with pytest.raises(InvalidParameter):
-            step_nonuniform(State(0, x0), x0, star3.W, np.array([0.5, 0.5, 2.0]))
+            next(iterate(star3, np.ones(3), object()))
+        # lambda_0 is checked before the first step
+        stream = iterate(star3, np.ones(3), CompetitionSchedule(ScheduleKind.CONSTANT, lam=1.5))
+        next(stream)
+        with pytest.raises(InvalidParameter, match="outside"):
+            next(stream)
+
+    def test_non_finite_start_rejected(self, star3):
+        with pytest.raises(InvalidParameter, match="finite"):
+            next(iterate(star3, np.array([np.nan, 0.0, 0.0]), zero_consensus()))
 
     @given(lam=st.floats(0.0, 1.0), seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -74,11 +89,9 @@ class TestStep:
         # each update is a convex combination, so opinions stay in hull(x0)
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-3.0, 3.0, 3)
-        s = State(0, x0)
-        for _ in range(8):
-            s = step_uniform(s, x0, star3.W, lam)
-            assert s.x.min() >= x0.min() - 1e-12
-            assert s.x.max() <= x0.max() + 1e-12
+        xs = states(star3, x0, constant(lam), 8)
+        assert xs.min() >= x0.min() - 1e-12
+        assert xs.max() <= x0.max() + 1e-12
 
 
 class TestSimulate:
@@ -86,48 +99,45 @@ class TestSimulate:
         x0 = np.array([3.0, 0.0, 0.0])
         traj = simulate(star3, x0, zero_consensus(), horizon=200)
         assert traj.x_ss == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(traj.final.x, np.ones(3), atol=1e-8)
+        np.testing.assert_allclose(traj.x(200), np.ones(3), atol=1e-8)
         assert traj.distances[-1] < 1e-8
 
     def test_constant_one_never_moves(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])
         traj = simulate(star3, x0, constant(1.0), horizon=20)
-        np.testing.assert_array_equal(traj.final.x, x0)
+        np.testing.assert_array_equal(traj.x(20), x0)
 
     def test_distances_definition(self, study_weights, study_x0):
         traj = simulate(study_weights, study_x0, hyperbolic(), horizon=50)
+        xs = states(study_weights, study_x0, hyperbolic(), 50)
         for t in (0, 7, 50):
-            d = np.linalg.norm(traj.x(t) - traj.x_ss)
-            assert traj.distance(t) == pytest.approx(d, abs=1e-13)
+            assert traj.distances[t] == np.linalg.norm(xs[t] - traj.x_ss)
+            assert traj.avg_distances[t] == np.abs(xs[t] - traj.x_ss).mean()
+        np.testing.assert_array_equal(traj.x(50), xs[50])
 
     def test_horizon_zero(self, star3):
         traj = simulate(star3, np.array([1.0, 0.0, 2.0]), hyperbolic(), horizon=0)
         np.testing.assert_array_equal(traj.x(0), [1.0, 0.0, 2.0])
         assert len(traj.distances) == 1
 
-    def test_states_accessor(self, star3):
-        traj = simulate(star3, np.ones(3), hyperbolic(), horizon=5)
-        assert [s.t for s in traj.states] == list(range(6))
-
-    def test_sparse_replay_matches_dense(self, star3, monkeypatch):
-        x0 = np.array([2.0, -1.0, 0.5])
-        dense = simulate(star3, x0, exponential(0.5), horizon=250)
-        monkeypatch.setattr(dyn, "DENSE_ELEMENT_LIMIT", 30)
-        sparse = simulate(star3, x0, exponential(0.5), horizon=250)
-        assert not sparse.dense
-        for t in (0, 1, 99, 100, 101, 199, 250):
-            np.testing.assert_array_equal(sparse.x(t), dense.x(t))
-        np.testing.assert_array_equal(sparse.distances, dense.distances)
-        with pytest.raises(InvalidParameter):
-            _ = sparse.states
+    def test_block_matches_single_runs(self, study_weights):
+        rng = np.random.default_rng(9)
+        block = rng.standard_normal((20, 5))
+        for sched in (hyperbolic(), make_adversarial_nonuniform(6, 3)):
+            traj = simulate(study_weights, block, sched, horizon=200)
+            assert traj.distances.shape == traj.avg_distances.shape == (201, 5)
+            for b in range(5):
+                one = simulate(study_weights, block[:, b], sched, horizon=200)
+                assert abs(traj.x_ss[b] - one.x_ss) < 1e-13
+                np.testing.assert_allclose(traj.distances[:, b], one.distances, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(traj.avg_distances[:, b], one.avg_distances, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(traj.x(200)[:, b], one.x(200), rtol=0, atol=1e-13)
 
     def test_adversarial_schedule_holds_target(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])
-        sched = make_adversarial_nonuniform(tstar=4, target=0)
-        traj = simulate(star3, x0, sched, horizon=6)
-        for t in range(5):
-            assert traj.x(t)[0] == 3.0
-        assert traj.x(6)[0] < 3.0
+        xs = states(star3, x0, make_adversarial_nonuniform(tstar=4, target=0), 6)
+        assert (xs[:6, 0] == 3.0).all()
+        assert xs[6, 0] < 3.0
 
     def test_converged_at_requires_window(self, star3):
         traj = simulate(star3, np.array([3.0, 0.0, 0.0]), zero_consensus(), horizon=300)
@@ -137,26 +147,17 @@ class TestSimulate:
         assert (traj.distances[t:t + 10] < 1e-6).all()
         # one step earlier the window must be broken
         assert traj.distances[t - 1] >= 1e-6
+        # a block converges when its slowest column does
+        block = np.array([[0.0, 0.0], [3.0, 30.0], [0.0, 0.0]])
+        fast, slow = (simulate(star3, block[:, b], zero_consensus(), 300).converged_at(1e-6) for b in (0, 1))
+        assert fast < slow == simulate(star3, block, zero_consensus(), 300).converged_at(1e-6)
 
     def test_x_out_of_range(self, star3):
+        # only the start and the final state are kept
         traj = simulate(star3, np.ones(3), hyperbolic(), horizon=3)
-        with pytest.raises(InvalidParameter):
-            traj.x(4)
-
-
-class TestSimulateUntil:
-    def test_certifies_convergence(self, star3):
-        traj = simulate_until(star3, np.array([3.0, 0.0, 0.0]), zero_consensus(), eps=1e-9)
-        assert traj.distances[-1] < 1e-9
-
-    def test_cap_raises(self, star3):
-        with pytest.raises(ConvergenceFailure):
-            simulate_until(star3, np.array([3.0, 0.0, 0.0]), zero_consensus(),
-                           eps=1e-9, max_steps=3)
-
-    def test_non_finite_start_rejected(self, star3):
-        with pytest.raises(InvalidParameter, match="finite"):
-            simulate_until(star3, np.array([np.nan, 0.0, 0.0]), zero_consensus(), max_steps=3)
+        for t in (-1, 1, 2, 4):
+            with pytest.raises(InvalidParameter):
+                traj.x(t)
 
 
 class TestTransitionDecomposition:
@@ -175,12 +176,33 @@ class TestTransitionDecomposition:
     @pytest.mark.parametrize("sched", VANISHING, ids=lambda s: s.label)
     def test_matches_simulation(self, small_fixtures, sched):
         for w, x0 in small_fixtures:
-            traj = simulate(w, x0, sched, horizon=60)
+            xs = states(w, x0, sched, 60)
             calc = TransitionCalculator(w, sched)
             for t in (0, 1, 2, 7, 33, 60):
                 dec = calc.at(t)
                 xt = (dec.psi_aut + dec.psi_in) @ x0
-                assert np.abs(xt - traj.x(t)).max() < 1e-10
+                assert np.abs(xt - xs[t]).max() < 1e-10
+
+    def test_earlier_step_restarts(self, study_weights):
+        calc = TransitionCalculator(study_weights, hyperbolic())
+        late = calc.at(40)
+        early = calc.at(7)
+        fresh = transition_decomposition(study_weights, hyperbolic(), 7)
+        np.testing.assert_array_equal(early.psi_aut, fresh.psi_aut)
+        np.testing.assert_array_equal(early.psi_in, fresh.psi_in)
+        np.testing.assert_array_equal(calc.at(40).psi_in, late.psi_in)
+
+    def test_memory_is_quadratic_in_n(self):
+        # 2,001 cached powers of a 50 x 50 matrix would take 40 MB
+        w = metropolis_weights(path_graph(50))
+        calc = TransitionCalculator(w, exponential(0.05))
+        tracemalloc.start()
+        try:
+            calc.at(2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_rows_sum_to_one(self, study_weights):
         # psi_aut + psi_in is a stochastic matrix at every t

@@ -21,7 +21,6 @@ from fjfade import (
     complete_graph,
     compute_spectral,
     generate_erdos_renyi,
-    is_primitive,
     metropolis_weights,
     path_graph,
     row_stochastic_weights,
@@ -238,19 +237,6 @@ class TestSpectralOracle:
             compute_spectral(w)
 
 
-class TestPrimitivity:
-    def test_primitive_cases(self, path2, star3):
-        assert is_primitive(path2.W)
-        assert is_primitive(star3.W)
-
-    def test_periodic_not_primitive(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert not is_primitive(swap)
-
-    def test_reducible_not_primitive(self):
-        assert not is_primitive(np.eye(3))
-
-
 class TestConsensusValue:
     def test_weighted_average(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])
@@ -259,6 +245,12 @@ class TestConsensusValue:
     def test_dimension_mismatch(self, star3):
         with pytest.raises(DimensionMismatch):
             star3.consensus_value(np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            star3.consensus_value(np.ones((4, 2)))
+
+    def test_block_gives_one_value_per_column(self, star3):
+        block = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+        np.testing.assert_allclose(star3.consensus_value(block), [1.0, 1.0], atol=1e-10)
 
     def test_requires_spectral(self):
         w = metropolis_weights(star_graph(3), spectral=False)
