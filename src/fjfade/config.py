@@ -18,7 +18,7 @@ from .schedules import CompetitionSchedule, make_schedule
 GRAPH_KINDS = ("er", "path", "star", "complete")
 WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
 EXPERIMENT_KEYS = {
-    "n", "horizon", "seed", "out_dir", "eps_conv", "underflow", "tail_eps", "emit_alt_distance",
+    "n", "horizon", "seed", "out_dir", "eps_conv", "tail_eps", "emit_alt_distance",
 }
 SCHEDULE_KEYS = {
     "constant": {"lam"},
@@ -74,7 +74,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     eps_conv: float = 1e-8
-    underflow: float = 1e-14
     tail_eps: float = 1e-14
     emit_alt_distance: bool = False
 
@@ -215,7 +214,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise exp._error("seed", "seed must fit in an unsigned 64-bit integer")
     out_dir = exp.get_str("out_dir", default="results")
     eps_conv = exp.get_float("eps_conv", default=1e-8)
-    underflow = exp.get_float("underflow", default=1e-14)
     tail_eps = exp.get_float("tail_eps", default=1e-14)
     emit_alt = exp.get_bool("emit_alt_distance", default=False)
 
@@ -307,7 +305,7 @@ def parse_config(text: str) -> ExperimentConfig:
         n=n, graph=GraphSpec(kind=gkind, p=p), weights=wkind,
         schedules=tuple(schedules), x0_uniform=x0_uniform, x0_values=x0_values,
         horizon=horizon, seed=seed, out_dir=out_dir,
-        eps_conv=eps_conv, underflow=underflow, tail_eps=tail_eps,
+        eps_conv=eps_conv, tail_eps=tail_eps,
         emit_alt_distance=emit_alt,
     )
 
@@ -321,7 +319,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"seed = {cfg.seed}",
         f"out_dir = {cfg.out_dir}",
         f"eps_conv = {cfg.eps_conv:g}",
-        f"underflow = {cfg.underflow:g}",
         f"tail_eps = {cfg.tail_eps:g}",
         f"emit_alt_distance = {str(cfg.emit_alt_distance).lower()}",
         "",

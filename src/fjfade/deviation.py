@@ -19,18 +19,22 @@ from .network import WeightedNetwork
 from .schedules import make_adversarial_nonuniform, zero_consensus
 
 STRICT_DROP_MARGIN = 1e-12
-PERSISTENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class DeviationReport:
-    """Outcome of one adversarial run against its nominal consensus."""
+    """Outcome of one adversarial run against its nominal consensus.
+
+    y_consensus_value = perron^T y_tstar is the consensus functional at the
+    switch state; y_limit_value = perron^T y_{tstar+1} is the limit the held
+    run actually reaches, since the release takes effect one step later.
+    """
 
     tstar: int
     target: int
     x_limit_nominal: float
     y_tstar: np.ndarray
-    y_limit: np.ndarray
+    y_limit_value: float
     y_consensus_value: float
     deviation: float
     strict_drop_certified: bool
@@ -54,38 +58,32 @@ def find_tstar(
     weighted: WeightedNetwork,
     x0: np.ndarray,
     target: int,
-    eps: float = PERSISTENCE_TOL,
-    window: int = 10,
     max_steps: int = 1_000_000,
 ) -> int:
     """Smallest tstar after which the nominal run stays strictly below x0[target].
 
-    One pass over the plain consensus run: once the distance to x_ss has
-    stayed below eps for `window` steps, at step t, the run is continued to
-    the horizon 10 t. tstar is placed right after the last step where the
-    target's opinion still reached its initial value, and persistence is
-    certified by checking the target sits within eps of x_ss at that
-    horizon. Memory is O(n) however long the run.
+    W is nonnegative and row stochastic, so every entry of W x is a convex
+    combination of entries of x and max_i x_t[i] never increases along the
+    plain consensus run. At the first step t with max(x_t) < x0[target] the
+    target can never again reach its initial opinion, so tstar is one past
+    the last step before t where it still did. The pass needs no tolerance,
+    keeps O(n) memory and raises ConvergenceFailure if the certificate has
+    not fired by step max_steps; weights with a negative entry raise
+    InvalidParameter.
     """
     x0 = np.asarray(x0, dtype=float)
-    x_ss = _validate_target(weighted, x0, target)
-    run = 0
-    cap = None
+    _validate_target(weighted, x0, target)
+    if (weighted.W < 0).any():
+        raise InvalidParameter("the switch-time certificate needs nonnegative weights")
     for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
+        if x.max() < x0[target]:
+            return last_not_below + 1
         if x[target] >= x0[target]:  # always true at t = 0
             last_not_below = t
-        if cap is None:
-            run = run + 1 if np.linalg.norm(x - x_ss) < eps else 0
-            # the window may count step 0 but closes no earlier than step 1
-            if run >= window and t >= 1:
-                cap = 10 * t
-            elif t >= max_steps:
-                raise ConvergenceFailure(f"no sustained convergence below {eps} within {max_steps} steps")
-        if t == cap:
-            break
-    if abs(x[target] - x_ss) > eps:
-        raise ConvergenceFailure("target opinion did not persist near x_ss at the extended horizon")
-    return last_not_below + 1
+        if t >= max_steps:
+            raise ConvergenceFailure(
+                f"maximum opinion still at or above x0[target] after {max_steps} steps"
+            )
 
 
 def deviation_experiment(
@@ -93,21 +91,18 @@ def deviation_experiment(
     x0: np.ndarray,
     target: int | None = None,
     tstar: int | None = None,
-    eps_consensus: float = PERSISTENCE_TOL,
-    window: int = 10,
-    max_steps: int = 1_000_000,
 ) -> DeviationReport:
     """Run the single-stubborn-agent construction and report its deviation.
 
     The target (argmax of x0 by default) is held at lambda = 1 for every
-    step t <= tstar; afterwards the run is pure consensus, continued until
-    the opinions equalize. The reported consensus value is perron^T y_tstar
-    and the deviation is its distance from the nominal x_ss. The held and
-    nominal runs are streamed in lock-step through tstar, and the dominance
-    y_t >= x_t of the held run over the nominal one is checked at every
-    step; it fails, with InvalidParameter, only for weights with a negative
-    entry. The held stream then goes on alone to equalization, holding
-    O(n) memory throughout.
+    step t <= tstar; afterwards the run is plain consensus. The reported
+    consensus value is perron^T y_tstar and the deviation is its distance
+    from the nominal x_ss. The held and nominal runs are streamed in
+    lock-step through tstar, and the dominance y_t >= x_t of the held run
+    over the nominal one is checked at every step; it fails, with
+    InvalidParameter, only for weights with a negative entry. One more held
+    step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the held limit
+    is exactly perron^T y_{tstar+1}. Memory is O(n).
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
@@ -116,7 +111,7 @@ def deviation_experiment(
 
     certified = False
     if tstar is None:
-        tstar = find_tstar(weighted, x0, target, eps=eps_consensus, window=window, max_steps=max_steps)
+        tstar = find_tstar(weighted, x0, target)
         certified = True
     if tstar < 0:
         raise InvalidParameter(f"tstar must be >= 0, got {tstar}")
@@ -132,25 +127,14 @@ def deviation_experiment(
     if not certified and tstar >= 1:
         certified = bool(x[target] < x0[target])
 
-    # past tstar the schedule is identically zero: plain consensus to equalization
-    run = 0
-    for _, y in zip(range(max_steps), held):
-        if float(y.max() - y.min()) < eps_consensus:
-            run += 1
-            if run >= window:
-                break
-        else:
-            run = 0
-    else:
-        raise ConvergenceFailure(f"held run did not equalize within {max_steps} steps")
-
-    y_consensus_value = float(weighted.spectral.perron @ y_tstar)
+    perron = weighted.spectral.perron
+    y_consensus_value = float(perron @ y_tstar)
     return DeviationReport(
         tstar=tstar,
         target=target,
         x_limit_nominal=x_ss,
         y_tstar=y_tstar,
-        y_limit=y,
+        y_limit_value=float(perron @ next(held)),
         y_consensus_value=y_consensus_value,
         deviation=abs(y_consensus_value - x_ss),
         strict_drop_certified=certified,

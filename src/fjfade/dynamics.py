@@ -103,7 +103,7 @@ class Trajectory:
             return self.x0.copy()
         raise InvalidParameter(f"only steps 0 and {self.horizon} are kept, got t={t}")
 
-    def converged_at(self, eps: float = 1e-8, window: int = 10) -> int | None:
+    def converged_at(self, eps: float, window: int = 10) -> int | None:
         """Smallest t with distances below eps for `window` consecutive steps
         (for a block, in every column)."""
         below = (self.distances < eps).reshape(self.horizon + 1, -1).all(axis=1)

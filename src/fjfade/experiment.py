@@ -124,7 +124,7 @@ def draw_x0(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
 
 
 def truncation_policy(cfg: ExperimentConfig) -> TruncationPolicy:
-    return TruncationPolicy(underflow=cfg.underflow, tail_eps=cfg.tail_eps)
+    return TruncationPolicy(tail_eps=cfg.tail_eps)
 
 
 def bounds_applicable(weighted: WeightedNetwork, schedule: object) -> bool:
@@ -138,13 +138,11 @@ def bounds_applicable(weighted: WeightedNetwork, schedule: object) -> bool:
 
 
 def _resolve_adversarial(
-    cfg: ExperimentConfig, spec: ScheduleSpec, weighted: WeightedNetwork, x0: np.ndarray
+    spec: ScheduleSpec, weighted: WeightedNetwork, x0: np.ndarray
 ) -> tuple[DeviationReport, object]:
     target = None if spec.target == "argmax" else int(spec.target)
     tstar = None if spec.tstar == "auto" else int(spec.tstar)
-    report = deviation_experiment(
-        weighted, x0, target=target, tstar=tstar, eps_consensus=cfg.eps_conv
-    )
+    report = deviation_experiment(weighted, x0, target=target, tstar=tstar)
     sched = make_adversarial_nonuniform(tstar=report.tstar, target=report.target)
     return report, sched
 
@@ -160,7 +158,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for spec in cfg.schedules:
         report = None
         if spec.is_adversarial:
-            report, sched = _resolve_adversarial(cfg, spec, weighted, x0)
+            report, sched = _resolve_adversarial(spec, weighted, x0)
         else:
             sched = spec.build_uniform()
         traj = simulate(weighted, x0, sched, cfg.horizon)
@@ -215,7 +213,7 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _schedule_manifest_lines(run: RunResult) -> list[str]:
+def _schedule_manifest_lines(cfg: ExperimentConfig, run: RunResult) -> list[str]:
     spec = run.spec
     lines = [f"[run.{spec.label}]", f"kind = {spec.kind}", f"csv = {run.csv_name}"]
     if spec.kind == "constant":
@@ -234,7 +232,7 @@ def _schedule_manifest_lines(run: RunResult) -> list[str]:
     traj = run.trajectory
     avg_T = float(np.abs(traj.x(traj.horizon) - traj.x_ss).mean())
     lines.append(f"terminal_avg_distance = {_fmt(avg_T)}")
-    conv = traj.converged_at()
+    conv = traj.converged_at(cfg.eps_conv)
     lines.append(f"converged_at = {conv if conv is not None else 'none'}")
     if run.report is not None:
         rep = run.report
@@ -244,7 +242,7 @@ def _schedule_manifest_lines(run: RunResult) -> list[str]:
             f"target = {rep.target}",
             f"x_limit_nominal = {_fmt(rep.x_limit_nominal)}",
             f"y_consensus_value = {_fmt(rep.y_consensus_value)}",
-            f"y_limit_value = {_fmt(float(rep.y_limit.mean()))}",
+            f"y_limit_value = {_fmt(rep.y_limit_value)}",
             f"deviation = {_fmt(rep.deviation)}",
             f"strict_drop_certified = {str(rep.strict_drop_certified).lower()}",
         ]
@@ -292,12 +290,11 @@ def render_manifest(result: ExperimentResult) -> str:
         f"x_ss = {_fmt(result.x_ss)}",
         "",
         "[truncation]",
-        f"underflow = {_fmt(cfg.underflow)}",
         f"tail_eps = {_fmt(cfg.tail_eps)}",
     ]
     for run in result.runs:
         lines.append("")
-        lines.extend(_schedule_manifest_lines(run))
+        lines.extend(_schedule_manifest_lines(cfg, run))
     return "\n".join(lines) + "\n"
 
 
@@ -366,8 +363,11 @@ def verify_bounds(
     schedule, the witness and the random starts run as one n x (trials + 1)
     block through `simulate`. A non vanishing schedule in the config is an
     error. With self_test=True the upper bound is shifted down by 0.1 and
-    the check must FAIL, proving the harness can see a violation.
+    the check must FAIL, proving the harness can see a violation. A negative
+    `trials` raises InvalidParameter.
     """
+    if trials < 0:
+        raise InvalidParameter(f"trials must be >= 0, got {trials}")
     draw = build_network(cfg)
     weighted, _ = build_weights(cfg, draw.network)
     sp = weighted.spectral
@@ -436,4 +436,4 @@ def tstar_report(cfg: ExperimentConfig) -> DeviationReport:
         if spec.is_adversarial and spec.target != "argmax":
             target = int(spec.target)
             break
-    return deviation_experiment(weighted, x0, target=target, tstar=None, eps_consensus=cfg.eps_conv)
+    return deviation_experiment(weighted, x0, target=target, tstar=None)

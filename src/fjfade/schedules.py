@@ -175,13 +175,11 @@ def custom(seq) -> CompetitionSchedule:
 class TruncationPolicy:
     """Cutoffs for infinite products and tail series.
 
-    underflow: a partial product below this is reported as exactly 0.
     tail_eps: once lambda_k < tail_eps with a certified bound on the
       remaining sum of lambda, the product/series is truncated there.
-    max_terms: safety cap on table sizes and chunked products.
+    max_terms: safety cap on table sizes.
     """
 
-    underflow: float = 1e-14
     tail_eps: float = 1e-14
     max_terms: int = 5_000_000
 
@@ -204,23 +202,10 @@ def lambda_product(
     if s < 0:
         raise InvalidParameter(f"product start must be >= 0, got {s}")
     if t is math.inf or t == math.inf:
-        table = infinite_products(schedule, trunc)
-        val = table.lam_to_inf(int(s))
-        return 0.0 if 0.0 < val < trunc.underflow else val
+        return infinite_products(schedule, trunc).lam_to_inf(int(s))
     t = int(t)
     if s > t:
         return 1.0
-    if t - s + 1 > trunc.max_terms:
-        # chunked product; exits early once the value can no longer recover
-        prod = 1.0
-        lo = s
-        while lo <= t:
-            hi = min(lo + trunc.max_terms, t + 1)
-            prod *= float(np.prod(1.0 - schedule_values(schedule, lo, hi)))
-            if prod == 0.0:
-                return 0.0
-            lo = hi
-        return prod
     return float(np.prod(1.0 - schedule_values(schedule, s, t + 1)))
 
 

@@ -108,6 +108,19 @@ class TestRun:
         assert "deviation = " in manifest
         assert "tstar_source = fixed" in manifest
 
+    def test_eps_conv_sets_converged_at(self, tmp_path):
+        def converged_at(eps_conv):
+            path = tmp_path / f"eps{eps_conv}.ini"
+            text = RUN_CONFIG.replace("out_dir = results", f"out_dir = results\neps_conv = {eps_conv}")
+            path.write_text(text)
+            out = tmp_path / f"out{eps_conv}"
+            assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+            manifest = (out / "manifest.ini").read_text()
+            fast = manifest.split("[run.fast]")[1].split("\n\n")[0]
+            return int(fast.split("converged_at = ")[1].splitlines()[0])
+
+        assert converged_at("1e-3") < converged_at("1e-8")
+
     def test_quiet_silences_stdout(self, config_path, tmp_path, capsys):
         main(["run", str(config_path), "--out", str(tmp_path / "o"), "--quiet"])
         assert capsys.readouterr().out == ""
@@ -127,6 +140,12 @@ class TestVerify:
         code = main(["verify", str(path), "--horizon", "80", "--trials", "2", "--self-test"])
         assert code == 0
         assert "self-test ok" in capsys.readouterr().out
+
+    def test_negative_trials_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "v.ini"
+        path.write_text(VERIFY_CONFIG)
+        assert main(["verify", str(path), "--horizon", "50", "--trials", "-1"]) == 2
+        assert "InvalidParameter: trials must be >= 0" in capsys.readouterr().err
 
     def test_rejects_non_vanishing_schedule(self, tmp_path, capsys):
         text = VERIFY_CONFIG.replace("kind = exponential\nrate = 0.5", "kind = constant\nlam = 0.3")

@@ -61,7 +61,6 @@ class TestParsing:
         assert cfg.horizon == 1000
         assert cfg.seed == 0
         assert cfg.out_dir == "results"
-        assert cfg.underflow == 1e-14
         assert not cfg.emit_alt_distance
 
     def test_explicit_values(self):
@@ -91,6 +90,10 @@ class TestRejection:
         assert exc.value.field == "graph.wat"
         assert exc.value.line == 11
         assert "wat" in str(exc.value)
+
+    def test_underflow_key_removed(self):
+        with pytest.raises(ConfigError, match="unknown key 'underflow'"):
+            parse_config(GOOD.replace("eps_conv = 1e-9", "eps_conv = 1e-9\nunderflow = 1e-14"))
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section"):
