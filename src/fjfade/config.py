@@ -20,6 +20,9 @@ WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
 EXPERIMENT_KEYS = {
     "n", "horizon", "seed", "out_dir", "eps_conv", "tail_eps", "emit_alt_distance",
 }
+# A run keeps O(horizon) series per schedule (distances, bounds, CSV text), about
+# 100 bytes a step on the 20-agent study, so the cap holds them near 100 MB each.
+MAX_HORIZON = 10**6
 SCHEDULE_KEYS = {
     "constant": {"lam"},
     "exponential": {"rate"},
@@ -76,6 +79,15 @@ class ExperimentConfig:
     eps_conv: float = 1e-8
     tail_eps: float = 1e-14
     emit_alt_distance: bool = False
+
+    def __post_init__(self):
+        # checked here, not in parse_config, so the CLI's overrides are checked too
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon}: the cap "
+                              "holds a run's O(horizon) series near 100 MB per schedule",
+                              field="experiment.horizon")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -207,11 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if n < 2:
         raise exp._error("n", f"need at least 2 agents, got {n}")
     horizon = exp.get_int("horizon", default=1000)
-    if horizon < 1:
-        raise exp._error("horizon", f"horizon must be >= 1, got {horizon}")
     seed = exp.get_int("seed", default=0)
-    if not 0 <= seed < 2**64:
-        raise exp._error("seed", "seed must fit in an unsigned 64-bit integer")
     out_dir = exp.get_str("out_dir", default="results")
     eps_conv = exp.get_float("eps_conv", default=1e-8)
     tail_eps = exp.get_float("tail_eps", default=1e-14)

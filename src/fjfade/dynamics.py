@@ -11,6 +11,7 @@ constant per-agent vector produce bit-identical trajectories.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ from .schedules import (
 )
 
 
+CHUNK = 1024  # uniform lambda values drawn per schedule.values call
+BUFFER_ELEMENTS = 2**16  # states simulate reduces per call, at most CHUNK rows
+
+
 def _apply_step(W: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarray:
     y = W @ x
     return (1.0 - lam) * y + lam * x0
@@ -46,10 +51,12 @@ def iterate(
 
     x0 is one start (an n vector) or a block of starts (an n x B array, one
     start per column) that advance together. The start's shape and
-    finiteness are checked when the first state is drawn, and each uniform
-    lambda_t is checked against [0, 1] before the step that uses it. Every
-    yielded array is new and is not touched again by the generator. Consumers
-    keep what they need, so memory stays O(n B) whatever the number of steps.
+    finiteness are checked when the first state is drawn. A uniform schedule's
+    values are drawn CHUNK at a time from `schedule.values` (bit-identical to
+    `schedule.value`), and each lambda_t is checked against [0, 1] right
+    before the step that uses it. Every yielded array is new and is not
+    touched again by the generator. Consumers keep what they need, so memory
+    stays O(n B) whatever the number of steps.
     """
     n = weighted.n
     x0 = np.array(x0, dtype=float)
@@ -66,7 +73,9 @@ def iterate(
     while True:
         yield x
         if uniform:
-            lam = schedule.value(t)
+            if t % CHUNK == 0:
+                lams = schedule.values(np.arange(t, t + CHUNK)).tolist()
+            lam = lams[t % CHUNK]
             if not 0.0 <= lam <= 1.0:
                 raise InvalidParameter(f"lambda_{t} = {lam} outside [0, 1]")
         else:
@@ -136,21 +145,33 @@ def simulate(
     horizon : int
         Number of steps T; the distance series cover steps 0..T, and the
         trajectory keeps x_0 and x_T.
+
+    The streamed states are reduced in one call per buffer of at most
+    BUFFER_ELEMENTS numbers and CHUNK rows, bit-identical to per-step
+    `np.linalg.norm` and `np.abs(dev).mean()` (`axis=0` for a block).
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
     states = iterate(weighted, x0, schedule)
-    x = start = next(states)
+    start = next(states)
     x_ss = weighted.consensus_value(start)
-    axis = None if start.ndim == 1 else 0
     distances = np.empty((horizon + 1, *start.shape[1:]))
     avg_distances = np.empty_like(distances)
-    for t in range(horizon + 1):
-        dev = x - x_ss
-        distances[t] = np.linalg.norm(dev, axis=axis)
-        avg_distances[t] = np.abs(dev).mean(axis=axis)
-        if t < horizon:
-            x = next(states)
+    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // max(start.size, 1)))
+    buf = np.empty((rows, *start.shape))
+    stream = itertools.chain([start], states)
+    for lo in range(0, horizon + 1, rows):
+        hi = min(lo + rows, horizon + 1)
+        dev = buf[:hi - lo]
+        for i in range(hi - lo):
+            dev[i] = x = next(stream)
+        np.subtract(dev, x_ss, out=dev)
+        if start.ndim == 1:
+            # stacked 1 x n by n x 1 products are BLAS ddot, as in np.linalg.norm
+            distances[lo:hi] = np.sqrt(np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
+        else:
+            distances[lo:hi] = np.linalg.norm(dev, axis=1)
+        avg_distances[lo:hi] = np.abs(dev, out=dev).mean(axis=1)
     return Trajectory(
         weighted=weighted,
         x0=start,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import lower_bound, upper_bound, worst_case_initial_condition
+from .bounds import gap, lower_bound, worst_case_initial_condition
 from .config import ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
 from .dynamics import Trajectory, simulate
@@ -180,37 +181,32 @@ def _fmt(v: float) -> str:
 
 
 def render_csv(result: ExperimentResult, run: RunResult) -> str:
+    """CSV text of one run, zipped row by row from lazy per-column string streams."""
     cfg = result.cfg
     traj = run.trajectory
-    horizon = traj.horizon
-    avg = np.maximum(traj.avg_distances, DISTANCE_FLOOR)
-    log_avg = np.log10(avg)
-
-    ratio = None
+    fmt = float.__repr__  # the repr of the Python float, also for numpy scalars
+    cols = [
+        map(str, range(traj.horizon + 1)),
+        map(fmt, np.log10(np.maximum(traj.avg_distances, DISTANCE_FLOOR))),
+    ]
     if not run.spec.is_adversarial and traj.distances[0] >= 1e-14:
-        ratio = traj.distances / traj.distances[0]
-
-    upper = lower = None
+        cols.append(map(fmt, traj.distances / traj.distances[0]))
+    else:
+        cols.append(repeat(""))
     if run.bounds_used:
         sigma = result.weighted.spectral.sigma_max
-        steps = np.arange(1, horizon + 1)
+        steps = np.arange(1, traj.horizon + 1)
         lower = lower_bound(sigma, run.schedule, steps)
-        upper = upper_bound(sigma, run.schedule, steps, truncation_policy(cfg))
-
-    header = CSV_HEADER + ("," + ALT_COLUMN if cfg.emit_alt_distance else "")
-    lines = [header]
-    for t in range(horizon + 1):
-        row = [str(t), _fmt(log_avg[t])]
-        row.append(_fmt(ratio[t]) if ratio is not None else "")
-        if upper is not None and t >= 1:
-            row.append(_fmt(upper[t - 1]))
-            row.append(_fmt(lower[t - 1]))
-        else:
-            row += ["", ""]
-        if cfg.emit_alt_distance:
-            row.append(_fmt(math.log10(max(traj.distances[t], DISTANCE_FLOOR))))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        upper = lower + gap(run.schedule, steps, truncation_policy(cfg))
+        cols += [chain([""], map(fmt, upper)), chain([""], map(fmt, lower))]
+    else:
+        cols += [repeat(""), repeat("")]
+    header = CSV_HEADER
+    if cfg.emit_alt_distance:
+        header += "," + ALT_COLUMN
+        # math.log10, not np.log10, which may differ in the last ulp
+        cols.append(map(fmt, map(math.log10, np.maximum(traj.distances, DISTANCE_FLOOR))))
+    return "\n".join(chain([header], map(",".join, zip(*cols)))) + "\n"
 
 
 def _schedule_manifest_lines(cfg: ExperimentConfig, run: RunResult) -> list[str]:
@@ -399,7 +395,7 @@ def verify_bounds(
     for spec in uniform:
         sched = spec.build_uniform()
         lower = lower_bound(sp.sigma_max, sched, steps)
-        upper = upper_bound(sp.sigma_max, sched, steps, trunc) + shift
+        upper = lower + gap(sched, steps, trunc) + shift
 
         # column 0 is the witness, then one column per random start
         starts = np.column_stack([witness, rng.standard_normal((trials, cfg.n)).T])

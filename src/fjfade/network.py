@@ -79,8 +79,9 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Network:
 
     Each unordered pair (i, j), i < j, taken in lexicographic order, is
     included independently with probability p using one uniform draw from
-    numpy's default generator seeded with `seed`. The edge set is therefore
-    a pure function of (n, p, seed).
+    numpy's default generator seeded with `seed`, drawn one row i at a time
+    so memory is O(n + edges). The edge set is therefore a pure function of
+    (n, p, seed).
 
     Parameters
     ----------
@@ -100,10 +101,12 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Network:
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(n), 2))
-    draws = rng.random(len(pairs))
-    edges = tuple(pair for pair, u in zip(pairs, draws) if u < p)
-    return Network(n=n, edges=edges, seed=seed)
+    edges = []
+    for i in range(n - 1):
+        # row i draws pairs (i, i+1..n-1): chunked draws equal one long draw
+        js = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges.extend((i, j) for j in js.tolist())
+    return Network(n=n, edges=tuple(edges), seed=seed)
 
 
 def path_graph(n: int) -> Network:
@@ -281,7 +284,7 @@ def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
     n = weighted.n
     symmetric = bool(np.abs(W - W.T).max() <= 1e-12)
     perron = np.full(n, 1.0 / n) if symmetric else _perron_vector(W)
-    A = W - np.outer(np.ones(n), perron)
+    A = W - perron  # W - 1 perron^T by broadcasting
 
     if np.abs(A).max() < 1e-15:
         # rank-one consensus matrix: the deflated operator vanishes

@@ -1,10 +1,22 @@
 """End-to-end tests for the command line and its file outputs."""
 
+import math
+
 import numpy as np
 import pytest
 
+from fjfade import cli
+from fjfade.bounds import lower_bound, upper_bound
 from fjfade.cli import main
-from fjfade.experiment import CSV_HEADER
+from fjfade.config import parse_config
+from fjfade.experiment import (
+    ALT_COLUMN,
+    CSV_HEADER,
+    DISTANCE_FLOOR,
+    render_csv,
+    run_experiment,
+    truncation_policy,
+)
 
 RUN_CONFIG = """\
 [experiment]
@@ -164,12 +176,64 @@ class TestTstar:
         assert "strict_drop_certified = true" in stdout
 
 
+def render_csv_oracle(result, run):
+    """The CSV text built row by row, with scalar formatting and math.log10."""
+    cfg, traj = result.cfg, run.trajectory
+    log_avg = np.log10(np.maximum(traj.avg_distances, DISTANCE_FLOOR))
+    ratio = None
+    if not run.spec.is_adversarial and traj.distances[0] >= 1e-14:
+        ratio = traj.distances / traj.distances[0]
+    upper = lower = None
+    if run.bounds_used:
+        sigma = result.weighted.spectral.sigma_max
+        steps = np.arange(1, traj.horizon + 1)
+        lower = lower_bound(sigma, run.schedule, steps)
+        upper = upper_bound(sigma, run.schedule, steps, truncation_policy(cfg))
+    lines = [CSV_HEADER + ("," + ALT_COLUMN if cfg.emit_alt_distance else "")]
+    for t in range(traj.horizon + 1):
+        row = [str(t), repr(float(log_avg[t]))]
+        row.append(repr(float(ratio[t])) if ratio is not None else "")
+        if upper is not None and t >= 1:
+            row += [repr(float(upper[t - 1])), repr(float(lower[t - 1]))]
+        else:
+            row += ["", ""]
+        if cfg.emit_alt_distance:
+            row.append(repr(math.log10(max(traj.distances[t], DISTANCE_FLOOR))))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_render_csv_matches_row_oracle():
+    text = RUN_CONFIG.replace("out_dir = results", "out_dir = results\nemit_alt_distance = true")
+    text += "\n[schedule.flat]\nkind = constant\nlam = 0.3\n"
+    result = run_experiment(parse_config(text))
+    assert [run.bounds_used for run in result.runs] == [True, True, False, False]
+    for run in result.runs:
+        assert render_csv(result, run) == render_csv_oracle(result, run)
+
+
 class TestErrors:
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(RUN_CONFIG.replace("kind = er", "kind = moebius"))
         assert main(["run", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_horizon_cap_exits_2_before_running(self, config_path, monkeypatch, capsys, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the horizon reached the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        monkeypatch.setattr(cli, "verify_bounds", unreachable)
+        assert main([command, str(config_path), "--horizon", "2000000000", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "horizon must lie in [1, 1000000]" in err and "100 MB" in err
+
+    def test_bad_overrides_exit_2(self, config_path, capsys):
+        assert main(["run", str(config_path), "--horizon", "0", "--quiet"]) == 2
+        assert main(["run", str(config_path), "--seed", "-1", "--quiet"]) == 2
+        assert capsys.readouterr().err.count("config error") == 2
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2

@@ -124,6 +124,11 @@ class TestRejection:
             parse_config(GOOD.replace("tstar = auto", "tstar = -3"))
         with pytest.raises(ConfigError):
             parse_config(GOOD.replace("target = argmax", "target = 17"))
+        for horizon in ("0", "1000001"):
+            with pytest.raises(ConfigError, match="horizon must lie in"):
+                parse_config(GOOD.replace("horizon = 40", f"horizon = {horizon}"))
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(GOOD.replace("seed = 3", "seed = -1"))
         for old, new in (
             ("rate = 0.5", "rate = inf"),
             ("eps_conv = 1e-9", "eps_conv = nan"),

@@ -30,6 +30,7 @@ from fjfade import (
     transition_decomposition,
     zero_consensus,
 )
+from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK
 
 VANISHING = [exponential(0.5), hyperbolic(), zero_consensus(), custom([0.8, 0.4, 0.2, 0.1])]
 
@@ -77,6 +78,15 @@ class TestStep:
         stream = iterate(star3, np.ones(3), CompetitionSchedule(ScheduleKind.CONSTANT, lam=1.5))
         next(stream)
         with pytest.raises(InvalidParameter, match="outside"):
+            next(stream)
+
+    def test_chunked_lambda_checked_at_its_step(self, star3):
+        # lambda_1500 = 1.5 sits in the second chunk of schedule values; the
+        # stream still yields x_0..x_1500 and fails only when x_1501 is drawn
+        sched = CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * 1500 + (1.5,))
+        stream = iterate(star3, np.array([1.0, 0.0, 2.0]), sched)
+        assert len(list(islice(stream, 1501))) == 1501
+        with pytest.raises(InvalidParameter, match="lambda_1500 = 1.5"):
             next(stream)
 
     def test_non_finite_start_rejected(self, star3):
@@ -132,6 +142,24 @@ class TestSimulate:
                 np.testing.assert_allclose(traj.distances[:, b], one.distances, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(traj.avg_distances[:, b], one.avg_distances, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(traj.x(200)[:, b], one.x(200), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("columns", [None, 1, 40])
+    @pytest.mark.parametrize("sched", [hyperbolic(), make_adversarial_nonuniform(6, 3)], ids=["uniform", "adversarial"])
+    def test_chunked_reductions_match_per_step(self, study_weights, columns, sched):
+        # the buffered reductions must equal per-step norm and mean bit for
+        # bit, at every horizon around the buffer's row count
+        shape = (20,) if columns is None else (20, columns)
+        x0 = np.random.default_rng(4).standard_normal(shape)
+        rows = min(CHUNK, BUFFER_ELEMENTS // x0.size)
+        axis = None if columns is None else 0
+        for horizon in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            traj = simulate(study_weights, x0, sched, horizon)
+            xs = list(islice(iterate(study_weights, x0, sched), horizon + 1))
+            np.testing.assert_array_equal(
+                traj.distances, [np.linalg.norm(x - traj.x_ss, axis=axis) for x in xs])
+            np.testing.assert_array_equal(
+                traj.avg_distances, [np.abs(x - traj.x_ss).mean(axis=axis) for x in xs])
+            np.testing.assert_array_equal(traj.x(horizon), xs[-1])
 
     def test_adversarial_schedule_holds_target(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])

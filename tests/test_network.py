@@ -5,6 +5,7 @@ order with scalar rng calls; the generator must reproduce it exactly.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ class TestErdosRenyi:
     @settings(max_examples=50, deadline=None)
     def test_matches_scalar_oracle(self, n, p, seed):
         assert generate_erdos_renyi(n, p, seed).edges == scalar_er_oracle(n, p, seed)
+
+    def test_memory_is_linear_in_n(self):
+        # all n(n-1)/2 pair tuples at n = 1,500 would take about 80 MB
+        tracemalloc.start()
+        try:
+            net = generate_erdos_renyi(1500, 0.01, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net.edges) == 11209
+        assert peak < 8 * 2**20
 
     def test_extremes(self):
         assert generate_erdos_renyi(6, 0.0, 3).edges == ()
