@@ -86,8 +86,7 @@ def cmd_run(args) -> int:
         if run.report is not None:
             rep = run.report
             extra = f" tstar={rep.tstar} target={rep.target} deviation={rep.deviation!r}"
-        conv = run.trajectory.converged_at(cfg.eps_conv)
-        extra += f" converged_at={conv}" if conv is not None else ""
+        extra += f" converged_at={run.converged_at}" if run.converged_at is not None else ""
         _say(args, f"run {run.spec.label}: wrote {out_dir / run.csv_name}{extra}")
     _say(args, f"manifest: {out_dir / 'manifest.ini'}")
     return 0

@@ -22,6 +22,7 @@ EXPERIMENT_KEYS = {
 }
 # A run keeps O(horizon) series per schedule (distances, bounds, CSV text), about
 # 100 bytes a step on the 20-agent study, so the cap holds them near 100 MB each.
+SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 SCHEDULE_KEYS = {
     "constant": {"lam"},
@@ -84,7 +85,7 @@ class ExperimentConfig:
         # checked here, not in parse_config, so the CLI's overrides are checked too
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon}: the cap "
-                              "holds a run's O(horizon) series near 100 MB per schedule",
+                              f"holds a run's O(horizon) series near {SCHEDULE_BUDGET_MB} MB per schedule",
                               field="experiment.horizon")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")

@@ -4,7 +4,7 @@ The uniform update is x_{t+1} = (1 - lambda_t) W x_t + lambda_t x_0; the
 non-uniform variant applies a per-agent competition vector elementwise.
 `iterate` is the one simulation kernel: it streams the states of one start
 or of a block of starts, and every consumer reduces the stream itself.
-Every step uses the same evaluation order (matrix-vector product first,
+Every step uses the same evaluation order (the product with W first,
 then the convex combination), so a uniform schedule and the equivalent
 constant per-agent vector produce bit-identical trajectories.
 """
@@ -37,9 +37,13 @@ CHUNK = 1024  # uniform lambda values drawn per schedule.values call
 BUFFER_ELEMENTS = 2**16  # states simulate reduces per call, at most CHUNK rows
 
 
-def _apply_step(W: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarray:
-    y = W @ x
-    return (1.0 - lam) * y + lam * x0
+def _apply_step(WT: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarray:
+    """(1 - lam) (x @ W.T) + lam x0 for x one start or one start per row;
+    a scalar or n-vector lam broadcasts along the last axis."""
+    y = x @ WT
+    y *= 1.0 - lam
+    y += lam * x0
+    return y
 
 
 def iterate(
@@ -50,16 +54,15 @@ def iterate(
     """Yield the states x_0, x_1, x_2, ... of the dynamics, without end.
 
     x0 is one start (an n vector) or a block of starts (an n x B array, one
-    start per column) that advance together. The start's shape and
-    finiteness are checked when the first state is drawn. A uniform schedule's
-    values are drawn CHUNK at a time from `schedule.values` (bit-identical to
-    `schedule.value`), and each lambda_t is checked against [0, 1] right
-    before the step that uses it. Every yielded array is new and is not
-    touched again by the generator. Consumers keep what they need, so memory
-    stays O(n B) whatever the number of steps.
+    start per column); a block advances as C-contiguous B x n rows and is
+    yielded as their n x B `.T` view. Shape and finiteness are checked when
+    the first state is drawn. A uniform schedule's values come CHUNK at a
+    time from `schedule.values` (bit-identical to `schedule.value`), each
+    checked against [0, 1] before its step. Yielded arrays are new and never
+    touched again, so memory stays O(n B) whatever the number of steps.
     """
     n = weighted.n
-    x0 = np.array(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[0] != n:
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},) or ({n}, B)")
     if not np.isfinite(x0).all():
@@ -67,11 +70,12 @@ def iterate(
     uniform = isinstance(schedule, CompetitionSchedule)
     if not uniform and not isinstance(schedule, NonUniformSchedule):
         raise InvalidParameter(f"unsupported schedule type {type(schedule).__name__}")
-    W = weighted.W
+    WT = weighted.W.T
+    x0 = np.array(x0.T, order="C")  # one start per row, a copy the caller cannot touch
     x = x0.copy()
     t = 0
     while True:
-        yield x
+        yield x.T
         if uniform:
             if t % CHUNK == 0:
                 lams = schedule.values(np.arange(t, t + CHUNK)).tolist()
@@ -80,9 +84,7 @@ def iterate(
                 raise InvalidParameter(f"lambda_{t} = {lam} outside [0, 1]")
         else:
             lam = schedule.vector(t, n)
-            if x0.ndim == 2:
-                lam = lam[:, None]
-        x = _apply_step(W, x, x0, lam)
+        x = _apply_step(WT, x, x0, lam)
         t += 1
 
 
@@ -116,12 +118,10 @@ class Trajectory:
         """Smallest t with distances below eps for `window` consecutive steps
         (for a block, in every column)."""
         below = (self.distances < eps).reshape(self.horizon + 1, -1).all(axis=1)
-        run = 0
-        for t, ok in enumerate(below):
-            run = run + 1 if ok else 0
-            if run >= window:
-                return t - window + 1
-        return None
+        seen = np.concatenate(([0], np.cumsum(below)))  # below steps before t
+        ends = seen[window:]
+        starts = np.flatnonzero(ends - seen[:ends.size] == window)
+        return int(starts[0]) if starts.size else None
 
 
 def simulate(
@@ -146,9 +146,10 @@ def simulate(
         Number of steps T; the distance series cover steps 0..T, and the
         trajectory keeps x_0 and x_T.
 
-    The streamed states are reduced in one call per buffer of at most
-    BUFFER_ELEMENTS numbers and CHUNK rows, bit-identical to per-step
-    `np.linalg.norm` and `np.abs(dev).mean()` (`axis=0` for a block).
+    Buffers of at most BUFFER_ELEMENTS numbers and CHUNK rows hold one start
+    per contiguous row and are reduced in one call each: norms by stacked
+    BLAS ddot, as in `np.linalg.norm`, and means along the row. So a block
+    column reduces bit for bit like a single run of its states.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
@@ -158,20 +159,17 @@ def simulate(
     distances = np.empty((horizon + 1, *start.shape[1:]))
     avg_distances = np.empty_like(distances)
     rows = max(1, min(CHUNK, BUFFER_ELEMENTS // max(start.size, 1)))
-    buf = np.empty((rows, *start.shape))
+    buf = np.empty((rows, *start.T.shape))
+    center = np.asarray(x_ss)[..., None]  # one value per row
     stream = itertools.chain([start], states)
     for lo in range(0, horizon + 1, rows):
         hi = min(lo + rows, horizon + 1)
         dev = buf[:hi - lo]
         for i in range(hi - lo):
-            dev[i] = x = next(stream)
-        np.subtract(dev, x_ss, out=dev)
-        if start.ndim == 1:
-            # stacked 1 x n by n x 1 products are BLAS ddot, as in np.linalg.norm
-            distances[lo:hi] = np.sqrt(np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
-        else:
-            distances[lo:hi] = np.linalg.norm(dev, axis=1)
-        avg_distances[lo:hi] = np.abs(dev, out=dev).mean(axis=1)
+            dev[i] = (x := next(stream)).T
+        np.subtract(dev, center, out=dev)
+        distances[lo:hi] = np.sqrt(np.matmul(dev[..., None, :], dev[..., None])[..., 0, 0])
+        avg_distances[lo:hi] = np.abs(dev, out=dev).mean(axis=-1)
     return Trajectory(
         weighted=weighted,
         x0=start,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import gap, lower_bound, worst_case_initial_condition
-from .config import ExperimentConfig, ScheduleSpec, serialize_config
+from .config import SCHEDULE_BUDGET_MB, ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
 from .dynamics import Trajectory, simulate
 from .errors import (
@@ -69,6 +69,7 @@ class RunResult:
     trajectory: Trajectory
     csv_name: str
     bounds_used: bool
+    converged_at: int | None
     trunc_report: dict | None = None
     report: DeviationReport | None = None
 
@@ -168,6 +169,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         runs.append(RunResult(
             spec=spec, schedule=sched, trajectory=traj,
             csv_name=f"{spec.label}.csv", bounds_used=use_bounds,
+            converged_at=traj.converged_at(cfg.eps_conv),
             trunc_report=trunc_report, report=report,
         ))
     return ExperimentResult(
@@ -209,7 +211,7 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
     return "\n".join(chain([header], map(",".join, zip(*cols)))) + "\n"
 
 
-def _schedule_manifest_lines(cfg: ExperimentConfig, run: RunResult) -> list[str]:
+def _schedule_manifest_lines(run: RunResult) -> list[str]:
     spec = run.spec
     lines = [f"[run.{spec.label}]", f"kind = {spec.kind}", f"csv = {run.csv_name}"]
     if spec.kind == "constant":
@@ -225,11 +227,8 @@ def _schedule_manifest_lines(cfg: ExperimentConfig, run: RunResult) -> list[str]
         lines.append(f"truncation_exact = {str(rep['exact']).lower()}")
         lines.append(f"truncation_cutoff = {rep['cutoff']}")
         lines.append(f"truncation_remainder = {_fmt(rep['tail_remainder'])}")
-    traj = run.trajectory
-    avg_T = float(np.abs(traj.x(traj.horizon) - traj.x_ss).mean())
-    lines.append(f"terminal_avg_distance = {_fmt(avg_T)}")
-    conv = traj.converged_at(cfg.eps_conv)
-    lines.append(f"converged_at = {conv if conv is not None else 'none'}")
+    lines.append(f"terminal_avg_distance = {_fmt(run.trajectory.avg_distances[-1])}")
+    lines.append(f"converged_at = {'none' if run.converged_at is None else run.converged_at}")
     if run.report is not None:
         rep = run.report
         lines += [
@@ -290,7 +289,7 @@ def render_manifest(result: ExperimentResult) -> str:
     ]
     for run in result.runs:
         lines.append("")
-        lines.extend(_schedule_manifest_lines(cfg, run))
+        lines.extend(_schedule_manifest_lines(run))
     return "\n".join(lines) + "\n"
 
 
@@ -360,10 +359,15 @@ def verify_bounds(
     block through `simulate`. A non vanishing schedule in the config is an
     error. With self_test=True the upper bound is shifted down by 0.1 and
     the check must FAIL, proving the harness can see a violation. A negative
-    `trials` raises InvalidParameter.
+    `trials`, or one whose starts and two distance series would pass
+    SCHEDULE_BUDGET_MB per schedule, raises InvalidParameter before any draw.
     """
     if trials < 0:
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
+    need_mb = 8e-6 * (trials + 1) * (cfg.n + 2 * (cfg.horizon + 1))
+    if need_mb > SCHEDULE_BUDGET_MB:
+        raise InvalidParameter(f"trials = {trials} would hold {need_mb:.0f} MB of starts and distance "
+                               f"series per schedule, over the {SCHEDULE_BUDGET_MB} MB budget")
     draw = build_network(cfg)
     weighted, _ = build_weights(cfg, draw.network)
     sp = weighted.spectral

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fjfade import cli
+from fjfade import cli, experiment
 from fjfade.bounds import lower_bound, upper_bound
 from fjfade.cli import main
 from fjfade.config import parse_config
@@ -158,6 +158,29 @@ class TestVerify:
         path.write_text(VERIFY_CONFIG)
         assert main(["verify", str(path), "--horizon", "50", "--trials", "-1"]) == 2
         assert "InvalidParameter: trials must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials, capped", [(10**9, True), (6, True), (5, False)])
+    def test_trials_cap_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, trials, capped):
+        # at n = 8 and horizon 10^6 each start holds 16 MB of distance series:
+        # 6 starts (trials = 5) fit in the 100 MB budget, 7 do not
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(experiment, "simulate", reached)
+        monkeypatch.setattr(experiment.np.random, "default_rng", reached)
+        path = tmp_path / "v.ini"
+        path.write_text(VERIFY_CONFIG)
+        args = ["verify", str(path), "--horizon", "1000000", "--trials", str(trials), "--quiet"]
+        if capped:
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert f"InvalidParameter: trials = {trials}" in err and "100 MB budget" in err
+        else:
+            with pytest.raises(Reached):
+                main(args)
 
     def test_rejects_non_vanishing_schedule(self, tmp_path, capsys):
         text = VERIFY_CONFIG.replace("kind = exponential\nrate = 0.5", "kind = constant\nlam = 0.3")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fjfade import (
     CompetitionSchedule,
@@ -30,9 +31,20 @@ from fjfade import (
     transition_decomposition,
     zero_consensus,
 )
-from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK
+from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory
 
 VANISHING = [exponential(0.5), hyperbolic(), zero_consensus(), custom([0.8, 0.4, 0.2, 0.1])]
+
+
+def converged_at_loop(distances, eps, window):
+    """The per-step loop that Trajectory.converged_at replaced, kept as its oracle."""
+    below = (distances < eps).reshape(len(distances), -1).all(axis=1)
+    run = 0
+    for t, ok in enumerate(below):
+        run = run + 1 if ok else 0
+        if run >= window:
+            return t - window + 1
+    return None
 
 
 def states(weighted, x0, schedule, horizon):
@@ -147,19 +159,41 @@ class TestSimulate:
     @pytest.mark.parametrize("sched", [hyperbolic(), make_adversarial_nonuniform(6, 3)], ids=["uniform", "adversarial"])
     def test_chunked_reductions_match_per_step(self, study_weights, columns, sched):
         # the buffered reductions must equal per-step norm and mean bit for
-        # bit, at every horizon around the buffer's row count
+        # bit, at every horizon around the buffer's row count; a block column
+        # must reduce exactly like a single run of its states
         shape = (20,) if columns is None else (20, columns)
         x0 = np.random.default_rng(4).standard_normal(shape)
         rows = min(CHUNK, BUFFER_ELEMENTS // x0.size)
-        axis = None if columns is None else 0
         for horizon in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
             traj = simulate(study_weights, x0, sched, horizon)
             xs = list(islice(iterate(study_weights, x0, sched), horizon + 1))
-            np.testing.assert_array_equal(
-                traj.distances, [np.linalg.norm(x - traj.x_ss, axis=axis) for x in xs])
-            np.testing.assert_array_equal(
-                traj.avg_distances, [np.abs(x - traj.x_ss).mean(axis=axis) for x in xs])
+            if columns is None:
+                norms = [np.linalg.norm(x - traj.x_ss) for x in xs]
+                means = [np.abs(x - traj.x_ss).mean() for x in xs]
+            else:
+                cols = range(columns)
+                norms = [[np.linalg.norm(x[:, j] - traj.x_ss[j]) for j in cols] for x in xs]
+                means = [[np.abs(x[:, j] - traj.x_ss[j]).mean() for j in cols] for x in xs]
+            np.testing.assert_array_equal(traj.distances, norms)
+            np.testing.assert_array_equal(traj.avg_distances, means)
             np.testing.assert_array_equal(traj.x(horizon), xs[-1])
+
+    def test_block_stream_yields_fresh_columns(self, study_weights):
+        # a block streams as n x B arrays that later steps never overwrite,
+        # and a per-agent schedule on a block matches its per-column runs
+        block = np.random.default_rng(8).standard_normal((20, 6))
+        sched = make_adversarial_nonuniform(5, 2)
+        xs, kept = [], []
+        for x in islice(iterate(study_weights, block, sched), 30):
+            xs.append(x)
+            kept.append(x.copy())  # as drawn, before any later step
+        for x, k in zip(xs, kept):
+            assert x.shape == (20, 6)
+            np.testing.assert_array_equal(x, k)
+        np.testing.assert_array_equal(xs[0], block)
+        for j in range(6):
+            single = states(study_weights, block[:, j], sched, 29)
+            np.testing.assert_allclose(np.array(xs)[:, :, j], single, rtol=0, atol=1e-13)
 
     def test_adversarial_schedule_holds_target(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])
@@ -179,6 +213,19 @@ class TestSimulate:
         block = np.array([[0.0, 0.0], [3.0, 30.0], [0.0, 0.0]])
         fast, slow = (simulate(star3, block[:, b], zero_consensus(), 300).converged_at(1e-6) for b in (0, 1))
         assert fast < slow == simulate(star3, block, zero_consensus(), 300).converged_at(1e-6)
+
+    @given(horizon=st.integers(0, 40), window=st.integers(1, 12),
+           columns=st.sampled_from([None, 1, 3]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_converged_at_matches_loop(self, star3, horizon, window, columns, data):
+        shape = (horizon + 1,) if columns is None else (horizon + 1, columns)
+        below = data.draw(arrays(np.bool_, shape))
+        for mask in (below, np.zeros(shape, bool)):  # the second never converges
+            d = np.where(mask, 0.0, 1.0)
+            traj = Trajectory(weighted=star3, x0=np.zeros(3), x_ss=0.0, horizon=horizon,
+                              distances=d, avg_distances=d, _x_final=np.zeros(3))
+            assert traj.converged_at(0.5, window) == converged_at_loop(d, 0.5, window)
+        assert traj.converged_at(0.5, window) is None
 
     def test_x_out_of_range(self, star3):
         # only the start and the final state are kept
