@@ -86,14 +86,10 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
     _check_vanishing(schedule)
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
-    lam = schedule_values(schedule, 0, max(horizon, 1))
-    out = np.empty(horizon + 1)
-    out[0] = 1.0
-    m = 1.0
-    for t in range(horizon):
-        m = sigma_max * (1.0 - lam[t]) * m + lam[t]
-        out[t + 1] = m
-    return out
+    out = [1.0]
+    for lam in schedule_values(schedule, 0, horizon).tolist():  # Python floats: same IEEE ops, no numpy scalars
+        out.append(sigma_max * (1.0 - lam) * out[-1] + lam)
+    return np.array(out)
 
 
 def upper_bound(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import iterate
-from .errors import ConvergenceFailure, InvalidParameter, NoStrictDrop
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidParameter, NoStrictDrop
 from .network import WeightedNetwork
 from .schedules import make_adversarial_nonuniform, zero_consensus
 
@@ -42,11 +42,13 @@ class DeviationReport:
 
 def _validate_target(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> float:
     n = weighted.n
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
     if not 0 <= target < n:
         raise InvalidParameter(f"target {target} out of range for n={n}")
     if x0[target] < x0.max() - STRICT_DROP_MARGIN:
         raise InvalidParameter("target must hold a maximal initial opinion")
-    x_ss = weighted.consensus_value(x0)
+    x_ss = float(weighted.perron @ x0)
     if x_ss >= x0[target] - STRICT_DROP_MARGIN:
         raise NoStrictDrop(
             f"consensus value {x_ss} is not strictly below the target's initial opinion {x0[target]}"
@@ -102,7 +104,7 @@ def deviation_experiment(
     over the nominal one is checked at every step; it fails, with
     InvalidParameter, only for weights with a negative entry. One more held
     step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the held limit
-    is exactly perron^T y_{tstar+1}. Memory is O(n).
+    is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no spectral data.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
@@ -127,7 +129,7 @@ def deviation_experiment(
     if not certified and tstar >= 1:
         certified = bool(x[target] < x0[target])
 
-    perron = weighted.spectral.perron
+    perron = weighted.perron
     y_consensus_value = float(perron @ y_tstar)
     return DeviationReport(
         tstar=tstar,

@@ -3,7 +3,7 @@
 The uniform update is x_{t+1} = (1 - lambda_t) W x_t + lambda_t x_0; the
 non-uniform variant applies a per-agent competition vector elementwise.
 `iterate` is the one simulation kernel: it streams the states of one start
-or of a block of starts, and every consumer reduces the stream itself.
+or of a block, one schedule per column, and every consumer reduces them.
 Every step uses the same evaluation order (the product with W first,
 then the convex combination), so a uniform schedule and the equivalent
 constant per-agent vector produce bit-identical trajectories.
@@ -12,8 +12,8 @@ constant per-agent vector produce bit-identical trajectories.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +33,12 @@ from .schedules import (
 )
 
 
-CHUNK = 1024  # uniform lambda values drawn per schedule.values call
-BUFFER_ELEMENTS = 2**16  # states simulate reduces per call, at most CHUNK rows
+CHUNK = 1024  # steps of lambda values drawn per table
+BUFFER_ELEMENTS = 2**16  # numbers in one lambda table, and in one buffer simulate reduces
 
 
-def _apply_step(WT: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarray:
-    """(1 - lam) (x @ W.T) + lam x0 for x one start or one start per row;
-    a scalar or n-vector lam broadcasts along the last axis."""
+def _apply_step(WT: np.ndarray, x: np.ndarray, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(1 - lam) (x @ W.T) + lam x0, one start per row; lam broadcasts."""
     y = x @ WT
     y *= 1.0 - lam
     y += lam * x0
@@ -49,17 +48,18 @@ def _apply_step(WT: np.ndarray, x: np.ndarray, x0: np.ndarray, lam) -> np.ndarra
 def iterate(
     weighted: WeightedNetwork,
     x0: np.ndarray,
-    schedule: CompetitionSchedule | NonUniformSchedule,
+    schedule: CompetitionSchedule | NonUniformSchedule | Sequence[CompetitionSchedule | NonUniformSchedule],
 ) -> Iterator[np.ndarray]:
     """Yield the states x_0, x_1, x_2, ... of the dynamics, without end.
 
-    x0 is one start (an n vector) or a block of starts (an n x B array, one
-    start per column); a block advances as C-contiguous B x n rows and is
-    yielded as their n x B `.T` view. Shape and finiteness are checked when
-    the first state is drawn. A uniform schedule's values come CHUNK at a
-    time from `schedule.values` (bit-identical to `schedule.value`), each
-    checked against [0, 1] before its step. Yielded arrays are new and never
-    touched again, so memory stays O(n B) whatever the number of steps.
+    x0 is one start (an n vector) or an n x B block; `schedule` is one
+    schedule, or a list of one per column (of B starts, or of one start run
+    under each). The block advances as C-contiguous rows, one product with
+    W.T per step; each state is a new n x columns `.T` view (an n vector for
+    one start under one schedule), never touched again. Shape and finiteness
+    are checked at the first draw. Each step reads one row of a table of
+    `values(ts)` or `values(ts, n)`, at most CHUNK rows and BUFFER_ELEMENTS
+    numbers; a value outside [0, 1] raises before its step.
     """
     n = weighted.n
     x0 = np.asarray(x0, dtype=float)
@@ -67,24 +67,35 @@ def iterate(
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},) or ({n}, B)")
     if not np.isfinite(x0).all():
         raise InvalidParameter("x0 must be finite")
-    uniform = isinstance(schedule, CompetitionSchedule)
-    if not uniform and not isinstance(schedule, NonUniformSchedule):
-        raise InvalidParameter(f"unsupported schedule type {type(schedule).__name__}")
+    per_column = isinstance(schedule, (list, tuple))
+    schedules = list(schedule) if per_column else [schedule]
+    if not all(isinstance(s, (CompetitionSchedule, NonUniformSchedule)) for s in schedules):
+        raise InvalidParameter(f"unsupported schedule types {[type(s).__name__ for s in schedules]}")
+    starts = 1 if x0.ndim == 1 else x0.shape[1]
+    columns = len(schedules) if per_column else starts
+    if not columns or starts not in (1, columns):
+        raise DimensionMismatch(f"{len(schedules)} schedules for {starts} starts")
+    width = n if any(isinstance(s, NonUniformSchedule) for s in schedules) else 1
+    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // (len(schedules) * width)))
+    row = (len(schedules), width) if per_column else (n,) * (width > 1)  # a lambda row per column, or one shared
     WT = weighted.W.T
     x0 = np.array(x0.T, order="C")  # one start per row, a copy the caller cannot touch
-    x = x0.copy()
+    x = np.broadcast_to(x0, (columns, n) if per_column else x0.shape).copy()
     t = 0
     while True:
         yield x.T
-        if uniform:
-            if t % CHUNK == 0:
-                lams = schedule.values(np.arange(t, t + CHUNK)).tolist()
-            lam = lams[t % CHUNK]
-            if not 0.0 <= lam <= 1.0:
-                raise InvalidParameter(f"lambda_{t} = {lam} outside [0, 1]")
-        else:
-            lam = schedule.vector(t, n)
-        x = _apply_step(WT, x, x0, lam)
+        i = t % rows
+        if i == 0:  # lambda_t..lambda_{t+rows-1}, one schedule per column
+            ts = np.arange(t, t + rows)
+            table = np.empty((rows, len(schedules), width))
+            for j, s in enumerate(schedules):
+                table[:, j] = s.values(ts, n) if isinstance(s, NonUniformSchedule) else s.values(ts)[:, None]
+            bad = np.argwhere(~((table >= 0.0) & (table <= 1.0)))  # in row-major order
+            stop = bad[0, 0] if len(bad) else rows
+            lam = table.reshape(rows, *row)
+        if i == stop:
+            raise InvalidParameter(f"lambda_{t} = {table[tuple(bad[0])]} outside [0, 1]")
+        x = _apply_step(WT, x, x0, lam[i])
         t += 1
 
 
@@ -94,8 +105,8 @@ class Trajectory:
 
     distances[t] is the l2 distance |x_t - x_ss 1| and avg_distances[t] the
     mean absolute deviation from x_ss, for t = 0..horizon. For a block of B
-    starts both are (horizon + 1) x B arrays and x_ss holds one value per
-    column. Only the start and the final state are kept.
+    columns both are (horizon + 1) x B arrays and x_ss holds one value per
+    column, or one for all. Only the start and the final state are kept.
     """
 
     weighted: WeightedNetwork
@@ -114,6 +125,12 @@ class Trajectory:
             return self.x0.copy()
         raise InvalidParameter(f"only steps 0 and {self.horizon} are kept, got t={t}")
 
+    def column(self, j: int) -> Trajectory:
+        """The run of block column j, its series as views of the block's."""
+        x_ss = self.x_ss[j] if np.ndim(self.x_ss) else self.x_ss
+        return replace(self, x0=self.x0[:, j], x_ss=x_ss, distances=self.distances[:, j],
+                       avg_distances=self.avg_distances[:, j], _x_final=self._x_final[:, j])
+
     def converged_at(self, eps: float, window: int = 10) -> int | None:
         """Smallest t with distances below eps for `window` consecutive steps
         (for a block, in every column)."""
@@ -127,7 +144,7 @@ class Trajectory:
 def simulate(
     weighted: WeightedNetwork,
     x0: np.ndarray,
-    schedule: CompetitionSchedule | NonUniformSchedule,
+    schedule: CompetitionSchedule | NonUniformSchedule | Sequence[CompetitionSchedule | NonUniformSchedule],
     horizon: int,
 ) -> Trajectory:
     """Run the dynamics for `horizon` steps from x0 and record its distances.
@@ -140,8 +157,8 @@ def simulate(
     x0 : array
         Initial opinions: an n vector, or an n x B block of starts that are
         simulated together, one per column.
-    schedule : CompetitionSchedule or NonUniformSchedule
-        Uniform or per-agent competition levels.
+    schedule : CompetitionSchedule, NonUniformSchedule or a list of them
+        Uniform or per-agent levels, for every column or one per column.
     horizon : int
         Number of steps T; the distance series cover steps 0..T, and the
         trajectory keeps x_0 and x_T.
@@ -155,7 +172,7 @@ def simulate(
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
     states = iterate(weighted, x0, schedule)
     start = next(states)
-    x_ss = weighted.consensus_value(start)
+    x_ss = weighted.consensus_value(start if np.ndim(x0) == 2 else x0)
     distances = np.empty((horizon + 1, *start.shape[1:]))
     avg_distances = np.empty_like(distances)
     rows = max(1, min(CHUNK, BUFFER_ELEMENTS // max(start.size, 1)))
@@ -261,8 +278,6 @@ def input_limit_vector(
     """
     if not schedule.vanishing:
         raise NonVanishingSchedule("input limit requires lambda_t -> 0")
-    if weighted.spectral is None:
-        raise InvalidParameter("spectral data not computed for this weighted network")
     table = infinite_products(schedule, trunc)
     scalar = 1.0 - table.lam_to_inf(0)
-    return scalar * weighted.spectral.perron
+    return scalar * weighted.perron

@@ -107,14 +107,14 @@ def build_network(cfg: ExperimentConfig) -> NetworkDraw:
     )
 
 
-def build_weights(cfg: ExperimentConfig, net: Network) -> tuple[WeightedNetwork, int]:
+def build_weights(cfg: ExperimentConfig, net: Network, spectral: bool = True) -> tuple[WeightedNetwork, int]:
     if cfg.weights == "metropolis":
-        return metropolis_weights(net), 0
+        return metropolis_weights(net, spectral=spectral), 0
     if cfg.weights == "lazy_metropolis":
-        return metropolis_weights(net, lazy=True), 0
+        return metropolis_weights(net, lazy=True, spectral=spectral), 0
     # independent stream: entropy (seed, 1) so graph resampling cannot alias it
     draws = 2 * len(net.edges) + net.n
-    return row_stochastic_weights(net, seed=[cfg.seed, 1]), draws
+    return row_stochastic_weights(net, seed=[cfg.seed, 1], spectral=spectral), draws
 
 
 def draw_x0(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
@@ -150,20 +150,20 @@ def _resolve_adversarial(
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run every schedule from x0 as one column of a single `simulate` block,
+    after each adversarial switch time is found by its own single-start pass."""
     draw = build_network(cfg)
     weighted, weight_draws = build_weights(cfg, draw.network)
     x0, x0_draws = draw_x0(cfg)
     x_ss = weighted.consensus_value(x0)
     trunc = truncation_policy(cfg)
 
+    resolved = [_resolve_adversarial(spec, weighted, x0) if spec.is_adversarial
+                else (None, spec.build_uniform()) for spec in cfg.schedules]
+    block = simulate(weighted, x0, [sched for _, sched in resolved], cfg.horizon)
     runs = []
-    for spec in cfg.schedules:
-        report = None
-        if spec.is_adversarial:
-            report, sched = _resolve_adversarial(spec, weighted, x0)
-        else:
-            sched = spec.build_uniform()
-        traj = simulate(weighted, x0, sched, cfg.horizon)
+    for j, (spec, (report, sched)) in enumerate(zip(cfg.schedules, resolved)):
+        traj = block.column(j)
         use_bounds = bounds_applicable(weighted, sched)
         trunc_report = infinite_products(sched, trunc).describe() if use_bounds else None
         runs.append(RunResult(
@@ -429,7 +429,7 @@ def verify_bounds(
 def tstar_report(cfg: ExperimentConfig) -> DeviationReport:
     """Auto-detect the switch time for the configured adversarial target."""
     draw = build_network(cfg)
-    weighted, _ = build_weights(cfg, draw.network)
+    weighted, _ = build_weights(cfg, draw.network, spectral=False)
     x0, _ = draw_x0(cfg)
     target = None
     for spec in cfg.schedules:

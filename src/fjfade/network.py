@@ -172,6 +172,11 @@ class WeightedNetwork:
     def n(self) -> int:
         return self.network.n
 
+    @cached_property
+    def perron(self) -> np.ndarray:
+        """The Perron vector, found without the deflated factorization if need be."""
+        return self.spectral.perron if self.spectral is not None else _stationary(self.W)[0]
+
     def consensus_value(self, x0: np.ndarray) -> float | np.ndarray:
         """Nominal consensus value perron^T x0; one per column of an n x B block."""
         if self.spectral is None:
@@ -282,8 +287,7 @@ def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
     """
     W = weighted.W
     n = weighted.n
-    symmetric = bool(np.abs(W - W.T).max() <= 1e-12)
-    perron = np.full(n, 1.0 / n) if symmetric else _perron_vector(W)
+    perron, symmetric = _stationary(W)
     A = W - perron  # W - 1 perron^T by broadcasting
 
     if np.abs(A).max() < 1e-15:
@@ -309,8 +313,11 @@ def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
                         symmetric=symmetric, iterations=0)
 
 
-def _perron_vector(W: np.ndarray) -> np.ndarray:
+def _stationary(W: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Perron vector of W, and whether W is symmetric (then it is 1/n)."""
     n = W.shape[0]
+    if np.abs(W - W.T).max() <= 1e-12:
+        return np.full(n, 1.0 / n), True
     M = W.T - np.eye(n)
     M[-1] = 1.0
     rhs = np.zeros(n)
@@ -321,7 +328,7 @@ def _perron_vector(W: np.ndarray) -> np.ndarray:
         raise InvalidParameter("weight matrix is not primitive: its stationary vector is not unique") from None
     if not (v > 0).all():
         raise InvalidParameter("weight matrix is not primitive: its stationary vector is not positive")
-    return v
+    return v, False
 
 
 def _fix_sign(v2: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

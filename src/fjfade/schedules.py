@@ -346,15 +346,15 @@ class NonUniformSchedule:
     tstar: int
     target: int
 
-    def vector(self, t: int, n: int) -> np.ndarray:
-        """Length-n array of lambda_t^i."""
-        if t < 0:
-            raise InvalidParameter(f"step index must be >= 0, got {t}")
+    def values(self, ts: np.ndarray, n: int) -> np.ndarray:
+        """len(ts) x n array of lambda_t^i over an integer array of step indices."""
+        ts = np.asarray(ts)
+        if ts.size and ts.min() < 0:
+            raise InvalidParameter("step indices must be >= 0")
         if not 0 <= self.target < n:
             raise InvalidParameter(f"target {self.target} out of range for n={n}")
-        lam = np.zeros(n)
-        if t <= self.tstar:
-            lam[self.target] = 1.0
+        lam = np.zeros((ts.size, n))
+        lam[:, self.target] = ts <= self.tstar
         return lam
 
     def describe(self) -> dict:

@@ -73,6 +73,19 @@ def exact_upper(sigma, sched, horizon):
     return lower_bound_series(sigma, sched, horizon)[1:] - 2.0 * np.expm1(log_lam_inf)
 
 
+def lower_bound_series_loop(sigma, sched, horizon):
+    """The recurrence over numpy scalars that lower_bound_series replaced,
+    kept as its oracle."""
+    lam = sched.values(np.arange(max(horizon, 1)))
+    out = np.empty(horizon + 1)
+    out[0] = 1.0
+    m = 1.0
+    for t in range(horizon):
+        m = sigma * (1.0 - lam[t]) * m + lam[t]
+        out[t + 1] = m
+    return out
+
+
 def assert_array_form(f, horizon=50):
     """f over an array of steps equals f step by step, bit for bit, and an
     array with a step 0, or no step at all, is rejected."""
@@ -101,6 +114,18 @@ class TestLowerBound:
         for t in (1, horizon // 2, horizon):
             if t >= 1:
                 assert series[t] == pytest.approx(lower_bound(sigma, sched, t), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.9, 0.99999])
+    @pytest.mark.parametrize("sched", [exponential(0.5), exponential(0.05), hyperbolic(),
+                                       custom([0.8, 0.3, 0.1]), zero_consensus()],
+                             ids=["exp0.5", "exp0.05", "hyperbolic", "custom", "zero"])
+    def test_series_matches_scalar_loop(self, sigma, sched):
+        # the loop over Python floats does the numpy-scalar loop's IEEE
+        # operations in the same order, so the series agree bit for bit
+        for horizon in (0, 1, 2, 10_000):
+            np.testing.assert_array_equal(
+                lower_bound_series(sigma, sched, horizon), lower_bound_series_loop(sigma, sched, horizon)
+            )
 
     def test_hyperbolic_closed_form(self):
         # with Lambda_{k+1}^{t-1} = (k+1)/t the sum telescopes to a

@@ -1,14 +1,16 @@
 """End-to-end tests for the command line and its file outputs."""
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fjfade import cli, experiment
+from fjfade import cli, deviation_experiment, experiment, simulate
 from fjfade.bounds import lower_bound, upper_bound
 from fjfade.cli import main
-from fjfade.config import parse_config
+from fjfade.config import load_config, parse_config
 from fjfade.experiment import (
     ALT_COLUMN,
     CSV_HEADER,
@@ -49,6 +51,35 @@ target = argmax
 """
 
 VERIFY_CONFIG = RUN_CONFIG.replace("kind = metropolis", "kind = lazy_metropolis")
+
+STUDY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "twenty_agents.ini"
+
+PATH300_CONFIG = """\
+[experiment]
+n = 300
+horizon = 500
+seed = 1
+
+[graph]
+kind = path
+
+[weights]
+kind = lazy_metropolis
+
+[x0]
+uniform = 0 5
+
+[schedule.exponential]
+kind = exponential
+rate = 0.5
+
+[schedule.hyperbolic]
+kind = hyperbolic
+
+[schedule.adversarial]
+kind = adversarial
+tstar = auto
+"""
 
 
 @pytest.fixture()
@@ -197,6 +228,48 @@ class TestTstar:
         assert "tstar = " in stdout
         assert "deviation = " in stdout
         assert "strict_drop_certified = true" in stdout
+
+    @pytest.mark.parametrize("weights", ["metropolis", "row_stochastic"])
+    def test_report_skips_the_factorization(self, monkeypatch, weights):
+        # the search reads only the Perron vector, so the report equals the
+        # one made from fully factorized weights with eigh and svd disabled
+        cfg = parse_config(RUN_CONFIG.replace("kind = metropolis", f"kind = {weights}"))
+        weighted, _ = experiment.build_weights(cfg, experiment.build_network(cfg).network)
+        expected = deviation_experiment(weighted, experiment.draw_x0(cfg)[0])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tstar factorized the deflated matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        report = experiment.tstar_report(cfg)
+        for field in fields(report):
+            np.testing.assert_array_equal(getattr(report, field.name), getattr(expected, field.name))
+
+
+class TestBlockRun:
+    @pytest.mark.parametrize("cfg", [load_config(STUDY_CONFIG), parse_config(PATH300_CONFIG)],
+                             ids=["study", "path300"])
+    def test_columns_match_single_schedule_runs(self, cfg):
+        # every schedule advances as one column of a single block; each
+        # column equals its own single-start run up to round-off
+        result = run_experiment(cfg)
+        for run in result.runs:
+            one = simulate(result.weighted, result.x0, run.schedule, cfg.horizon)
+            np.testing.assert_allclose(run.trajectory.distances, one.distances, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(run.trajectory.avg_distances, one.avg_distances, rtol=0, atol=1e-12)
+        assert any(run.report is not None for run in result.runs)
+
+    @pytest.mark.parametrize("section", ["[schedule.fast]\nkind = exponential\nrate = 0.5\n",
+                                         "[schedule.hold]\nkind = adversarial\ntstar = 10\n"],
+                             ids=["uniform", "adversarial"])
+    def test_single_schedule_run_is_the_single_run(self, section):
+        # a one-column block holds x0 as the same 1 x n row as a single run
+        result = run_experiment(parse_config(RUN_CONFIG.split("[schedule.")[0] + section))
+        (run,) = result.runs
+        one = simulate(result.weighted, result.x0, run.schedule, result.cfg.horizon)
+        np.testing.assert_array_equal(run.trajectory.distances, one.distances)
+        np.testing.assert_array_equal(run.trajectory.avg_distances, one.avg_distances)
 
 
 def render_csv_oracle(result, run):

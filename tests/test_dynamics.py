@@ -101,6 +101,24 @@ class TestStep:
         with pytest.raises(InvalidParameter, match="lambda_1500 = 1.5"):
             next(stream)
 
+    def test_chunked_lambda_checked_at_its_step_in_a_block(self, star3):
+        # the same bad value in one column of a uniform + custom block: the
+        # per-column table still raises only when x_1501 is drawn
+        bad = CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * 1500 + (1.5,))
+        stream = iterate(star3, np.array([1.0, 0.0, 2.0]), [hyperbolic(), bad])
+        xs = list(islice(stream, 1501))
+        assert len(xs) == 1501 and xs[-1].shape == (3, 2)
+        with pytest.raises(InvalidParameter, match="lambda_1500 = 1.5"):
+            next(stream)
+
+    def test_schedule_list_validation(self, star3):
+        with pytest.raises(DimensionMismatch):
+            next(iterate(star3, np.ones((3, 2)), [hyperbolic()] * 3))
+        with pytest.raises(DimensionMismatch):
+            next(iterate(star3, np.ones(3), []))
+        with pytest.raises(InvalidParameter, match="unsupported"):
+            next(iterate(star3, np.ones(3), [hyperbolic(), object()]))
+
     def test_non_finite_start_rejected(self, star3):
         with pytest.raises(InvalidParameter, match="finite"):
             next(iterate(star3, np.array([np.nan, 0.0, 0.0]), zero_consensus()))
@@ -194,6 +212,53 @@ class TestSimulate:
         for j in range(6):
             single = states(study_weights, block[:, j], sched, 29)
             np.testing.assert_allclose(np.array(xs)[:, :, j], single, rtol=0, atol=1e-13)
+
+    def test_schedule_per_column_matches_single_runs(self, study_weights, study_x0):
+        # one start under a list of schedules: each column is that schedule's
+        # single run up to round-off, all centred on the start's one x_ss
+        scheds = [exponential(0.5), hyperbolic(), constant(0.3), make_adversarial_nonuniform(7, 4)]
+        block = simulate(study_weights, study_x0, scheds, horizon=300)
+        assert block.distances.shape == (301, 4)
+        assert block.x_ss == study_weights.consensus_value(study_x0)
+        for j, sched in enumerate(scheds):
+            one = simulate(study_weights, study_x0, sched, horizon=300)
+            col = block.column(j)
+            assert col.x_ss == one.x_ss
+            np.testing.assert_allclose(col.distances, one.distances, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(col.avg_distances, one.avg_distances, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(col.x(300), one.x(300), rtol=0, atol=1e-13)
+            assert np.shares_memory(col.distances, block.distances)
+        # the start repeated as an n x 4 block of starts gives the same block
+        repeated = np.repeat(study_x0[:, None], 4, axis=1)
+        for x, y in zip(islice(iterate(study_weights, study_x0, scheds), 20),
+                        islice(iterate(study_weights, repeated, scheds), 20)):
+            np.testing.assert_array_equal(x, y)
+
+    def test_one_schedule_list_is_the_single_run(self, study_weights, study_x0):
+        # a one-column block holds the start as the same 1 x n row as a
+        # single run, so its series are bit-identical
+        for sched in (hyperbolic(), make_adversarial_nonuniform(7, 4)):
+            one = simulate(study_weights, study_x0, sched, horizon=2 * CHUNK + 5)
+            col = simulate(study_weights, study_x0, [sched], horizon=2 * CHUNK + 5).column(0)
+            np.testing.assert_array_equal(col.distances, one.distances)
+            np.testing.assert_array_equal(col.avg_distances, one.avg_distances)
+            np.testing.assert_array_equal(col.x(2 * CHUNK + 5), one.x(2 * CHUNK + 5))
+
+    def test_lambda_table_memory_is_bounded(self):
+        # a per-agent column widens the table to n numbers per column; its
+        # rows shrink so that it keeps to BUFFER_ELEMENTS numbers
+        n = 1000
+        w = metropolis_weights(path_graph(n), lazy=True)
+        x0 = np.linspace(0.0, 5.0, n)
+        stream = iterate(w, x0, [exponential(0.5), make_adversarial_nonuniform(tstar=3 * CHUNK, target=n - 1)])
+        tracemalloc.start()
+        try:
+            for _ in islice(stream, CHUNK + 2):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * BUFFER_ELEMENTS < peak < 4 * 2**20  # a CHUNK-row table would be 16 MB
 
     def test_adversarial_schedule_holds_target(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])

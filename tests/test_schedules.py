@@ -249,10 +249,20 @@ class TestNonUniformSchedule:
     def test_vector_switches_off_after_tstar(self):
         sched = make_adversarial_nonuniform(tstar=2, target=1)
         n = 4
-        for t in range(3):
-            v = sched.vector(t, n)
+        table = sched.values(np.arange(6), n)
+        assert table.shape == (6, n)
+        for v in table[:3]:
             assert v[1] == 1.0 and v.sum() == 1.0
-        np.testing.assert_array_equal(sched.vector(3, n), np.zeros(n))
+        np.testing.assert_array_equal(table[3:], np.zeros((3, n)))
+        # a chunk that starts past tstar is all zeros
+        np.testing.assert_array_equal(sched.values(np.arange(3, 9), n), np.zeros((6, n)))
+
+    def test_values_validation(self):
+        sched = make_adversarial_nonuniform(tstar=2, target=4)
+        with pytest.raises(InvalidParameter, match="out of range"):
+            sched.values(np.arange(3), 4)
+        with pytest.raises(InvalidParameter, match=">= 0"):
+            sched.values(np.array([-1, 0]), 5)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
@@ -278,5 +288,5 @@ def test_make_schedule_dispatch():
 
 def test_nonuniform_describe_roundtrip():
     sched = NonUniformSchedule(tstar=4, target=2)
-    assert sched.vector(4, 5)[2] == 1.0
-    assert sched.vector(5, 5).sum() == 0.0
+    assert sched.values(np.array([4]), 5)[0, 2] == 1.0
+    assert sched.values(np.array([5]), 5).sum() == 0.0
