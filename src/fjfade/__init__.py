@@ -18,12 +18,10 @@ from .experiment import (
     write_outputs,
 )
 from .bounds import (
-    RateEnvelope,
     empirical_ratio,
     gap,
     lower_bound,
     lower_bound_series,
-    rate_envelope,
     upper_bound,
     worst_case_initial_condition,
 )
@@ -32,10 +30,8 @@ from .dynamics import (
     Trajectory,
     TransitionCalculator,
     TransitionDecomposition,
-    input_limit_vector,
     iterate,
     simulate,
-    transition_decomposition,
 )
 from .errors import (
     AsymmetricWeights,

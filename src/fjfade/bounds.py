@@ -25,8 +25,6 @@ the hyperbolic schedule it tends to 1 while lower(t) still decays like 1/t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import Trajectory
@@ -143,51 +141,3 @@ def worst_case_initial_condition(spectral: SpectralData, x_ss_target: float) -> 
     if not spectral.symmetric:
         raise AsymmetricWeights("the worst-case construction needs symmetric weights")
     return x_ss_target + spectral.v2
-
-
-@dataclass(frozen=True, eq=False)
-class RateEnvelope:
-    """Upper/lower bound series over a grid of steps, plus their gap."""
-
-    sigma_max: float
-    schedule: CompetitionSchedule
-    ts: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    gap: np.ndarray
-    trunc_report: dict
-
-    def __post_init__(self):
-        if (self.lower > self.upper + 1e-12).any():
-            raise InvalidParameter("lower bound exceeds upper bound")
-        if self.schedule.summable and len(self.ts) > 1:
-            if self.upper[-1] > self.upper[0] + 1e-12:
-                raise InvalidParameter("upper bound failed to decay for a summable schedule")
-
-
-def rate_envelope(
-    sigma_max: float,
-    schedule: CompetitionSchedule,
-    ts,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> RateEnvelope:
-    """Evaluate both bounds and the gap on an increasing grid of steps >= 1."""
-    sigma_max = _check_sigma(sigma_max)
-    _check_vanishing(schedule)
-    ts = np.asarray(ts, dtype=int)
-    if ts.size == 0 or ts.min() < 1:
-        raise InvalidParameter("ts must be a nonempty grid of steps >= 1")
-    if (np.diff(ts) <= 0).any():
-        raise InvalidParameter("ts must be strictly increasing")
-    lower = lower_bound(sigma_max, schedule, ts)
-    gaps = gap(schedule, ts, trunc)
-    report = infinite_products(schedule, trunc).describe()
-    return RateEnvelope(
-        sigma_max=sigma_max,
-        schedule=schedule,
-        ts=ts,
-        upper=lower + gaps,
-        lower=lower,
-        gap=gaps,
-        trunc_report=report,
-    )

@@ -77,9 +77,7 @@ def cmd_run(args) -> int:
     d = result.draw
     seed_note = f" graph_seed={d.seed_used} resamples={d.resamples}" if d.seed_used is not None else ""
     _say(args, f"network: {cfg.graph.kind} n={cfg.n} edges={len(d.network.edges)}{seed_note}")
-    sp = result.weighted.spectral
-    if sp is not None:
-        _say(args, f"weights: {cfg.weights} sigma_max={sp.sigma_max!r}")
+    _say(args, f"weights: {cfg.weights} sigma_max={result.weighted.spectral.sigma_max!r}")
     _say(args, f"x_ss = {result.x_ss!r}")
     for run in result.runs:
         extra = ""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .schedules import CompetitionSchedule, make_schedule
@@ -24,6 +24,8 @@ EXPERIMENT_KEYS = {
 # 100 bytes a step on the 20-agent study, so the cap holds them near 100 MB each.
 SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
+# W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
+MAX_AGENTS = 10_000
 SCHEDULE_KEYS = {
     "constant": {"lam"},
     "exponential": {"rate"},
@@ -87,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon}: the cap "
                               f"holds a run's O(horizon) series near {SCHEDULE_BUDGET_MB} MB per schedule",
                               field="experiment.horizon")
+        if self.n > MAX_AGENTS:
+            raise ConfigError(f"n must be at most {MAX_AGENTS}, got {self.n}: weights and their factorizations "
+                              f"are dense n x n matrices, {8 * MAX_AGENTS**2 / 1e6:.0f} MB each at the cap",
+                              field="experiment.n")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
 

@@ -40,7 +40,7 @@ class DeviationReport:
     strict_drop_certified: bool
 
 
-def _validate_target(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> float:
+def _validate_target(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> None:
     n = weighted.n
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
@@ -48,6 +48,10 @@ def _validate_target(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> 
         raise InvalidParameter(f"target {target} out of range for n={n}")
     if x0[target] < x0.max() - STRICT_DROP_MARGIN:
         raise InvalidParameter("target must hold a maximal initial opinion")
+
+
+def _nominal_value(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> float:
+    """x_ss = perron^T x0, which must sit strictly below the target's opinion."""
     x_ss = float(weighted.perron @ x0)
     if x_ss >= x0[target] - STRICT_DROP_MARGIN:
         raise NoStrictDrop(
@@ -77,6 +81,7 @@ def find_tstar(
     _validate_target(weighted, x0, target)
     if (weighted.W < 0).any():
         raise InvalidParameter("the switch-time certificate needs nonnegative weights")
+    _nominal_value(weighted, x0, target)  # else the maximum need never drop below x0[target]
     for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
         if x.max() < x0[target]:
             return last_not_below + 1
@@ -102,19 +107,20 @@ def deviation_experiment(
     from the nominal x_ss. The held and nominal runs are streamed in
     lock-step through tstar, and the dominance y_t >= x_t of the held run
     over the nominal one is checked at every step; it fails, with
-    InvalidParameter, only for weights with a negative entry. One more held
-    step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the held limit
-    is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no spectral data.
+    InvalidParameter, only for weights with a negative entry; the target
+    and weight checks run before the Perron vector is solved for. One more
+    held step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the held
+    limit is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no
+    spectral data.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
         target = int(np.argmax(x0))
-    x_ss = _validate_target(weighted, x0, target)
-
-    certified = False
+    certified = tstar is None
     if tstar is None:
         tstar = find_tstar(weighted, x0, target)
-        certified = True
+    else:
+        _validate_target(weighted, x0, target)
     if tstar < 0:
         raise InvalidParameter(f"tstar must be >= 0, got {tstar}")
 
@@ -129,6 +135,7 @@ def deviation_experiment(
     if not certified and tstar >= 1:
         certified = bool(x[target] < x0[target])
 
+    x_ss = _nominal_value(weighted, x0, target)
     perron = weighted.perron
     y_consensus_value = float(perron @ y_tstar)
     return DeviationReport(

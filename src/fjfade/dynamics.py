@@ -21,16 +21,9 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     NonUniformUnsupported,
-    NonVanishingSchedule,
 )
 from .network import WeightedNetwork
-from .schedules import (
-    DEFAULT_TRUNCATION,
-    CompetitionSchedule,
-    NonUniformSchedule,
-    TruncationPolicy,
-    infinite_products,
-)
+from .schedules import CompetitionSchedule, NonUniformSchedule
 
 
 CHUNK = 1024  # steps of lambda values drawn per table
@@ -152,8 +145,8 @@ def simulate(
     Parameters
     ----------
     weighted : WeightedNetwork
-        Weight matrix with spectral data (needed for the nominal consensus
-        value x_ss = perron^T x0).
+        Weight matrix; its Perron vector gives the nominal consensus value
+        x_ss = perron^T x0 (no factorization runs).
     x0 : array
         Initial opinions: an n vector, or an n x B block of starts that are
         simulated together, one per column.
@@ -252,32 +245,3 @@ class TransitionCalculator:
             self._in = (1.0 - lam) * (self.W @ self._in) + lam * self._eye
             self._t += 1
         return TransitionDecomposition(t=t, psi_aut=self._aut.copy(), psi_in=self._in.copy())
-
-
-def transition_decomposition(
-    weighted: WeightedNetwork | np.ndarray,
-    schedule: CompetitionSchedule,
-    t: int,
-) -> TransitionDecomposition:
-    """One-shot transition decomposition at step t."""
-    return TransitionCalculator(weighted, schedule).at(t)
-
-
-def input_limit_vector(
-    weighted: WeightedNetwork,
-    schedule: CompetitionSchedule,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> np.ndarray:
-    """The vector y with lim_t psi_in(t) = 1 y^T for a vanishing schedule.
-
-    The scalar series sum_k Lambda_{k+1}^inf lambda_k together with
-    Lambda_0^inf partitions unity, so y = perron * (1 - Lambda_0^inf). For
-    the hyperbolic schedule Lambda_0^inf = 0 and y equals the Perron vector:
-    the steady state is reached through the input sequence alone. For the
-    zero schedule y = 0: nothing is ever injected.
-    """
-    if not schedule.vanishing:
-        raise NonVanishingSchedule("input limit requires lambda_t -> 0")
-    table = infinite_products(schedule, trunc)
-    scalar = 1.0 - table.lam_to_inf(0)
-    return scalar * weighted.perron

@@ -107,14 +107,14 @@ def build_network(cfg: ExperimentConfig) -> NetworkDraw:
     )
 
 
-def build_weights(cfg: ExperimentConfig, net: Network, spectral: bool = True) -> tuple[WeightedNetwork, int]:
+def build_weights(cfg: ExperimentConfig, net: Network) -> tuple[WeightedNetwork, int]:
     if cfg.weights == "metropolis":
-        return metropolis_weights(net, spectral=spectral), 0
+        return metropolis_weights(net), 0
     if cfg.weights == "lazy_metropolis":
-        return metropolis_weights(net, lazy=True, spectral=spectral), 0
+        return metropolis_weights(net, lazy=True), 0
     # independent stream: entropy (seed, 1) so graph resampling cannot alias it
     draws = 2 * len(net.edges) + net.n
-    return row_stochastic_weights(net, seed=[cfg.seed, 1], spectral=spectral), draws
+    return row_stochastic_weights(net, seed=[cfg.seed, 1]), draws
 
 
 def draw_x0(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
@@ -134,9 +134,7 @@ def bounds_applicable(weighted: WeightedNetwork, schedule: object) -> bool:
     and a vanishing uniform schedule."""
     if not isinstance(schedule, CompetitionSchedule) or not schedule.vanishing:
         return False
-    if weighted.kind is not WeightKind.DOUBLY_STOCHASTIC or weighted.spectral is None:
-        return False
-    return 0.0 < weighted.spectral.sigma_max < 1.0
+    return weighted.kind is WeightKind.DOUBLY_STOCHASTIC and 0.0 < weighted.spectral.sigma_max < 1.0
 
 
 def _resolve_adversarial(
@@ -154,6 +152,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     after each adversarial switch time is found by its own single-start pass."""
     draw = build_network(cfg)
     weighted, weight_draws = build_weights(cfg, draw.network)
+    weighted.spectral  # run reports sigma_max; factor W before the block pass so their allocations do not stack
     x0, x0_draws = draw_x0(cfg)
     x_ss = weighted.consensus_value(x0)
     trunc = truncation_policy(cfg)
@@ -266,12 +265,11 @@ def render_manifest(result: ExperimentResult) -> str:
         f"weight_draws = {result.weight_draws}",
     ]
     sp = weighted.spectral
-    if sp is not None:
-        lines += [
-            f"symmetric = {str(sp.symmetric).lower()}",
-            f"sigma_max = {_fmt(sp.sigma_max)}",
-            "perron = " + " ".join(_fmt(v) for v in sp.perron),
-        ]
+    lines += [
+        f"symmetric = {str(sp.symmetric).lower()}",
+        f"sigma_max = {_fmt(sp.sigma_max)}",
+        "perron = " + " ".join(_fmt(v) for v in sp.perron),
+    ]
     source = (
         "uniform " + " ".join(f"{v:g}" for v in cfg.x0_uniform)
         if cfg.x0_uniform is not None else "values"
@@ -370,13 +368,11 @@ def verify_bounds(
                                f"series per schedule, over the {SCHEDULE_BUDGET_MB} MB budget")
     draw = build_network(cfg)
     weighted, _ = build_weights(cfg, draw.network)
-    sp = weighted.spectral
     if weighted.kind is not WeightKind.DOUBLY_STOCHASTIC:
         raise InvalidParameter("bound verification needs doubly stochastic weights")
-    if sp is None or not 0.0 < sp.sigma_max < 1.0:
-        raise InvalidParameter(
-            f"bound verification needs sigma_max in (0, 1), got {None if sp is None else sp.sigma_max}"
-        )
+    sp = weighted.spectral
+    if not 0.0 < sp.sigma_max < 1.0:
+        raise InvalidParameter(f"bound verification needs sigma_max in (0, 1), got {sp.sigma_max}")
     uniform = [s for s in cfg.schedules if not s.is_adversarial]
     if not uniform:
         raise InvalidParameter("config has no uniform schedule to verify")
@@ -427,9 +423,13 @@ def verify_bounds(
 
 
 def tstar_report(cfg: ExperimentConfig) -> DeviationReport:
-    """Auto-detect the switch time for the configured adversarial target."""
+    """Auto-detect the switch time for the configured adversarial target.
+
+    It reads the Perron vector of W but never `weighted.spectral`, so no
+    eigh or SVD runs.
+    """
     draw = build_network(cfg)
-    weighted, _ = build_weights(cfg, draw.network, spectral=False)
+    weighted, _ = build_weights(cfg, draw.network)
     x0, _ = draw_x0(cfg)
     target = None
     for spec in cfg.schedules:

@@ -9,7 +9,7 @@ primitive whenever the underlying network is connected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -146,7 +146,7 @@ class SpectralData:
     v2, u2: right and left singular vectors of the deflated matrix for
       sigma_max, unit norm, with v2 orthogonal to the all-ones vector.
     symmetric: whether W is symmetric, which selects the factorization
-      (eigh when true, LU solve plus SVD when false).
+      (eigh when true, SVD when false).
     iterations: always 0, since no iterative solver runs; kept only because
       the benchmark's tracer (perfbench/spans.py) reads it.
     """
@@ -161,30 +161,58 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class WeightedNetwork:
-    """A network together with a stochastic weight matrix on it."""
+    """A network together with a stochastic weight matrix on it.
+
+    `perron` and `spectral` are computed on first read and cached, so a
+    command that never reads `spectral` never factorizes W, and a copy made
+    with dataclasses.replace recomputes both from its own W.
+    """
 
     network: Network
     W: np.ndarray
     kind: WeightKind
-    spectral: SpectralData | None = None
 
     @property
     def n(self) -> int:
         return self.network.n
 
     @cached_property
+    def symmetric(self) -> bool:
+        """Whether W is symmetric within 1e-12 (then it is doubly stochastic)."""
+        return bool(np.abs(self.W - self.W.T).max() <= 1e-12)
+
+    @cached_property
     def perron(self) -> np.ndarray:
-        """The Perron vector, found without the deflated factorization if need be."""
-        return self.spectral.perron if self.spectral is not None else _stationary(self.W)[0]
+        """Left eigenvector of W at eigenvalue 1, positive, summing to 1: 1/n
+        for symmetric W, else one LU solve of (W^T - I) v = 0 with the last
+        equation replaced by sum(v) = 1. Raises InvalidParameter when that
+        solve is singular or gives a nonpositive entry (W is not primitive)."""
+        n = self.n
+        if self.symmetric:
+            return np.full(n, 1.0 / n)
+        M = self.W.T - np.eye(n)
+        M[-1] = 1.0
+        rhs = np.zeros(n)
+        rhs[-1] = 1.0
+        try:
+            v = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            raise InvalidParameter("weight matrix is not primitive: its stationary vector is not unique") from None
+        if not (v > 0).all():
+            raise InvalidParameter("weight matrix is not primitive: its stationary vector is not positive")
+        return v
+
+    @cached_property
+    def spectral(self) -> SpectralData:
+        """Deflated factorization of W, by `compute_spectral` on first read."""
+        return compute_spectral(self)
 
     def consensus_value(self, x0: np.ndarray) -> float | np.ndarray:
         """Nominal consensus value perron^T x0; one per column of an n x B block."""
-        if self.spectral is None:
-            raise InvalidParameter("spectral data not computed for this weighted network")
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim not in (1, 2) or x0.shape[0] != self.n:
             raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({self.n},) or ({self.n}, B)")
-        x_ss = self.spectral.perron @ x0
+        x_ss = self.perron @ x0
         return float(x_ss) if x0.ndim == 1 else x_ss
 
     def validate(self, atol: float = 1e-12) -> None:
@@ -210,7 +238,7 @@ class WeightedNetwork:
             raise InvalidParameter("weight matrix is not primitive: the network is disconnected")
 
 
-def metropolis_weights(net: Network, lazy: bool = False, spectral: bool = True) -> WeightedNetwork:
+def metropolis_weights(net: Network, lazy: bool = False) -> WeightedNetwork:
     """Metropolis weight matrix of a connected network.
 
     W_ij = 1 / (1 + max(d_i, d_j)) on edges, diagonal set to the row
@@ -225,8 +253,6 @@ def metropolis_weights(net: Network, lazy: bool = False, spectral: bool = True) 
         Must be connected.
     lazy : bool
         Average with the identity.
-    spectral : bool
-        Compute SpectralData eagerly.
     """
     if not net.connected:
         raise DisconnectedNetwork("metropolis weights need a connected network")
@@ -240,13 +266,10 @@ def metropolis_weights(net: Network, lazy: bool = False, spectral: bool = True) 
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     if lazy:
         W = (W + np.eye(n)) / 2.0
-    wn = WeightedNetwork(network=net, W=W, kind=WeightKind.DOUBLY_STOCHASTIC)
-    if spectral:
-        wn = replace(wn, spectral=compute_spectral(wn))
-    return wn
+    return WeightedNetwork(network=net, W=W, kind=WeightKind.DOUBLY_STOCHASTIC)
 
 
-def row_stochastic_weights(net: Network, seed: int, spectral: bool = True) -> WeightedNetwork:
+def row_stochastic_weights(net: Network, seed: int) -> WeightedNetwork:
     """Random row-stochastic weights on the closed neighborhoods.
 
     For each row i in increasing order, one batch of uniform draws is taken
@@ -254,10 +277,10 @@ def row_stochastic_weights(net: Network, seed: int, spectral: bool = True) -> We
     is positive and well conditioned, then normalized to sum to 1.
     """
     rng = np.random.default_rng(seed)
-    return _row_stochastic_from_rng(net, rng, spectral=spectral)
+    return _row_stochastic_from_rng(net, rng)
 
 
-def _row_stochastic_from_rng(net: Network, rng, spectral: bool = True) -> WeightedNetwork:
+def _row_stochastic_from_rng(net: Network, rng) -> WeightedNetwork:
     if not net.connected:
         raise DisconnectedNetwork("row-stochastic weights need a connected network")
     n = net.n
@@ -266,28 +289,26 @@ def _row_stochastic_from_rng(net: Network, rng, spectral: bool = True) -> Weight
         support = sorted(set(net.neighbors[i]) | {i})
         raw = 1.0 + rng.random(len(support))
         W[i, support] = raw / raw.sum()
-    wn = WeightedNetwork(network=net, W=W, kind=WeightKind.ROW_STOCHASTIC)
-    if spectral:
-        wn = replace(wn, spectral=compute_spectral(wn))
-    return wn
+    return WeightedNetwork(network=net, W=W, kind=WeightKind.ROW_STOCHASTIC)
 
 
 def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
-    """Perron vector and dominant deflated singular triple by dense factorization.
+    """Dominant deflated singular triple by dense factorization.
 
+    WeightedNetwork.spectral calls this on its first read; the Perron vector
+    comes from the network's cached `perron`, so W gets one stationary solve.
     Symmetric W (within 1e-12) is doubly stochastic, so perron = 1/n, and
     A = W - 11^T / n is symmetric: eigh gives its eigenvalue lam of largest
     magnitude, sigma_max = |lam|, v2 its eigenvector and u2 = sign(lam) v2.
-    For general W, perron solves (W^T - I) v = 0 with the last equation
-    replaced by sum(v) = 1 (one LU solve), and the triple is the leading one
-    of the SVD of A = W - 1 perron^T. Raises InvalidParameter when that solve
-    is singular or gives a nonpositive entry, i.e. when W is not primitive.
-    Both are O(n^3) with no tolerance or iteration cap. The sign is fixed so
-    the largest-magnitude entry of v2 is nonnegative.
+    For general W the triple is the leading one of the SVD of
+    A = W - 1 perron^T, and a W that is not primitive raises
+    InvalidParameter from the Perron solve. Both are O(n^3) with no
+    tolerance or iteration cap. The sign is fixed so the largest-magnitude
+    entry of v2 is nonnegative.
     """
     W = weighted.W
     n = weighted.n
-    perron, symmetric = _stationary(W)
+    perron, symmetric = weighted.perron, weighted.symmetric
     A = W - perron  # W - 1 perron^T by broadcasting
 
     if np.abs(A).max() < 1e-15:
@@ -311,24 +332,6 @@ def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
     v2, u2 = _fix_sign(v2, u2)
     return SpectralData(perron=perron, sigma_max=float(sigma), v2=v2, u2=u2,
                         symmetric=symmetric, iterations=0)
-
-
-def _stationary(W: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Perron vector of W, and whether W is symmetric (then it is 1/n)."""
-    n = W.shape[0]
-    if np.abs(W - W.T).max() <= 1e-12:
-        return np.full(n, 1.0 / n), True
-    M = W.T - np.eye(n)
-    M[-1] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        v = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        raise InvalidParameter("weight matrix is not primitive: its stationary vector is not unique") from None
-    if not (v > 0).all():
-        raise InvalidParameter("weight matrix is not primitive: its stationary vector is not positive")
-    return v, False
 
 
 def _fix_sign(v2: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -271,21 +271,6 @@ class InfiniteProducts:
             return np.zeros(ss.shape)
         return self.back[np.minimum(ss, self.cutoff)]
 
-    def tail_sum(self, t: int) -> float:
-        """sum_{k=t}^{inf} Lambda_{k+1}^inf lambda_k (series of the limits).
-
-        Each term is Lambda_{k+1}^inf - Lambda_k^inf, so the series
-        telescopes to 1 - Lambda_t^inf. For the non-summable hyperbolic
-        schedule every Lambda_{k+1}^inf is 0 and the series is 0. For
-        truncated tables the certified remainder is added, so the returned
-        value never undershoots the true series.
-        """
-        if t < 0:
-            raise InvalidParameter(f"t must be >= 0, got {t}")
-        if self.limit_is_zero:
-            return 0.0
-        return 1.0 - self.lam_to_inf(t) + self.remainder
-
     def describe(self) -> dict:
         return {
             "kind": self.schedule.kind.value,

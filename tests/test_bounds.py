@@ -5,8 +5,6 @@ sums, with infinite tails replaced by long finite sums (600 terms is far past
 double-precision convergence for every schedule used here).
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +24,6 @@ from fjfade import (
     infinite_products,
     lower_bound,
     lower_bound_series,
-    rate_envelope,
     simulate,
     upper_bound,
     worst_case_initial_condition,
@@ -270,19 +267,3 @@ class TestWorstCaseWitness:
             ratio = empirical_ratio(traj)
             assert (ratio <= series + 1e-10).all()
 
-
-class TestRateEnvelope:
-    def test_fields_and_invariants(self, study_weights):
-        sched = exponential(0.5)
-        ts = np.arange(1, 120)
-        env = rate_envelope(study_weights.spectral.sigma_max, sched, ts)
-        assert (env.lower <= env.upper + 1e-12).all()
-        np.testing.assert_allclose(env.gap, env.upper - env.lower, atol=1e-10)
-        assert env.upper[-1] < 1e-4
-        assert env.trunc_report["kind"] == "exponential"
-
-    def test_ts_must_increase(self, study_weights):
-        with pytest.raises(InvalidParameter):
-            rate_envelope(0.5, hyperbolic(), np.array([3, 2, 5]))
-        with pytest.raises(InvalidParameter):
-            rate_envelope(0.5, hyperbolic(), np.array([0, 1]))

@@ -326,6 +326,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "horizon must lie in [1, 1000000]" in err and "100 MB" in err
 
+    @pytest.mark.parametrize("command", ["run", "verify", "tstar"])
+    def test_agent_cap_exits_2_before_running(self, tmp_path, monkeypatch, capsys, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the agent count reached the experiment")
+
+        for name in ("run_experiment", "verify_bounds", "tstar_report"):
+            monkeypatch.setattr(cli, name, unreachable)
+        path = tmp_path / "huge.ini"
+        path.write_text(RUN_CONFIG.replace("n = 8", "n = 10001").replace("kind = er\np = 0.45", "kind = path"))
+        assert main([command, str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n must be at most 10000, got 10001" in err and "800 MB" in err
+
     def test_bad_overrides_exit_2(self, config_path, capsys):
         assert main(["run", str(config_path), "--horizon", "0", "--quiet"]) == 2
         assert main(["run", str(config_path), "--seed", "-1", "--quiet"]) == 2

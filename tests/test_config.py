@@ -138,6 +138,13 @@ class TestRejection:
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(GOOD.replace(old, new))
 
+    def test_agent_cap(self):
+        # W is a dense n x n matrix: the cap keeps it at 800 MB
+        with pytest.raises(ConfigError, match="n must be at most 10000, got 10001") as info:
+            parse_config(GOOD.replace("n = 6", "n = 10001"))
+        assert info.value.field == "experiment.n" and "800 MB" in str(info.value)
+        assert parse_config(GOOD.replace("n = 6", "n = 10000")).n == 10000
+
     def test_x0_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(GOOD.replace("uniform = 0 5", "uniform = 0 5\nvalues = 1 2 3 4 5 6"))

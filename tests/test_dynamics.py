@@ -14,21 +14,18 @@ from fjfade import (
     DimensionMismatch,
     InvalidParameter,
     NonUniformUnsupported,
-    NonVanishingSchedule,
     ScheduleKind,
     TransitionCalculator,
     constant,
     custom,
     exponential,
     hyperbolic,
-    input_limit_vector,
+    infinite_products,
     iterate,
-    lambda_product,
     make_adversarial_nonuniform,
     metropolis_weights,
     path_graph,
     simulate,
-    transition_decomposition,
     zero_consensus,
 )
 from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory
@@ -302,14 +299,14 @@ class TestSimulate:
 
 class TestTransitionDecomposition:
     def test_t_zero_is_identity(self, star3):
-        dec = transition_decomposition(star3, hyperbolic(), 0)
+        dec = TransitionCalculator(star3, hyperbolic()).at(0)
         np.testing.assert_array_equal(dec.psi_aut, np.eye(3))
         np.testing.assert_array_equal(dec.psi_in, np.zeros((3, 3)))
 
     def test_hand_value_t1(self, star3):
         # t=1: psi_aut = (1 - lam_0) W, psi_in = lam_0 I
         sched = constant(0.3)
-        dec = transition_decomposition(star3, sched, 1)
+        dec = TransitionCalculator(star3, sched).at(1)
         np.testing.assert_allclose(dec.psi_aut, 0.7 * star3.W, atol=1e-15)
         np.testing.assert_allclose(dec.psi_in, 0.3 * np.eye(3), atol=1e-15)
 
@@ -327,7 +324,7 @@ class TestTransitionDecomposition:
         calc = TransitionCalculator(study_weights, hyperbolic())
         late = calc.at(40)
         early = calc.at(7)
-        fresh = transition_decomposition(study_weights, hyperbolic(), 7)
+        fresh = TransitionCalculator(study_weights, hyperbolic()).at(7)
         np.testing.assert_array_equal(early.psi_aut, fresh.psi_aut)
         np.testing.assert_array_equal(early.psi_in, fresh.psi_in)
         np.testing.assert_array_equal(calc.at(40).psi_in, late.psi_in)
@@ -358,39 +355,10 @@ class TestTransitionDecomposition:
 
 
 class TestInputLimit:
-    def test_vanishing_head_gives_full_perron(self, star3):
-        # exponential and hyperbolic both have lambda_0 = 1, so the
-        # autonomous part dies instantly and the input limit is perron itself
-        for sched in (exponential(0.5), hyperbolic()):
-            y = input_limit_vector(star3, sched)
-            np.testing.assert_allclose(y, star3.spectral.perron, atol=1e-12)
-
-    def test_zero_schedule_gives_zero(self, star3):
-        np.testing.assert_array_equal(
-            input_limit_vector(star3, zero_consensus()), np.zeros(3)
-        )
-
-    def test_custom_partial(self, star3):
-        sched = custom([0.5, 0.25])
-        y = input_limit_vector(star3, sched)
-        expect = (1.0 - 0.5 * 0.75) * star3.spectral.perron
-        np.testing.assert_allclose(y, expect, atol=1e-13)
-
-    def test_nonvanishing_rejected(self, star3):
-        with pytest.raises(NonVanishingSchedule):
-            input_limit_vector(star3, constant(0.3))
-
     def test_matrix_limit_oracle(self, study_weights):
-        # Psi_in(t) converges to the rank-one matrix 1 y^T
+        # Psi_in(t) converges to the rank-one matrix 1 y^T, y = (1 - Lambda_0^inf) perron
         sched = exponential(0.5)
-        y = input_limit_vector(study_weights, sched)
-        dec = transition_decomposition(study_weights, sched, 400)
+        y = (1.0 - infinite_products(sched).lam_to_inf(0)) * study_weights.perron
+        dec = TransitionCalculator(study_weights, sched).at(400)
         target = np.outer(np.ones(20), y)
         assert np.abs(dec.psi_in - target).max() < 1e-10
-
-    def test_consistency_with_product_limit(self, star3):
-        sched = custom([0.5, 0.25, 0.125])
-        y = input_limit_vector(star3, sched)
-        import math
-        scale = 1.0 - lambda_product(sched, 0, math.inf)
-        np.testing.assert_allclose(y, scale * star3.spectral.perron, atol=1e-14)

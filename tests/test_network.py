@@ -6,6 +6,7 @@ order with scalar rng calls; the generator must reproduce it exactly.
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from fjfade import (
     WeightedNetwork,
     WeightKind,
     complete_graph,
-    compute_spectral,
     generate_erdos_renyi,
     metropolis_weights,
     path_graph,
@@ -145,8 +145,14 @@ class TestMetropolisWeights:
     def test_validate_passes(self, study_weights):
         study_weights.validate()
 
+    def test_replace_recomputes_spectral_data(self, study_weights, study_network):
+        # a copy with a new W must not keep the spectral data of the old one
+        lazy = metropolis_weights(study_network, lazy=True)
+        assert study_weights.spectral.sigma_max != lazy.spectral.sigma_max
+        copy = replace(study_weights, W=lazy.W)
+        assert copy.spectral.sigma_max == lazy.spectral.sigma_max
+
     def test_validate_catches_tampering(self, study_weights):
-        from dataclasses import replace
         W = study_weights.W.copy()
         W[0, 0] += 1e-6
         with pytest.raises(InvalidParameter):
@@ -168,7 +174,7 @@ class TestMetropolisWeights:
             net = generate_erdos_renyi(10, 0.4, seed + 20)
             if not net.connected:
                 continue
-            w = metropolis_weights(net, spectral=False)
+            w = metropolis_weights(net)
             np.testing.assert_allclose(w.W.sum(axis=0), np.ones(10), atol=1e-12)
             np.testing.assert_allclose(w.W.sum(axis=1), np.ones(10), atol=1e-12)
             np.testing.assert_allclose(w.W, w.W.T, atol=1e-15)
@@ -190,7 +196,7 @@ class TestRowStochasticWeights:
                 return np.zeros(size)
 
         net = star_graph(3)
-        w = _row_stochastic_from_rng(net, ZeroRng(), spectral=False)
+        w = _row_stochastic_from_rng(net, ZeroRng())
         np.testing.assert_allclose(w.W[0], np.full(3, 1.0 / 3.0), atol=1e-15)
         np.testing.assert_allclose(w.W[1], [0.5, 0.5, 0.0], atol=1e-15)
 
@@ -246,7 +252,7 @@ class TestSpectralOracle:
         W = np.array([[1.0, 0.0], [0.5, 0.5]])
         w = WeightedNetwork(path_graph(2), W, WeightKind.ROW_STOCHASTIC)
         with pytest.raises(InvalidParameter, match="not primitive"):
-            compute_spectral(w)
+            w.spectral
 
 
 class TestConsensusValue:
@@ -264,7 +270,13 @@ class TestConsensusValue:
         block = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
         np.testing.assert_allclose(star3.consensus_value(block), [1.0, 1.0], atol=1e-10)
 
-    def test_requires_spectral(self):
-        w = metropolis_weights(star_graph(3), spectral=False)
-        with pytest.raises(InvalidParameter):
-            w.consensus_value(np.ones(3))
+    def test_needs_no_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("consensus_value must not factorize W")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        x0 = np.array([3.0, 1.0, 0.0, -2.0])
+        for w in (metropolis_weights(star_graph(4)), row_stochastic_weights(star_graph(4), seed=5)):
+            assert w.consensus_value(x0) == w.perron @ x0
+            np.testing.assert_allclose(w.W.T @ w.perron, w.perron, atol=1e-12)

@@ -20,6 +20,7 @@ from fjfade import (
     constant,
     custom,
     exponential,
+    gap,
     hyperbolic,
     infinite_products,
     lambda_product,
@@ -196,7 +197,6 @@ class TestInfiniteProducts:
         table = infinite_products(exponential(0.5), DEFAULT_TRUNCATION)
         assert table.lam_to_inf(1) == pytest.approx(LAMBDA_1_INF_EXP_HALF, abs=1e-13)
         assert table.lam_to_inf(0) == 0.0
-        assert table.tail_sum(3) == pytest.approx(TAIL_SUM_3_EXP_HALF, abs=1e-12)
         # far beyond the cutoff the product has converged to 1
         assert table.lam_to_inf(10_000) == pytest.approx(1.0, abs=1e-12)
 
@@ -210,16 +210,12 @@ class TestInfiniteProducts:
     def test_hyperbolic_limits_are_zero(self):
         table = infinite_products(hyperbolic(), DEFAULT_TRUNCATION)
         assert table.lam_to_inf(7) == 0.0
-        # every per-term limit vanishes, so the tail series of limits is zero
-        assert table.tail_sum(5) == 0.0
 
     def test_constant_limits(self):
         table = infinite_products(constant(0.3), DEFAULT_TRUNCATION)
         assert table.lam_to_inf(0) == 0.0
-        assert table.tail_sum(2) == 0.0
         zero_table = infinite_products(zero_consensus(), DEFAULT_TRUNCATION)
         assert zero_table.lam_to_inf(0) == 1.0
-        assert zero_table.tail_sum(0) == 0.0
 
     def test_custom_exact(self):
         sched = custom([0.5, 0.25, 0.1])
@@ -228,17 +224,22 @@ class TestInfiniteProducts:
         assert table.lam_to_inf(0) == pytest.approx(0.5 * 0.75 * 0.9, abs=1e-15)
         assert table.lam_to_inf(2) == pytest.approx(0.9, abs=1e-15)
         assert table.lam_to_inf(3) == 1.0
-        # tail at t=1: Lambda_2^inf lam_1 + Lambda_3^inf lam_2
-        assert table.tail_sum(1) == pytest.approx(0.9 * 0.25 + 1.0 * 0.1, abs=1e-15)
+        # gap is twice the tail series at t=1: Lambda_2^inf lam_1 + Lambda_3^inf lam_2
+        assert gap(sched, 1) == pytest.approx(2 * (0.9 * 0.25 + 1.0 * 0.1), abs=1e-15)
 
-    def test_tail_sum_brute_force(self):
+    def test_gap_brute_force(self):
+        # gap(t) = 2 (sum_{k>=t} Lambda_{k+1}^inf lambda_k + remainder): the series
+        # telescopes to 1 - Lambda_t^inf, the closed form gap rests on
         sched = exponential(0.3)
         table = infinite_products(sched, DEFAULT_TRUNCATION)
-        for t in (0, 1, 4, 10):
+        for t in (1, 4, 10):
             brute = sum(
                 brute_product(sched, k + 1, 600) * sched.value(k) for k in range(t, 600)
             )
-            assert table.tail_sum(t) == pytest.approx(brute, abs=1e-11)
+            assert gap(sched, t) == pytest.approx(2 * (brute + table.remainder), abs=2e-11)
+        half = exponential(0.5)
+        remainder = infinite_products(half, DEFAULT_TRUNCATION).remainder
+        assert gap(half, 3) == pytest.approx(2 * (TAIL_SUM_3_EXP_HALF + remainder), abs=2e-12)
 
     def test_describe_keys(self):
         rep = infinite_products(exponential(0.5), DEFAULT_TRUNCATION).describe()
