@@ -61,12 +61,10 @@ from .network import (
     star_graph,
 )
 from .schedules import (
-    DEFAULT_TRUNCATION,
     CompetitionSchedule,
     InfiniteProducts,
     NonUniformSchedule,
     ScheduleKind,
-    TruncationPolicy,
     constant,
     custom,
     exponential,

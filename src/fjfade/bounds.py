@@ -35,13 +35,7 @@ from .errors import (
     NonVanishingSchedule,
 )
 from .network import SpectralData
-from .schedules import (
-    DEFAULT_TRUNCATION,
-    CompetitionSchedule,
-    TruncationPolicy,
-    infinite_products,
-    schedule_values,
-)
+from .schedules import TAIL_EPS, CompetitionSchedule, infinite_products, schedule_values
 
 
 def _check_sigma(sigma_max: float) -> float:
@@ -91,31 +85,28 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
 
 
 def upper_bound(
-    sigma_max: float,
-    schedule: CompetitionSchedule,
-    t: int | np.ndarray,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    sigma_max: float, schedule: CompetitionSchedule, t: int | np.ndarray, tail_eps: float = TAIL_EPS
 ) -> float | np.ndarray:
     """Worst-case ratio upper bound, lower_bound + gap, at step t or at each
-    step of an integer array t. O(max t); certified, see gap()."""
-    return lower_bound(sigma_max, schedule, t) + gap(schedule, t, trunc)
+    step of an integer array t, with Lambda^inf truncated at tail_eps.
+    O(max t); certified, see gap()."""
+    return lower_bound(sigma_max, schedule, t) + gap(schedule, t, tail_eps)
 
 
 def gap(
-    schedule: CompetitionSchedule,
-    t: int | np.ndarray,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    schedule: CompetitionSchedule, t: int | np.ndarray, tail_eps: float = TAIL_EPS
 ) -> float | np.ndarray:
     """upper_bound - lower_bound at step t or at each step of an integer
     array t; independent of sigma_max. O(max t).
 
     gap(t) = 2 (1 - Lambda_t^inf + remainder), or 1 when every Lambda^inf is
-    0. 1 - Lambda_t^inf enters the upper bound twice, so the certified slack
-    is 2 * remainder.
+    0, where the table of Lambda_t^inf is cut off at tail_eps in (0, 1) (see
+    infinite_products). 1 - Lambda_t^inf enters the upper bound twice, so the
+    certified slack is 2 * remainder.
     """
     ts = _check_steps(t)
     _check_vanishing(schedule)
-    table = infinite_products(schedule, trunc)
+    table = infinite_products(schedule, tail_eps)
     if table.limit_is_zero:
         gaps = np.ones(ts.shape)
     else:

@@ -2,7 +2,7 @@
 
 The full grammar is documented in the README. Parsing is strict: unknown
 sections or keys are rejected with the offending line, and a parsed config
-serializes back to an equivalent text.
+serializes back to a text that parses to an equal config.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .schedules import CompetitionSchedule, make_schedule
+from .errors import ConfigError, InvalidParameter
+from .schedules import SCHEDULE_PARAMS, TAIL_EPS, CompetitionSchedule, make_schedule
 
 GRAPH_KINDS = ("er", "path", "star", "complete")
 WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
@@ -26,14 +26,8 @@ SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 # W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
 MAX_AGENTS = 10_000
-SCHEDULE_KEYS = {
-    "constant": {"lam"},
-    "exponential": {"rate"},
-    "hyperbolic": set(),
-    "zero": set(),
-    "custom": {"seq"},
-    "adversarial": {"tstar", "target"},
-}
+SCHEDULE_KEYS = {kind.value: set(names) for kind, names in SCHEDULE_PARAMS.items()}
+SCHEDULE_KEYS["adversarial"] = {"tstar", "target"}
 
 
 @dataclass(frozen=True)
@@ -44,28 +38,26 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
+    """One [schedule.<label>] section.
+
+    A uniform section holds its validated schedule. An adversarial one holds
+    schedule=None, and its switch time and held agent, where tstar=None
+    (`auto`) asks for the detected switch time and target=None (`argmax`)
+    holds the agent with the largest x0.
+    """
+
     label: str
-    kind: str
-    lam: float | None = None
-    rate: float | None = None
-    seq: tuple[float, ...] | None = None
-    tstar: int | str | None = None
-    target: int | str | None = None
+    schedule: CompetitionSchedule | None = None
+    tstar: int | None = None
+    target: int | None = None
 
     @property
     def is_adversarial(self) -> bool:
-        return self.kind == "adversarial"
+        return self.schedule is None
 
-    def build_uniform(self) -> CompetitionSchedule:
-        if self.is_adversarial:
-            raise ConfigError(f"schedule {self.label!r} is adversarial, not uniform")
-        if self.kind == "constant":
-            return make_schedule("constant", lam=self.lam)
-        if self.kind == "exponential":
-            return make_schedule("exponential", rate=self.rate)
-        if self.kind == "custom":
-            return make_schedule("custom", seq=self.seq)
-        return make_schedule(self.kind)
+    @property
+    def kind(self) -> str:
+        return "adversarial" if self.schedule is None else self.schedule.kind.value
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     eps_conv: float = 1e-8
-    tail_eps: float = 1e-14
+    tail_eps: float = TAIL_EPS
     emit_alt_distance: bool = False
 
     def __post_init__(self):
@@ -95,6 +87,9 @@ class ExperimentConfig:
                               field="experiment.n")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
+        if not 0.0 < self.tail_eps < 1.0:
+            raise ConfigError(f"tail_eps must lie in (0, 1), got {self.tail_eps!r}",
+                              field="experiment.tail_eps")
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -160,6 +155,16 @@ class _Section:
         if not math.isfinite(value):
             raise self._error(key, f"expected a finite number for {key!r}, got {raw!r}")
         return value
+
+    def get_int_or(self, key: str, word: str, required: bool = False) -> int | None:
+        """An integer, or None for `word`, which is also the default."""
+        raw = self._raw(key, required, word)
+        if raw == word:
+            return None
+        try:
+            return int(raw)
+        except ValueError:
+            raise self._error(key, f"expected an integer or {word!r}, got {raw!r}") from None
 
     def get_str(self, key: str, required: bool = False, default: str | None = None,
                 choices: tuple[str, ...] | None = None) -> str | None:
@@ -229,7 +234,7 @@ def parse_config(text: str) -> ExperimentConfig:
     seed = exp.get_int("seed", default=0)
     out_dir = exp.get_str("out_dir", default="results")
     eps_conv = exp.get_float("eps_conv", default=1e-8)
-    tail_eps = exp.get_float("tail_eps", default=1e-14)
+    tail_eps = exp.get_float("tail_eps", default=TAIL_EPS)
     emit_alt = exp.get_bool("emit_alt_distance", default=False)
 
     gsec = sections["graph"]
@@ -272,43 +277,22 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         kind = sec.get_str("kind", required=True, choices=tuple(SCHEDULE_KEYS))
         sec.reject_unknown({"kind"} | SCHEDULE_KEYS[kind])
-        spec = ScheduleSpec(label=label, kind=kind)
-        if kind == "constant":
-            spec = ScheduleSpec(label=label, kind=kind, lam=sec.get_float("lam", required=True))
-        elif kind == "exponential":
-            spec = ScheduleSpec(label=label, kind=kind, rate=sec.get_float("rate", required=True))
-        elif kind == "custom":
-            spec = ScheduleSpec(label=label, kind=kind, seq=sec.get_floats("seq", required=True))
-        elif kind == "adversarial":
-            raw_tstar = sec._raw("tstar", True)
-            tstar: int | str
-            if raw_tstar == "auto":
-                tstar = "auto"
-            else:
-                try:
-                    tstar = int(raw_tstar)
-                except ValueError:
-                    raise sec._error("tstar", f"expected an integer or 'auto', got {raw_tstar!r}") from None
-                if tstar < 0:
-                    raise sec._error("tstar", f"tstar must be >= 0, got {tstar}")
-            raw_target = sec._raw("target", False, "argmax")
-            target: int | str
-            if raw_target == "argmax":
-                target = "argmax"
-            else:
-                try:
-                    target = int(raw_target)
-                except ValueError:
-                    raise sec._error("target", f"expected an integer or 'argmax', got {raw_target!r}") from None
-                if not 0 <= target < n:
-                    raise sec._error("target", f"target must lie in [0, {n - 1}], got {target}")
-            spec = ScheduleSpec(label=label, kind=kind, tstar=tstar, target=target)
+        if kind == "adversarial":
+            tstar = sec.get_int_or("tstar", "auto", required=True)
+            if tstar is not None and tstar < 0:
+                raise sec._error("tstar", f"tstar must be >= 0, got {tstar}")
+            target = sec.get_int_or("target", "argmax")
+            if target is not None and not 0 <= target < n:
+                raise sec._error("target", f"target must lie in [0, {n - 1}], got {target}")
+            schedules.append(ScheduleSpec(label, tstar=tstar, target=target))
+            continue
+        # seq is the one list-valued parameter
+        params = {key: (sec.get_floats if key == "seq" else sec.get_float)(key, required=True)
+                  for key in SCHEDULE_PARAMS[kind]}
         try:
-            if not spec.is_adversarial:
-                spec.build_uniform()
-        except Exception as exc:
+            schedules.append(ScheduleSpec(label, make_schedule(kind, **params)))
+        except InvalidParameter as exc:
             raise ConfigError(f"invalid schedule {label!r}: {exc}", line=_line_of(text, name)) from exc
-        schedules.append(spec)
 
     if not schedules:
         raise ConfigError("at least one [schedule.<label>] section is required")
@@ -325,39 +309,48 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
+def _exact(v: float) -> str:
+    """The short %g text of v when it parses back to v, else repr(v)."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to its text form (canonical key order)."""
+    """Render a config back to its text form (canonical key order); the text
+    parses back to an equal config."""
     lines = [
         "[experiment]",
         f"n = {cfg.n}",
         f"horizon = {cfg.horizon}",
         f"seed = {cfg.seed}",
         f"out_dir = {cfg.out_dir}",
-        f"eps_conv = {cfg.eps_conv:g}",
-        f"tail_eps = {cfg.tail_eps:g}",
+        f"eps_conv = {_exact(cfg.eps_conv)}",
+        f"tail_eps = {_exact(cfg.tail_eps)}",
         f"emit_alt_distance = {str(cfg.emit_alt_distance).lower()}",
         "",
         "[graph]",
         f"kind = {cfg.graph.kind}",
     ]
     if cfg.graph.kind == "er":
-        lines.append(f"p = {cfg.graph.p:g}")
+        lines.append(f"p = {_exact(cfg.graph.p)}")
     lines += ["", "[weights]", f"kind = {cfg.weights}", "", "[x0]"]
     if cfg.x0_uniform is not None:
-        lines.append("uniform = " + " ".join(f"{v:g}" for v in cfg.x0_uniform))
+        lines.append("uniform = " + " ".join(map(_exact, cfg.x0_uniform)))
     else:
         lines.append("values = " + " ".join(repr(v) for v in cfg.x0_values))
     for spec in cfg.schedules:
-        lines += ["", f"[schedule.{spec.label}]", f"kind = {spec.kind}"]
-        if spec.kind == "constant":
-            lines.append(f"lam = {spec.lam:g}")
-        elif spec.kind == "exponential":
-            lines.append(f"rate = {spec.rate:g}")
-        elif spec.kind == "custom":
-            lines.append("seq = " + " ".join(repr(v) for v in spec.seq))
-        elif spec.kind == "adversarial":
-            lines.append(f"tstar = {spec.tstar}")
-            lines.append(f"target = {spec.target}")
+        lines += ["", f"[schedule.{spec.label}]"]
+        if spec.is_adversarial:
+            lines += ["kind = adversarial",
+                      f"tstar = {'auto' if spec.tstar is None else spec.tstar}",
+                      f"target = {'argmax' if spec.target is None else spec.target}"]
+            continue
+        for key, value in spec.schedule.describe().items():
+            if isinstance(value, tuple):
+                value = " ".join(map(repr, value))
+            elif isinstance(value, float):
+                value = _exact(value)
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -40,12 +40,7 @@ from .network import (
     row_stochastic_weights,
     star_graph,
 )
-from .schedules import (
-    CompetitionSchedule,
-    TruncationPolicy,
-    infinite_products,
-    make_adversarial_nonuniform,
-)
+from .schedules import CompetitionSchedule, infinite_products, make_adversarial_nonuniform
 
 CSV_HEADER = "t,log10_avg_distance,ratio,rho_upper,rho_lower"
 ALT_COLUMN = "log10_l2_distance"
@@ -125,10 +120,6 @@ def draw_x0(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
     return lo + (hi - lo) * rng.random(cfg.n), cfg.n
 
 
-def truncation_policy(cfg: ExperimentConfig) -> TruncationPolicy:
-    return TruncationPolicy(tail_eps=cfg.tail_eps)
-
-
 def bounds_applicable(weighted: WeightedNetwork, schedule: object) -> bool:
     """Rate bounds need doubly stochastic weights with sigma_max in (0, 1)
     and a vanishing uniform schedule."""
@@ -140,9 +131,7 @@ def bounds_applicable(weighted: WeightedNetwork, schedule: object) -> bool:
 def _resolve_adversarial(
     spec: ScheduleSpec, weighted: WeightedNetwork, x0: np.ndarray
 ) -> tuple[DeviationReport, object]:
-    target = None if spec.target == "argmax" else int(spec.target)
-    tstar = None if spec.tstar == "auto" else int(spec.tstar)
-    report = deviation_experiment(weighted, x0, target=target, tstar=tstar)
+    report = deviation_experiment(weighted, x0, target=spec.target, tstar=spec.tstar)
     sched = make_adversarial_nonuniform(tstar=report.tstar, target=report.target)
     return report, sched
 
@@ -155,16 +144,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     weighted.spectral  # run reports sigma_max; factor W before the block pass so their allocations do not stack
     x0, x0_draws = draw_x0(cfg)
     x_ss = weighted.consensus_value(x0)
-    trunc = truncation_policy(cfg)
 
     resolved = [_resolve_adversarial(spec, weighted, x0) if spec.is_adversarial
-                else (None, spec.build_uniform()) for spec in cfg.schedules]
+                else (None, spec.schedule) for spec in cfg.schedules]
     block = simulate(weighted, x0, [sched for _, sched in resolved], cfg.horizon)
     runs = []
     for j, (spec, (report, sched)) in enumerate(zip(cfg.schedules, resolved)):
         traj = block.column(j)
         use_bounds = bounds_applicable(weighted, sched)
-        trunc_report = infinite_products(sched, trunc).describe() if use_bounds else None
+        trunc_report = infinite_products(sched, cfg.tail_eps).describe() if use_bounds else None
         runs.append(RunResult(
             spec=spec, schedule=sched, trajectory=traj,
             csv_name=f"{spec.label}.csv", bounds_used=use_bounds,
@@ -198,7 +186,7 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
         sigma = result.weighted.spectral.sigma_max
         steps = np.arange(1, traj.horizon + 1)
         lower = lower_bound(sigma, run.schedule, steps)
-        upper = lower + gap(run.schedule, steps, truncation_policy(cfg))
+        upper = lower + gap(run.schedule, steps, cfg.tail_eps)
         cols += [chain([""], map(fmt, upper)), chain([""], map(fmt, lower))]
     else:
         cols += [repeat(""), repeat("")]
@@ -213,12 +201,11 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
 def _schedule_manifest_lines(run: RunResult) -> list[str]:
     spec = run.spec
     lines = [f"[run.{spec.label}]", f"kind = {spec.kind}", f"csv = {run.csv_name}"]
-    if spec.kind == "constant":
-        lines.append(f"lam = {_fmt(spec.lam)}")
-    elif spec.kind == "exponential":
-        lines.append(f"rate = {_fmt(spec.rate)}")
-    elif spec.kind == "custom":
-        lines.append("seq = " + " ".join(_fmt(v) for v in spec.seq))
+    if not spec.is_adversarial:
+        for key, value in spec.schedule.describe().items():
+            if key != "kind":  # written above, before the csv name
+                text = " ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
+                lines.append(f"{key} = {text}")
     lines.append(f"bounds = {str(run.bounds_used).lower()}")
     if run.trunc_report is not None:
         rep = run.trunc_report
@@ -232,7 +219,7 @@ def _schedule_manifest_lines(run: RunResult) -> list[str]:
         rep = run.report
         lines += [
             f"tstar = {rep.tstar}",
-            f"tstar_source = {'auto' if spec.tstar == 'auto' else 'fixed'}",
+            f"tstar_source = {'fixed' if spec.tstar is not None else 'auto'}",
             f"target = {rep.target}",
             f"x_limit_nominal = {_fmt(rep.x_limit_nominal)}",
             f"y_consensus_value = {_fmt(rep.y_consensus_value)}",
@@ -377,15 +364,13 @@ def verify_bounds(
     if not uniform:
         raise InvalidParameter("config has no uniform schedule to verify")
     for spec in uniform:
-        sched = spec.build_uniform()
-        if not sched.vanishing:
+        if not spec.schedule.vanishing:
             raise NonVanishingSchedule(
                 f"schedule {spec.label!r} does not vanish; rate bounds do not apply"
             )
 
     witness = worst_case_initial_condition(sp, x_ss_target=1.0)
     rng = np.random.default_rng([cfg.seed, 3])
-    trunc = truncation_policy(cfg)
     horizon = cfg.horizon
     steps = np.arange(1, horizon + 1)
     check_lower = cfg.weights == "lazy_metropolis"
@@ -393,9 +378,9 @@ def verify_bounds(
 
     checks = []
     for spec in uniform:
-        sched = spec.build_uniform()
+        sched = spec.schedule
         lower = lower_bound(sp.sigma_max, sched, steps)
-        upper = lower + gap(sched, steps, trunc) + shift
+        upper = lower + gap(sched, steps, cfg.tail_eps) + shift
 
         # column 0 is the witness, then one column per random start
         starts = np.column_stack([witness, rng.standard_normal((trials, cfg.n)).T])
@@ -431,9 +416,5 @@ def tstar_report(cfg: ExperimentConfig) -> DeviationReport:
     draw = build_network(cfg)
     weighted, _ = build_weights(cfg, draw.network)
     x0, _ = draw_x0(cfg)
-    target = None
-    for spec in cfg.schedules:
-        if spec.is_adversarial and spec.target != "argmax":
-            target = int(spec.target)
-            break
+    target = next((s.target for s in cfg.schedules if s.is_adversarial and s.target is not None), None)
     return deviation_experiment(weighted, x0, target=target, tstar=None)

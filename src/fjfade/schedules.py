@@ -26,6 +26,21 @@ class ScheduleKind(str, Enum):
     CUSTOM = "custom"
 
 
+# The keyword parameters of each kind, all required: make_schedule checks
+# them, describe() reports them and the config grammar reads them.
+SCHEDULE_PARAMS = {
+    ScheduleKind.CONSTANT: ("lam",),
+    ScheduleKind.EXPONENTIAL: ("rate",),
+    ScheduleKind.HYPERBOLIC: (),
+    ScheduleKind.ZERO: (),
+    ScheduleKind.CUSTOM: ("seq",),
+}
+# Default cutoff of a truncated product: the table stops where lambda_k falls
+# to TAIL_EPS, its remainder bounds the rest, and MAX_TERMS caps its length.
+TAIL_EPS = 1e-14
+MAX_TERMS = 5_000_000
+
+
 @dataclass(frozen=True)
 class CompetitionSchedule:
     """Uniform (agent-independent) competition schedule.
@@ -104,51 +119,47 @@ class CompetitionSchedule:
         return self.kind.value
 
     def describe(self) -> dict:
-        d = {"kind": self.kind.value}
-        if self.kind is ScheduleKind.CONSTANT:
-            d["lam"] = self.lam
-        elif self.kind is ScheduleKind.EXPONENTIAL:
-            d["rate"] = self.rate
-        elif self.kind is ScheduleKind.CUSTOM:
-            d["seq"] = list(self.seq)
-        return d
+        """The kind's name, then its parameters in SCHEDULE_PARAMS order."""
+        params = {name: getattr(self, name) for name in SCHEDULE_PARAMS[self.kind]}
+        return {"kind": self.kind.value, **params}
 
 
 def make_schedule(kind: str | ScheduleKind, **params) -> CompetitionSchedule:
-    """Validated constructor for the built-in schedule kinds."""
+    """Validated constructor for the built-in schedule kinds.
+
+    params must be exactly the kind's SCHEDULE_PARAMS: lam in [0, 1] for
+    constant, rate > 0 for exponential, seq with values in [0, 1] for custom
+    (a warning if it increases), none for hyperbolic and zero. Anything else
+    raises InvalidParameter.
+    """
     try:
         kind = ScheduleKind(kind)
     except ValueError:
         raise InvalidParameter(
             f"unknown schedule kind {kind!r}; expected one of {[k.value for k in ScheduleKind]}"
         ) from None
+    names = SCHEDULE_PARAMS[kind]
+    if sorted(params) != sorted(names):
+        raise InvalidParameter(f"schedule kind {kind.value!r} takes parameters {list(names)}, "
+                               f"got {sorted(params)}")
     if kind is ScheduleKind.CONSTANT:
-        lam = float(params.pop("lam"))
-        _reject_extra(params)
+        lam = float(params["lam"])
         if not 0.0 <= lam <= 1.0:
             raise InvalidParameter(f"constant level must lie in [0, 1], got {lam}")
         return CompetitionSchedule(kind, lam=lam)
     if kind is ScheduleKind.EXPONENTIAL:
-        rate = float(params.pop("rate"))
-        _reject_extra(params)
+        rate = float(params["rate"])
         if not rate > 0.0:
             raise InvalidParameter(f"exponential rate must be > 0, got {rate}")
         return CompetitionSchedule(kind, rate=rate)
     if kind is ScheduleKind.CUSTOM:
-        seq = tuple(float(v) for v in params.pop("seq"))
-        _reject_extra(params)
+        seq = tuple(float(v) for v in params["seq"])
         if any(not 0.0 <= v <= 1.0 for v in seq):
             raise InvalidParameter("custom schedule values must lie in [0, 1]")
         if any(b > a for a, b in zip(seq, seq[1:])):
             warnings.warn("custom schedule is not non-increasing", stacklevel=2)
         return CompetitionSchedule(kind, seq=seq)
-    _reject_extra(params)
     return CompetitionSchedule(kind)
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise InvalidParameter(f"unexpected schedule parameters: {sorted(params)}")
 
 
 def constant(lam: float) -> CompetitionSchedule:
@@ -171,38 +182,19 @@ def custom(seq) -> CompetitionSchedule:
     return make_schedule(ScheduleKind.CUSTOM, seq=seq)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoffs for infinite products and tail series.
-
-    tail_eps: once lambda_k < tail_eps with a certified bound on the
-      remaining sum of lambda, the product/series is truncated there.
-    max_terms: safety cap on table sizes.
-    """
-
-    tail_eps: float = 1e-14
-    max_terms: int = 5_000_000
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
-
-
 def lambda_product(
-    schedule: CompetitionSchedule,
-    s: int,
-    t: int | float,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    schedule: CompetitionSchedule, s: int, t: int | float, tail_eps: float = TAIL_EPS
 ) -> float:
     """Lambda_s^t = prod_{k=s}^{t} (1 - lambda_k), with Lambda_s^t = 1 for s > t.
 
     t may be math.inf, in which case the limit is returned: exactly where a
-    closed form exists (constant, hyperbolic, zero, custom), otherwise via a
-    truncated product governed by trunc.
+    closed form exists (constant, hyperbolic, zero, custom), otherwise via
+    the product truncated at tail_eps, see infinite_products.
     """
     if s < 0:
         raise InvalidParameter(f"product start must be >= 0, got {s}")
     if t is math.inf or t == math.inf:
-        return infinite_products(schedule, trunc).lam_to_inf(int(s))
+        return infinite_products(schedule, tail_eps).lam_to_inf(int(s))
     t = int(t)
     if s > t:
         return 1.0
@@ -280,10 +272,13 @@ class InfiniteProducts:
         }
 
 
-def infinite_products(
-    schedule: CompetitionSchedule, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> InfiniteProducts:
-    """Build the Lambda_s^inf table for a schedule under a truncation policy."""
+def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS) -> InfiniteProducts:
+    """Build the Lambda_s^inf table for a schedule.
+
+    Only the exponential kind is truncated, at cutoff = ceil(-log(tail_eps) / rate),
+    the first step with lambda_k <= tail_eps; tail_eps must lie in (0, 1).
+    A rate so small that the table would pass MAX_TERMS raises InvalidParameter.
+    """
     kind = schedule.kind
     if kind is ScheduleKind.ZERO or (kind is ScheduleKind.CONSTANT and schedule.lam == 0.0):
         return InfiniteProducts(schedule, exact=True, cutoff=0, back=np.ones(1), remainder=0.0)
@@ -306,12 +301,16 @@ def infinite_products(
         return InfiniteProducts(schedule, exact=True, cutoff=k, back=back, remainder=0.0)
     if kind is ScheduleKind.EXPONENTIAL:
         rate = schedule.rate
-        cutoff = max(1, math.ceil(math.log(1.0 / trunc.tail_eps) / rate))
-        if cutoff > trunc.max_terms:
+        if not 0.0 < tail_eps < 1.0:
+            raise InvalidParameter(f"tail_eps must lie in (0, 1), got {tail_eps}")
+        # -log, not log(1 / tail_eps), which overflows for a subnormal tail_eps
+        terms = -math.log(tail_eps) / rate
+        if terms > MAX_TERMS:
             raise InvalidParameter(
-                f"exponential rate {rate} is too small for the truncation policy "
-                f"(needs {cutoff} terms, cap {trunc.max_terms})"
+                f"exponential rate {rate} is too small for tail_eps = {tail_eps}: "
+                f"needs {terms:.3g} terms, cap MAX_TERMS = {MAX_TERMS}"
             )
+        cutoff = max(1, math.ceil(terms))
         back = np.ones(cutoff + 1)
         back[:-1] = np.cumprod((1.0 - schedule_values(schedule, 0, cutoff))[::-1])[::-1]
         remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))

@@ -17,7 +17,6 @@ from fjfade.experiment import (
     DISTANCE_FLOOR,
     render_csv,
     run_experiment,
-    truncation_policy,
 )
 
 RUN_CONFIG = """\
@@ -284,7 +283,7 @@ def render_csv_oracle(result, run):
         sigma = result.weighted.spectral.sigma_max
         steps = np.arange(1, traj.horizon + 1)
         lower = lower_bound(sigma, run.schedule, steps)
-        upper = upper_bound(sigma, run.schedule, steps, truncation_policy(cfg))
+        upper = upper_bound(sigma, run.schedule, steps, cfg.tail_eps)
     lines = [CSV_HEADER + ("," + ALT_COLUMN if cfg.emit_alt_distance else "")]
     for t in range(traj.horizon + 1):
         row = [str(t), repr(float(log_avg[t]))]
@@ -338,6 +337,25 @@ class TestErrors:
         assert main([command, str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "n must be at most 10000, got 10001" in err and "800 MB" in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("tail_eps", ["0", "-1", "1"])
+    def test_tail_eps_out_of_range_exits_2(self, tmp_path, capsys, command, tail_eps):
+        path = tmp_path / "eps.ini"
+        path.write_text(VERIFY_CONFIG.replace("out_dir = results", f"out_dir = results\ntail_eps = {tail_eps}"))
+        assert main([command, str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "tail_eps must lie in (0, 1)" in err and "experiment.tail_eps" in err
+
+    def test_subnormal_tail_eps_runs(self, tmp_path):
+        # log(1 / 1e-320) overflows; the cutoff comes from -log(1e-320)
+        path = tmp_path / "eps.ini"
+        path.write_text(VERIFY_CONFIG.replace("out_dir = results", "out_dir = results\ntail_eps = 1e-320"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert main(["verify", str(path), "--quiet"]) == 0
+        manifest = (tmp_path / "out" / "manifest.ini").read_text()
+        assert "tail_eps = 1e-320\n" in manifest
+        assert f"truncation_cutoff = {math.ceil(-math.log(1e-320) / 0.5)}\n" in manifest
 
     def test_bad_overrides_exit_2(self, config_path, capsys):
         assert main(["run", str(config_path), "--horizon", "0", "--quiet"]) == 2

@@ -2,20 +2,23 @@
 
 Any config that parses either runs or fails with a typed error: `main`
 returns 0, 1 or 2 and never raises, and it returns 1 only when `verify`
-reports a FAIL. Horizons and networks stay small so the test takes seconds.
+reports a FAIL. A `run` that exits 0 writes a config.ini that parses back
+to the config it ran, long mantissas included. Horizons and networks stay
+small so the test takes seconds.
 """
 
 import contextlib
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from fjfade.cli import main
-
+from fjfade.config import load_config, parse_config
 
 
 def mostly(valid, invalid):
@@ -23,7 +26,9 @@ def mostly(valid, invalid):
     return st.integers(0, 9).flatmap(lambda k: st.sampled_from(invalid if k == 0 else valid))
 
 
-LEVELS = mostly([0.0, 1e-300, 0.05, 0.3, 0.5, 0.999, 1.0], [1.2, 1.5])
+# 0.123456789 and 0.30000000000000004 need more than the 6 digits of %g
+LEVELS = mostly([0.0, 1e-300, 0.05, 0.3, 0.123456789, 0.30000000000000004, 0.5, 0.999, 1.0],
+                [1.2, 1.5])
 
 
 @st.composite
@@ -33,7 +38,8 @@ def schedule_sections(draw, n):
     if kind == "constant":
         lines.append(f"lam = {draw(LEVELS)!r}")
     elif kind == "exponential":
-        lines.append(f"rate = {draw(mostly([0.05, 0.5, 3.0, 1e300], [-0.5, 0.0, 1e-9]))!r}")
+        rate = draw(mostly([0.05, 0.5, 0.123456789012, 3.0, 1e300], [-0.5, 0.0, 1e-9, 1e-320]))
+        lines.append(f"rate = {rate!r}")
     elif kind == "custom":
         seq = draw(st.lists(LEVELS, min_size=1, max_size=5))
         lines.append("seq = " + " ".join(map(repr, seq)))
@@ -52,15 +58,16 @@ def configs(draw):
         f"n = {n}",
         f"horizon = {draw(st.integers(1, 40))}",
         f"seed = {draw(st.integers(0, 50))}",
-        f"eps_conv = {draw(st.sampled_from([1e-12, 1e-8, 1e-2, 10.0]))!r}",
-        f"tail_eps = {draw(st.sampled_from([1e-16, 1e-14, 1e-6, 0.5]))!r}",
+        f"eps_conv = {draw(st.sampled_from([1e-12, 1e-8, 1.2345678901e-08, 1e-2, 10.0]))!r}",
+        # 1e-320 is in range but subnormal: 1 / tail_eps overflows
+        f"tail_eps = {draw(mostly([1e-16, 1e-14, 1e-6, 0.5], [0.0, -1.0, 1e-320]))!r}",
         f"emit_alt_distance = {draw(st.sampled_from(['true', 'false']))}",
         "",
         "[graph]",
         f"kind = {graph}",
     ]
     if graph == "er":
-        text.append(f"p = {draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))!r}")
+        text.append(f"p = {draw(st.sampled_from([0.0, 0.3, 0.7, 0.7000000001, 1.0]))!r}")
     weights = draw(st.sampled_from(["metropolis", "lazy_metropolis", "row_stochastic"]))
     text += ["", "[weights]", f"kind = {weights}", "", "[x0]"]
     if draw(st.booleans()):
@@ -91,8 +98,36 @@ def arguments(draw):
     return args
 
 
+# Reaching the truncated product takes a bounded exponential schedule, which
+# random draws pair with a bad tail_eps rarely; these cases run every time.
+BOUNDED = """\
+[experiment]
+n = 4
+horizon = 20
+eps_conv = 1.2345678901e-08
+tail_eps = {tail_eps}
+
+[graph]
+kind = path
+
+[weights]
+kind = lazy_metropolis
+
+[x0]
+uniform = 0 5
+
+[schedule.a]
+kind = exponential
+rate = 0.123456789
+"""
+
+
 @pytest.mark.filterwarnings("ignore:custom schedule is not non-increasing")
 @given(text=configs(), args=arguments())
+@example(text=BOUNDED.format(tail_eps=0.0), args=["run"])
+@example(text=BOUNDED.format(tail_eps=-1.0), args=["verify", "--trials", "3"])
+@example(text=BOUNDED.format(tail_eps=1e-320), args=["verify", "--trials", "3"])
+@example(text=BOUNDED.format(tail_eps=1e-320), args=["run", "--seed", "7", "--horizon", "25"])
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_main_exits_0_1_or_2_and_never_raises(text, args):
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,6 +139,11 @@ def test_main_exits_0_1_or_2_and_never_raises(text, args):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
+        if args[0] == "run" and code == 0:
+            # the effective config: the file's, after --seed and --horizon
+            overrides = {flag.lstrip("-"): int(value) for flag, value in zip(args[1::2], args[2::2])}
+            effective = replace(parse_config(text), **overrides)
+            assert load_config(Path(tmp) / "out" / "config.ini") == effective, (argv, text)
     event(f"{args[0]} exit {code}")
     assert code in (0, 1, 2), (code, argv, text)
     if code == 1:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from fjfade import ConfigError, parse_config, serialize_config
-from fjfade.config import ExperimentConfig, GraphSpec, ScheduleSpec
+from fjfade import ConfigError, constant, custom, exponential, parse_config, serialize_config
+from fjfade.config import GraphSpec
 
 GOOD = """\
 [experiment]
@@ -51,7 +51,9 @@ class TestParsing:
         labels = [s.label for s in cfg.schedules]
         assert labels == ["fast", "slow", "hold"]
         hold = cfg.schedules[2]
-        assert hold.is_adversarial and hold.tstar == "auto" and hold.target == "argmax"
+        assert hold.is_adversarial and hold.kind == "adversarial"
+        assert hold.schedule is None and hold.tstar is None and hold.target is None
+        assert cfg.schedules[0].schedule == exponential(0.5) and cfg.schedules[0].kind == "exponential"
 
     def test_defaults(self):
         cfg = parse_config(
@@ -72,9 +74,9 @@ class TestParsing:
                       "\n[schedule.flat]\nkind = constant\nlam = 0.3\n"
         cfg = parse_config(text)
         by_label = {s.label: s for s in cfg.schedules}
-        assert by_label["mix"].seq == (0.5, 0.25, 0.1)
-        assert by_label["flat"].lam == 0.3
-        assert by_label["flat"].build_uniform().value(9) == 0.3
+        assert by_label["mix"].schedule == custom([0.5, 0.25, 0.1])
+        assert by_label["flat"].schedule == constant(0.3)
+        assert by_label["flat"].schedule.value(9) == 0.3
 
     def test_adversarial_fixed_values(self):
         text = GOOD.replace("tstar = auto", "tstar = 12").replace("target = argmax", "target = 2")
@@ -145,6 +147,16 @@ class TestRejection:
         assert info.value.field == "experiment.n" and "800 MB" in str(info.value)
         assert parse_config(GOOD.replace("n = 6", "n = 10000")).n == 10000
 
+    @pytest.mark.parametrize("tail_eps", ["0", "-1", "1", "1.5"])
+    def test_tail_eps_range(self, tail_eps):
+        with pytest.raises(ConfigError, match=r"tail_eps must lie in \(0, 1\)") as info:
+            parse_config(GOOD.replace("eps_conv = 1e-9", f"eps_conv = 1e-9\ntail_eps = {tail_eps}"))
+        assert info.value.field == "experiment.tail_eps"
+
+    def test_subnormal_tail_eps_parses(self):
+        text = GOOD.replace("eps_conv = 1e-9", "eps_conv = 1e-9\ntail_eps = 1e-320")
+        assert parse_config(text).tail_eps == 1e-320
+
     def test_x0_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(GOOD.replace("uniform = 0 5", "uniform = 0 5\nvalues = 1 2 3 4 5 6"))
@@ -194,18 +206,27 @@ class TestRoundTrip:
         cfg = parse_config(GOOD.replace("uniform = 0 5", "values = 0.1 0.2 0.3 0.4 0.5 0.6"))
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_long_mantissas_roundtrip_exactly(self):
+        # %g keeps 6 significant digits; every digit of a 9- to 17-digit value must survive
+        text = (GOOD.replace("eps_conv = 1e-9", "eps_conv = 1.23456789e-09\ntail_eps = 2.718281828459045e-15")
+                .replace("p = 0.4", "p = 0.4000000001")
+                .replace("uniform = 0 5", "uniform = 0.1234567891 4.999999999999999")
+                .replace("rate = 0.5", "rate = 0.123456789")
+                + "\n[schedule.flat]\nkind = constant\nlam = 0.30000000000000004\n")
+        cfg = parse_config(text)
+        out = serialize_config(cfg)
+        assert parse_config(out) == cfg
+        for line in ("rate = 0.123456789", "lam = 0.30000000000000004", "tail_eps = 2.718281828459045e-15"):
+            assert line + "\n" in out
+        # values %g writes exactly keep their short text
+        assert "uniform = 0 5\n" in serialize_config(parse_config(GOOD))
+
     def test_all_schedule_kinds_roundtrip(self):
         text = GOOD + "\n[schedule.mix]\nkind = custom\nseq = 0.5 0.25\n" \
                       "\n[schedule.flat]\nkind = constant\nlam = 0.3\n" \
                       "\n[schedule.quiet]\nkind = zero\n"
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
-
-
-def test_schedule_spec_guards():
-    spec = ScheduleSpec(label="hold", kind="adversarial", tstar=3, target=0)
-    with pytest.raises(ConfigError):
-        spec.build_uniform()
 
 
 def test_config_error_formats_location():

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjfade import (
-    DEFAULT_TRUNCATION,
     CompetitionSchedule,
     InvalidParameter,
     NonUniformSchedule,
@@ -29,7 +28,7 @@ from fjfade import (
     partition_of_unity,
     zero_consensus,
 )
-from fjfade.schedules import schedule_values, suffix_products
+from fjfade.schedules import SCHEDULE_PARAMS, schedule_values, suffix_products
 
 # scalar-loop oracle values, frozen
 LAMBDA_2_7_EXP_HALF = 0.35917216287486375
@@ -194,32 +193,32 @@ class TestPartitionOfUnity:
 
 class TestInfiniteProducts:
     def test_exponential_table(self):
-        table = infinite_products(exponential(0.5), DEFAULT_TRUNCATION)
+        table = infinite_products(exponential(0.5))
         assert table.lam_to_inf(1) == pytest.approx(LAMBDA_1_INF_EXP_HALF, abs=1e-13)
         assert table.lam_to_inf(0) == 0.0
         # far beyond the cutoff the product has converged to 1
         assert table.lam_to_inf(10_000) == pytest.approx(1.0, abs=1e-12)
 
     def test_lam_to_inf_array_matches_scalar(self):
-        table = infinite_products(exponential(0.5), DEFAULT_TRUNCATION)
+        table = infinite_products(exponential(0.5))
         ss = np.array([0, 1, 2, 5, 50, 500])
         np.testing.assert_allclose(
             table.lam_to_inf_array(ss), [table.lam_to_inf(int(s)) for s in ss], atol=0
         )
 
     def test_hyperbolic_limits_are_zero(self):
-        table = infinite_products(hyperbolic(), DEFAULT_TRUNCATION)
+        table = infinite_products(hyperbolic())
         assert table.lam_to_inf(7) == 0.0
 
     def test_constant_limits(self):
-        table = infinite_products(constant(0.3), DEFAULT_TRUNCATION)
+        table = infinite_products(constant(0.3))
         assert table.lam_to_inf(0) == 0.0
-        zero_table = infinite_products(zero_consensus(), DEFAULT_TRUNCATION)
+        zero_table = infinite_products(zero_consensus())
         assert zero_table.lam_to_inf(0) == 1.0
 
     def test_custom_exact(self):
         sched = custom([0.5, 0.25, 0.1])
-        table = infinite_products(sched, DEFAULT_TRUNCATION)
+        table = infinite_products(sched)
         assert table.exact
         assert table.lam_to_inf(0) == pytest.approx(0.5 * 0.75 * 0.9, abs=1e-15)
         assert table.lam_to_inf(2) == pytest.approx(0.9, abs=1e-15)
@@ -231,18 +230,44 @@ class TestInfiniteProducts:
         # gap(t) = 2 (sum_{k>=t} Lambda_{k+1}^inf lambda_k + remainder): the series
         # telescopes to 1 - Lambda_t^inf, the closed form gap rests on
         sched = exponential(0.3)
-        table = infinite_products(sched, DEFAULT_TRUNCATION)
+        table = infinite_products(sched)
         for t in (1, 4, 10):
             brute = sum(
                 brute_product(sched, k + 1, 600) * sched.value(k) for k in range(t, 600)
             )
             assert gap(sched, t) == pytest.approx(2 * (brute + table.remainder), abs=2e-11)
         half = exponential(0.5)
-        remainder = infinite_products(half, DEFAULT_TRUNCATION).remainder
+        remainder = infinite_products(half).remainder
         assert gap(half, 3) == pytest.approx(2 * (TAIL_SUM_3_EXP_HALF + remainder), abs=2e-12)
 
+    def test_term_cap(self):
+        with pytest.raises(InvalidParameter, match="cap MAX_TERMS = 5000000"):
+            infinite_products(exponential(1e-9))
+        # -log(tail_eps) / rate overflows to inf here
+        with pytest.raises(InvalidParameter, match="cap MAX_TERMS"):
+            gap(exponential(1e-320), 1)
+
+    @pytest.mark.parametrize("tail_eps", [0.0, -1.0, 1.0])
+    def test_tail_eps_range(self, tail_eps):
+        with pytest.raises(InvalidParameter, match=r"tail_eps must lie in \(0, 1\)"):
+            infinite_products(exponential(0.5), tail_eps)
+
+    def test_subnormal_tail_eps(self):
+        # 1 / 1e-320 overflows; the cutoff is ceil(-log(tail_eps) / rate)
+        table = infinite_products(exponential(0.5), 1e-320)
+        assert table.cutoff == math.ceil(-math.log(1e-320) / 0.5)
+        assert 0.0 < table.remainder < 1e-319
+        assert table.lam_to_inf(1) == pytest.approx(LAMBDA_1_INF_EXP_HALF, abs=1e-13)
+
+    def test_cutoff_is_unchanged(self):
+        # the -log form gives the log(1 / tail_eps) cutoff wherever that is finite
+        for eps in (1e-16, 1e-14, 1e-10, 1e-6, 0.5):
+            for rate in (0.05, 0.3, 0.5, 1.0, 3.0):
+                expected = max(1, math.ceil(math.log(1.0 / eps) / rate))
+                assert infinite_products(exponential(rate), eps).cutoff == expected
+
     def test_describe_keys(self):
-        rep = infinite_products(exponential(0.5), DEFAULT_TRUNCATION).describe()
+        rep = infinite_products(exponential(0.5)).describe()
         assert set(rep) == {"kind", "exact", "cutoff", "tail_remainder"}
 
 
@@ -285,6 +310,25 @@ def test_schedule_kind_enum_roundtrip():
 def test_make_schedule_dispatch():
     assert make_schedule("constant", lam=0.2).value(5) == 0.2
     assert isinstance(make_schedule(ScheduleKind.HYPERBOLIC), CompetitionSchedule)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", {}),
+    ("exponential", {"lam": 0.5}),
+    ("exponential", {"rate": 0.5, "lam": 0.5}),
+    ("hyperbolic", {"rate": 0.5}),
+    ("custom", {}),
+])
+def test_make_schedule_parameters_are_typed_errors(kind, params):
+    with pytest.raises(InvalidParameter, match=f"{kind!r} takes parameters"):
+        make_schedule(kind, **params)
+
+
+@pytest.mark.parametrize("sched", ALL_KINDS, ids=lambda s: s.kind.value)
+def test_describe_lists_the_parameters(sched):
+    d = sched.describe()
+    assert list(d) == ["kind", *SCHEDULE_PARAMS[sched.kind]]
+    assert make_schedule(**d) == sched
 
 
 def test_nonuniform_describe_roundtrip():
