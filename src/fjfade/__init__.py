@@ -44,7 +44,6 @@ from .errors import (
     InvalidParameter,
     NonUniformUnsupported,
     NonVanishingSchedule,
-    NonVanishingTail,
     NoStrictDrop,
 )
 from .network import (

@@ -14,13 +14,16 @@ is sandwiched between
 By partition of unity and the telescoping step
 Lambda_{k+1}^inf lambda_k = Lambda_{k+1}^inf - Lambda_k^inf, the upper bound
 has the closed form upper(t) = lower(t) + gap(t) with gap(t) = 2 (1 - Lambda_t^inf),
-or gap(t) = 1 when every Lambda^inf is 0; the gap does not depend on sigma_max.
-Every bound here takes a step or an integer array of steps >= 1 and costs
-O(max t): one pass of the lower_bound_series recurrence and one table lookup.
+or gap(t) = 1 for a non-summable schedule, whose every Lambda^inf is 0; the
+gap does not depend on sigma_max. Every bound here takes a step or an
+integer array of steps >= 1 and costs O(max t): one pass of the
+lower_bound_series recurrence and one table lookup.
 A truncated table overestimates Lambda_t^inf by up to a factor 1/(1 - remainder),
 so gap() adds 2 * remainder, and the reported upper bound never undershoots
 the true one. upper(t) vanishes as t grows only for summable schedules; for
 the hyperbolic schedule it tends to 1 while lower(t) still decays like 1/t.
+`envelope_error` is the one rule that sets `run`'s bound columns and
+`verify`'s rejections, and `envelope` gives both edges at t = 1..horizon.
 """
 
 from __future__ import annotations
@@ -31,18 +34,36 @@ from .dynamics import Trajectory
 from .errors import (
     AsymmetricWeights,
     ConsensusInitialCondition,
+    FjfadeError,
     InvalidParameter,
+    NonUniformUnsupported,
     NonVanishingSchedule,
 )
-from .network import SpectralData
-from .schedules import TAIL_EPS, CompetitionSchedule, infinite_products, schedule_values
+from .network import SpectralData, WeightedNetwork, WeightKind
+from .schedules import TAIL_EPS, CompetitionSchedule, NonUniformSchedule, infinite_products
+
+# d(0) below this is numerically a consensus start, and d(t) / d(0) is undefined.
+CONSENSUS_FLOOR = 1e-14
 
 
-def _check_sigma(sigma_max: float) -> float:
-    sigma_max = float(sigma_max)
+def envelope_error(
+    weighted: WeightedNetwork, schedule: CompetitionSchedule | NonUniformSchedule, label: str
+) -> FjfadeError | None:
+    """None when the envelope applies: doubly stochastic weights with sigma_max
+    in (0, 1) and a uniform, vanishing schedule. Else the typed error that says
+    why not, naming the schedule's `label`; sigma_max is read only for doubly
+    stochastic weights, so row-stochastic ones never factorize here."""
+    where = f"schedule {label!r}"
+    if weighted.kind is not WeightKind.DOUBLY_STOCHASTIC:
+        return InvalidParameter(f"{where}: rate bounds need doubly stochastic weights")
+    sigma_max = weighted.spectral.sigma_max
     if not 0.0 < sigma_max < 1.0:
-        raise InvalidParameter(f"sigma_max must lie in (0, 1), got {sigma_max}")
-    return sigma_max
+        return InvalidParameter(f"{where}: rate bounds need sigma_max in (0, 1), got {sigma_max}")
+    if not isinstance(schedule, CompetitionSchedule):
+        return NonUniformUnsupported(f"{where} is not uniform; rate bounds do not apply")
+    if not schedule.vanishing:
+        return NonVanishingSchedule(f"{where} does not vanish; rate bounds do not apply")
+    return None
 
 
 def _check_steps(t: int | np.ndarray) -> np.ndarray:
@@ -74,12 +95,14 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
     singular direction, so it satisfies the same one-step recursion
     m_{t+1} = sigma (1 - lambda_t) m_t + lambda_t with m_0 = 1.
     """
-    sigma_max = _check_sigma(sigma_max)
+    sigma_max = float(sigma_max)
+    if not 0.0 < sigma_max < 1.0:
+        raise InvalidParameter(f"sigma_max must lie in (0, 1), got {sigma_max}")
     _check_vanishing(schedule)
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
     out = [1.0]
-    for lam in schedule_values(schedule, 0, horizon).tolist():  # Python floats: same IEEE ops, no numpy scalars
+    for lam in schedule.values(np.arange(horizon)).tolist():  # Python floats: same IEEE ops, no numpy scalars
         out.append(sigma_max * (1.0 - lam) * out[-1] + lam)
     return np.array(out)
 
@@ -93,31 +116,39 @@ def upper_bound(
     return lower_bound(sigma_max, schedule, t) + gap(schedule, t, tail_eps)
 
 
+def envelope(
+    sigma_max: float, schedule: CompetitionSchedule, horizon: int, tail_eps: float = TAIL_EPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) at t = 1..horizon: the bound columns of a run's CSV and
+    the edges `verify` checks. O(horizon)."""
+    steps = np.arange(1, horizon + 1)
+    lower = lower_bound(sigma_max, schedule, steps)
+    return lower, lower + gap(schedule, steps, tail_eps)
+
+
 def gap(
     schedule: CompetitionSchedule, t: int | np.ndarray, tail_eps: float = TAIL_EPS
 ) -> float | np.ndarray:
     """upper_bound - lower_bound at step t or at each step of an integer
     array t; independent of sigma_max. O(max t).
 
-    gap(t) = 2 (1 - Lambda_t^inf + remainder), or 1 when every Lambda^inf is
-    0, where the table of Lambda_t^inf is cut off at tail_eps in (0, 1) (see
-    infinite_products). 1 - Lambda_t^inf enters the upper bound twice, so the
-    certified slack is 2 * remainder.
+    gap(t) = 1 for a non-summable schedule, whose every Lambda^inf is 0.
+    Otherwise gap(t) = 2 (1 - Lambda_t^inf + remainder), where the table of
+    Lambda_t^inf is cut off at tail_eps in (0, 1) (see infinite_products).
+    1 - Lambda_t^inf enters the upper bound twice, so the certified slack is
+    2 * remainder.
     """
     ts = _check_steps(t)
     _check_vanishing(schedule)
     table = infinite_products(schedule, tail_eps)
-    if table.limit_is_zero:
-        gaps = np.ones(ts.shape)
-    else:
-        gaps = 2.0 * (1.0 - table.lam_to_inf_array(ts) + table.remainder)
+    gaps = 2.0 * (1.0 - table.lam_to_inf(ts) + table.remainder) if schedule.summable else np.ones(ts.shape)
     return float(gaps) if ts.ndim == 0 else gaps
 
 
 def empirical_ratio(traj: Trajectory) -> np.ndarray:
     """d(t) / d(0) for a simulated trajectory; per column for a block of starts."""
     d0 = traj.distances[0]
-    if (d0 < 1e-14).any():
+    if (d0 < CONSENSUS_FLOOR).any():
         raise ConsensusInitialCondition("x0 is numerically a consensus; the ratio is undefined")
     return traj.distances / d0
 

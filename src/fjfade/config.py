@@ -241,8 +241,9 @@ def parse_config(text: str) -> ExperimentConfig:
     gsec.reject_unknown({"kind", "p"})
     gkind = gsec.get_str("kind", required=True, choices=GRAPH_KINDS)
     p = gsec.get_float("p", default=0.1)
-    if gkind == "er" and not 0.0 <= p <= 1.0:
-        raise gsec._error("p", f"edge probability must lie in [0, 1], got {p}")
+    if gkind == "er" and not 0.0 < p <= 1.0:
+        # p = 0 leaves n >= 2 agents without an edge, so no resample could connect them
+        raise gsec._error("p", f"edge probability must lie in (0, 1], got {p}")
     if gkind != "er" and "p" in gsec.items:
         raise gsec._error("p", f"key 'p' only applies to kind 'er', not {gkind!r}")
 

@@ -29,10 +29,6 @@ class NonVanishingSchedule(FjfadeError):
     """The operation requires lambda_t -> 0."""
 
 
-class NonVanishingTail(FjfadeError):
-    """An infinite product was requested for a schedule whose tail cannot be certified."""
-
-
 class ConsensusInitialCondition(FjfadeError):
     """x0 is (numerically) a multiple of the all-ones vector, so ratios are undefined."""
 

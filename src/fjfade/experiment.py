@@ -20,15 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import gap, lower_bound, worst_case_initial_condition
+from .bounds import CONSENSUS_FLOOR, envelope, envelope_error, worst_case_initial_condition
 from .config import SCHEDULE_BUDGET_MB, ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
 from .dynamics import Trajectory, simulate
-from .errors import (
-    DisconnectedNetwork,
-    InvalidParameter,
-    NonVanishingSchedule,
-)
+from .errors import DisconnectedNetwork, InvalidParameter
 from .network import (
     Network,
     WeightKind,
@@ -40,7 +36,7 @@ from .network import (
     row_stochastic_weights,
     star_graph,
 )
-from .schedules import CompetitionSchedule, infinite_products, make_adversarial_nonuniform
+from .schedules import InfiniteProducts, infinite_products, make_adversarial_nonuniform
 
 CSV_HEADER = "t,log10_avg_distance,ratio,rho_upper,rho_lower"
 ALT_COLUMN = "log10_l2_distance"
@@ -65,7 +61,7 @@ class RunResult:
     csv_name: str
     bounds_used: bool
     converged_at: int | None
-    trunc_report: dict | None = None
+    products: InfiniteProducts | None = None  # the Lambda^inf table behind the bounds, when used
     report: DeviationReport | None = None
 
 
@@ -120,22 +116,6 @@ def draw_x0(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
     return lo + (hi - lo) * rng.random(cfg.n), cfg.n
 
 
-def bounds_applicable(weighted: WeightedNetwork, schedule: object) -> bool:
-    """Rate bounds need doubly stochastic weights with sigma_max in (0, 1)
-    and a vanishing uniform schedule."""
-    if not isinstance(schedule, CompetitionSchedule) or not schedule.vanishing:
-        return False
-    return weighted.kind is WeightKind.DOUBLY_STOCHASTIC and 0.0 < weighted.spectral.sigma_max < 1.0
-
-
-def _resolve_adversarial(
-    spec: ScheduleSpec, weighted: WeightedNetwork, x0: np.ndarray
-) -> tuple[DeviationReport, object]:
-    report = deviation_experiment(weighted, x0, target=spec.target, tstar=spec.tstar)
-    sched = make_adversarial_nonuniform(tstar=report.tstar, target=report.target)
-    return report, sched
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every schedule from x0 as one column of a single `simulate` block,
     after each adversarial switch time is found by its own single-start pass."""
@@ -145,19 +125,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     x0, x0_draws = draw_x0(cfg)
     x_ss = weighted.consensus_value(x0)
 
-    resolved = [_resolve_adversarial(spec, weighted, x0) if spec.is_adversarial
-                else (None, spec.schedule) for spec in cfg.schedules]
-    block = simulate(weighted, x0, [sched for _, sched in resolved], cfg.horizon)
+    reports = [deviation_experiment(weighted, x0, target=spec.target, tstar=spec.tstar)
+               if spec.is_adversarial else None for spec in cfg.schedules]
+    schedules = [spec.schedule if rep is None else make_adversarial_nonuniform(rep.tstar, rep.target)
+                 for spec, rep in zip(cfg.schedules, reports)]
+    block = simulate(weighted, x0, schedules, cfg.horizon)
     runs = []
-    for j, (spec, (report, sched)) in enumerate(zip(cfg.schedules, resolved)):
+    for j, (spec, sched, report) in enumerate(zip(cfg.schedules, schedules, reports)):
         traj = block.column(j)
-        use_bounds = bounds_applicable(weighted, sched)
-        trunc_report = infinite_products(sched, cfg.tail_eps).describe() if use_bounds else None
+        use_bounds = envelope_error(weighted, sched, spec.label) is None
         runs.append(RunResult(
             spec=spec, schedule=sched, trajectory=traj,
             csv_name=f"{spec.label}.csv", bounds_used=use_bounds,
             converged_at=traj.converged_at(cfg.eps_conv),
-            trunc_report=trunc_report, report=report,
+            products=infinite_products(sched, cfg.tail_eps) if use_bounds else None, report=report,
         ))
     return ExperimentResult(
         cfg=cfg, draw=draw, weighted=weighted, weight_draws=weight_draws,
@@ -178,15 +159,12 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
         map(str, range(traj.horizon + 1)),
         map(fmt, np.log10(np.maximum(traj.avg_distances, DISTANCE_FLOOR))),
     ]
-    if not run.spec.is_adversarial and traj.distances[0] >= 1e-14:
+    if not run.spec.is_adversarial and traj.distances[0] >= CONSENSUS_FLOOR:
         cols.append(map(fmt, traj.distances / traj.distances[0]))
     else:
         cols.append(repeat(""))
     if run.bounds_used:
-        sigma = result.weighted.spectral.sigma_max
-        steps = np.arange(1, traj.horizon + 1)
-        lower = lower_bound(sigma, run.schedule, steps)
-        upper = lower + gap(run.schedule, steps, cfg.tail_eps)
+        lower, upper = envelope(result.weighted.spectral.sigma_max, run.schedule, traj.horizon, cfg.tail_eps)
         cols += [chain([""], map(fmt, upper)), chain([""], map(fmt, lower))]
     else:
         cols += [repeat(""), repeat("")]
@@ -207,12 +185,12 @@ def _schedule_manifest_lines(run: RunResult) -> list[str]:
                 text = " ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
                 lines.append(f"{key} = {text}")
     lines.append(f"bounds = {str(run.bounds_used).lower()}")
-    if run.trunc_report is not None:
-        rep = run.trunc_report
-        lines.append(f"truncation_kind = {rep['kind']}")
-        lines.append(f"truncation_exact = {str(rep['exact']).lower()}")
-        lines.append(f"truncation_cutoff = {rep['cutoff']}")
-        lines.append(f"truncation_remainder = {_fmt(rep['tail_remainder'])}")
+    if run.products is not None:
+        table = run.products
+        lines.append(f"truncation_kind = {table.schedule.kind.value}")
+        lines.append(f"truncation_exact = {str(table.exact).lower()}")
+        lines.append(f"truncation_cutoff = {table.cutoff}")
+        lines.append(f"truncation_remainder = {_fmt(table.remainder)}")
     lines.append(f"terminal_avg_distance = {_fmt(run.trajectory.avg_distances[-1])}")
     lines.append(f"converged_at = {'none' if run.converged_at is None else run.converged_at}")
     if run.report is not None:
@@ -334,18 +312,19 @@ def verify_bounds(
 ) -> VerifyResult:
     """Check the rate envelope against simulated worst-case trajectories.
 
-    The witness x0 = x_ss 1 + v2 is simulated under every configured uniform
-    schedule and its distance ratio must sit below the upper bound; for
-    lazy_metropolis weights the witness attains the lower bound exactly, so
-    the deficit below the lower bound is checked too. `trials` extra random
-    initial conditions are checked against the upper bound only; a start
-    that is numerically a consensus has no ratio and is skipped. Per
-    schedule, the witness and the random starts run as one n x (trials + 1)
-    block through `simulate`. A non vanishing schedule in the config is an
-    error. With self_test=True the upper bound is shifted down by 0.1 and
-    the check must FAIL, proving the harness can see a violation. A negative
-    `trials`, or one whose starts and two distance series would pass
-    SCHEDULE_BUDGET_MB per schedule, raises InvalidParameter before any draw.
+    Per uniform schedule, the witness x0 = x_ss 1 + v2 and `trials` random
+    starts run as one n x (trials + 1) block through `simulate`, and their
+    distance ratios must sit below the upper edge of `bounds.envelope`. For
+    lazy_metropolis weights the witness attains the lower edge exactly, so
+    its deficit below it is checked too. A random start within
+    CONSENSUS_FLOOR of consensus has no ratio and is skipped. A config with
+    no uniform schedule raises InvalidParameter; for a uniform schedule
+    outside the envelope, the error of `bounds.envelope_error`, the rule that
+    also sets `run`'s `bounds` flag, is raised. With self_test=True the upper
+    edge is shifted down by 0.1 and the check must FAIL, proving the harness
+    can see a violation. A negative `trials`, or one whose starts and two
+    distance series would pass SCHEDULE_BUDGET_MB per schedule, raises
+    InvalidParameter before any draw.
     """
     if trials < 0:
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
@@ -355,32 +334,27 @@ def verify_bounds(
                                f"series per schedule, over the {SCHEDULE_BUDGET_MB} MB budget")
     draw = build_network(cfg)
     weighted, _ = build_weights(cfg, draw.network)
-    if weighted.kind is not WeightKind.DOUBLY_STOCHASTIC:
-        raise InvalidParameter("bound verification needs doubly stochastic weights")
-    sp = weighted.spectral
-    if not 0.0 < sp.sigma_max < 1.0:
-        raise InvalidParameter(f"bound verification needs sigma_max in (0, 1), got {sp.sigma_max}")
     uniform = [s for s in cfg.schedules if not s.is_adversarial]
     if not uniform:
-        raise InvalidParameter("config has no uniform schedule to verify")
+        held = "; ".join(f"schedule {s.label!r} is adversarial" for s in cfg.schedules)
+        raise InvalidParameter(f"config has no uniform schedule to verify: {held}")
     for spec in uniform:
-        if not spec.schedule.vanishing:
-            raise NonVanishingSchedule(
-                f"schedule {spec.label!r} does not vanish; rate bounds do not apply"
-            )
+        error = envelope_error(weighted, spec.schedule, spec.label)
+        if error is not None:
+            raise error
 
+    sp = weighted.spectral
     witness = worst_case_initial_condition(sp, x_ss_target=1.0)
     rng = np.random.default_rng([cfg.seed, 3])
     horizon = cfg.horizon
-    steps = np.arange(1, horizon + 1)
     check_lower = cfg.weights == "lazy_metropolis"
     shift = -0.1 if self_test else 0.0
 
     checks = []
     for spec in uniform:
         sched = spec.schedule
-        lower = lower_bound(sp.sigma_max, sched, steps)
-        upper = lower + gap(sched, steps, cfg.tail_eps) + shift
+        lower, upper = envelope(sp.sigma_max, sched, horizon, cfg.tail_eps)
+        upper += shift
 
         # column 0 is the witness, then one column per random start
         starts = np.column_stack([witness, rng.standard_normal((trials, cfg.n)).T])
@@ -389,7 +363,7 @@ def verify_bounds(
         upper_excess = float(np.max(ratio - upper))
         lower_deficit = float(np.max(lower - ratio)) if check_lower else None
 
-        live = d[0, 1:] >= 1e-14  # a consensus start has no ratio
+        live = d[0, 1:] >= CONSENSUS_FLOOR  # a consensus start has no ratio
         random_ratio = d[1:, 1:][:, live] / d[0, 1:][live]
         random_excess = float(np.max(random_ratio - upper[:, None], initial=-math.inf))
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameter, NonVanishingTail
+from .errors import InvalidParameter
 
 
 class ScheduleKind(str, Enum):
@@ -129,8 +129,8 @@ def make_schedule(kind: str | ScheduleKind, **params) -> CompetitionSchedule:
 
     params must be exactly the kind's SCHEDULE_PARAMS: lam in [0, 1] for
     constant, rate > 0 for exponential, seq with values in [0, 1] for custom
-    (a warning if it increases), none for hyperbolic and zero. Anything else
-    raises InvalidParameter.
+    (a warning if it increases), none for hyperbolic and zero. Anything else,
+    a value that is not a number included, raises InvalidParameter.
     """
     try:
         kind = ScheduleKind(kind)
@@ -142,18 +142,23 @@ def make_schedule(kind: str | ScheduleKind, **params) -> CompetitionSchedule:
     if sorted(params) != sorted(names):
         raise InvalidParameter(f"schedule kind {kind.value!r} takes parameters {list(names)}, "
                                f"got {sorted(params)}")
+    try:  # seq is the one list-valued parameter
+        params = {name: tuple(map(float, v)) if name == "seq" else float(v) for name, v in params.items()}
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"schedule kind {kind.value!r} needs numbers for {list(names)}, "
+                               f"got {params}") from None
     if kind is ScheduleKind.CONSTANT:
-        lam = float(params["lam"])
+        lam = params["lam"]
         if not 0.0 <= lam <= 1.0:
             raise InvalidParameter(f"constant level must lie in [0, 1], got {lam}")
         return CompetitionSchedule(kind, lam=lam)
     if kind is ScheduleKind.EXPONENTIAL:
-        rate = float(params["rate"])
+        rate = params["rate"]
         if not rate > 0.0:
             raise InvalidParameter(f"exponential rate must be > 0, got {rate}")
         return CompetitionSchedule(kind, rate=rate)
     if kind is ScheduleKind.CUSTOM:
-        seq = tuple(float(v) for v in params["seq"])
+        seq = params["seq"]
         if any(not 0.0 <= v <= 1.0 for v in seq):
             raise InvalidParameter("custom schedule values must lie in [0, 1]")
         if any(b > a for a, b in zip(seq, seq[1:])):
@@ -198,12 +203,7 @@ def lambda_product(
     t = int(t)
     if s > t:
         return 1.0
-    return float(np.prod(1.0 - schedule_values(schedule, s, t + 1)))
-
-
-def schedule_values(schedule: CompetitionSchedule, lo: int, hi: int) -> np.ndarray:
-    """lambda_k for k in [lo, hi)."""
-    return schedule.values(np.arange(lo, hi))
+    return float(np.prod(1.0 - schedule.values(np.arange(s, t + 1))))
 
 
 def suffix_products(schedule: CompetitionSchedule, t: int) -> np.ndarray:
@@ -214,7 +214,7 @@ def suffix_products(schedule: CompetitionSchedule, t: int) -> np.ndarray:
     """
     if t < 0:
         return np.ones(1)
-    f = 1.0 - schedule_values(schedule, 0, t + 1)
+    f = 1.0 - schedule.values(np.arange(t + 1))
     out = np.ones(t + 2)
     out[:-1] = np.cumprod(f[::-1])[::-1]
     return out
@@ -225,18 +225,19 @@ def partition_of_unity(schedule: CompetitionSchedule, t: int) -> float:
     if t < 0:
         raise InvalidParameter(f"t must be >= 0, got {t}")
     r = suffix_products(schedule, t)
-    lam = schedule_values(schedule, 0, t + 1)
+    lam = schedule.values(np.arange(t + 1))
     return float(r[0] + np.sum(r[1:] * lam))
 
 
 @dataclass(frozen=True)
 class InfiniteProducts:
-    """Precomputed limits Lambda_s^inf and the tail series of a schedule.
+    """Lambda_s^inf = back[min(s, cutoff)], precomputed; a run's manifest
+    reports the table's exact, cutoff and remainder.
 
-    back[j] holds prod_{i=j}^{cutoff-1} (1 - lambda_i); the factors beyond
-    cutoff multiply to something within [1 - remainder, 1], where remainder
-    bounds sum_{k>=cutoff} lambda_k. For kinds with a closed form the table
-    is exact and remainder is 0.
+    For a summable schedule back[j] = prod_{i=j}^{cutoff-1} (1 - lambda_i),
+    and the factors beyond cutoff multiply to within [1 - remainder, 1]; a
+    non-summable one has every limit 0 and stores back = [0.0]. Tables of
+    closed-form kinds are exact, with remainder 0.
     """
 
     schedule: CompetitionSchedule
@@ -244,32 +245,14 @@ class InfiniteProducts:
     cutoff: int
     back: np.ndarray
     remainder: float
-    limit_is_zero: bool = False
 
-    def lam_to_inf(self, s: int) -> float:
-        """Lambda_s^inf."""
-        if s < 0:
-            raise InvalidParameter(f"product start must be >= 0, got {s}")
-        if self.limit_is_zero:
-            return 0.0
-        return float(self.back[min(s, self.cutoff)])
-
-    def lam_to_inf_array(self, ss: np.ndarray) -> np.ndarray:
-        """Lambda_s^inf over an array of start indices."""
-        ss = np.asarray(ss)
+    def lam_to_inf(self, s: int | np.ndarray) -> float | np.ndarray:
+        """Lambda_s^inf at a start index s, or at each start of an integer array s."""
+        ss = np.asarray(s)
         if ss.size and ss.min() < 0:
-            raise InvalidParameter("product starts must be >= 0")
-        if self.limit_is_zero:
-            return np.zeros(ss.shape)
-        return self.back[np.minimum(ss, self.cutoff)]
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.schedule.kind.value,
-            "exact": self.exact,
-            "cutoff": self.cutoff,
-            "tail_remainder": self.remainder,
-        }
+            raise InvalidParameter(f"product starts must be >= 0, got {s}")
+        limits = self.back[np.minimum(ss, self.cutoff)]
+        return float(limits) if ss.ndim == 0 else limits
 
 
 def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS) -> InfiniteProducts:
@@ -280,42 +263,32 @@ def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS)
     A rate so small that the table would pass MAX_TERMS raises InvalidParameter.
     """
     kind = schedule.kind
-    if kind is ScheduleKind.ZERO or (kind is ScheduleKind.CONSTANT and schedule.lam == 0.0):
+    if not schedule.summable:
+        # exact: (1 - lam)^m -> 0 for a constant lam > 0, and hyperbolic Lambda_s^t = s / (t + 1)
+        return InfiniteProducts(schedule, exact=True, cutoff=0, back=np.zeros(1), remainder=0.0)
+    if kind is ScheduleKind.ZERO or kind is ScheduleKind.CONSTANT:  # a summable constant is 0
         return InfiniteProducts(schedule, exact=True, cutoff=0, back=np.ones(1), remainder=0.0)
-    if kind is ScheduleKind.CONSTANT:
-        # (1 - lam)^m -> 0 for lam > 0: the limit is exact even though the
-        # schedule is non-vanishing, so no truncation loop is needed.
-        return InfiniteProducts(
-            schedule, exact=True, cutoff=0, back=np.ones(1), remainder=0.0, limit_is_zero=True
-        )
-    if kind is ScheduleKind.HYPERBOLIC:
-        # Lambda_s^t = s / (t + 1), so every Lambda_s^inf is exactly 0.
-        return InfiniteProducts(
-            schedule, exact=True, cutoff=0, back=np.ones(1), remainder=0.0, limit_is_zero=True
-        )
     if kind is ScheduleKind.CUSTOM:
         k = len(schedule.seq)
         back = np.ones(k + 1)
         if k:
             back[:-1] = np.cumprod((1.0 - np.asarray(schedule.seq))[::-1])[::-1]
         return InfiniteProducts(schedule, exact=True, cutoff=k, back=back, remainder=0.0)
-    if kind is ScheduleKind.EXPONENTIAL:
-        rate = schedule.rate
-        if not 0.0 < tail_eps < 1.0:
-            raise InvalidParameter(f"tail_eps must lie in (0, 1), got {tail_eps}")
-        # -log, not log(1 / tail_eps), which overflows for a subnormal tail_eps
-        terms = -math.log(tail_eps) / rate
-        if terms > MAX_TERMS:
-            raise InvalidParameter(
-                f"exponential rate {rate} is too small for tail_eps = {tail_eps}: "
-                f"needs {terms:.3g} terms, cap MAX_TERMS = {MAX_TERMS}"
-            )
-        cutoff = max(1, math.ceil(terms))
-        back = np.ones(cutoff + 1)
-        back[:-1] = np.cumprod((1.0 - schedule_values(schedule, 0, cutoff))[::-1])[::-1]
-        remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))
-        return InfiniteProducts(schedule, exact=False, cutoff=cutoff, back=back, remainder=remainder)
-    raise NonVanishingTail(f"no tail handling for schedule kind {kind!r}")
+    rate = schedule.rate  # exponential, the one kind left
+    if not 0.0 < tail_eps < 1.0:
+        raise InvalidParameter(f"tail_eps must lie in (0, 1), got {tail_eps}")
+    # -log, not log(1 / tail_eps), which overflows for a subnormal tail_eps
+    terms = -math.log(tail_eps) / rate
+    if terms > MAX_TERMS:
+        raise InvalidParameter(
+            f"exponential rate {rate} is too small for tail_eps = {tail_eps}: "
+            f"needs {terms:.3g} terms, cap MAX_TERMS = {MAX_TERMS}"
+        )
+    cutoff = max(1, math.ceil(terms))
+    back = np.ones(cutoff + 1)
+    back[:-1] = np.cumprod((1.0 - schedule.values(np.arange(cutoff)))[::-1])[::-1]
+    remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))
+    return InfiniteProducts(schedule, exact=False, cutoff=cutoff, back=back, remainder=remainder)
 
 
 @dataclass(frozen=True)

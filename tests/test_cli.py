@@ -1,5 +1,6 @@
 """End-to-end tests for the command line and its file outputs."""
 
+import configparser
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjfade import cli, deviation_experiment, experiment, simulate
-from fjfade.bounds import lower_bound, upper_bound
+from fjfade import FjfadeError, cli, deviation_experiment, experiment, simulate
+from fjfade.bounds import CONSENSUS_FLOOR, lower_bound, upper_bound
 from fjfade.cli import main
 from fjfade.config import load_config, parse_config
 from fjfade.experiment import (
@@ -276,7 +277,7 @@ def render_csv_oracle(result, run):
     cfg, traj = result.cfg, run.trajectory
     log_avg = np.log10(np.maximum(traj.avg_distances, DISTANCE_FLOOR))
     ratio = None
-    if not run.spec.is_adversarial and traj.distances[0] >= 1e-14:
+    if not run.spec.is_adversarial and traj.distances[0] >= CONSENSUS_FLOOR:
         ratio = traj.distances / traj.distances[0]
     upper = lower = None
     if run.bounds_used:
@@ -357,6 +358,18 @@ class TestErrors:
         assert "tail_eps = 1e-320\n" in manifest
         assert f"truncation_cutoff = {math.ceil(-math.log(1e-320) / 0.5)}\n" in manifest
 
+    @pytest.mark.parametrize("command", ["run", "verify", "tstar"])
+    def test_er_without_edges_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an ER graph with p = 0 was drawn")
+
+        monkeypatch.setattr(experiment, "generate_erdos_renyi", unreachable)
+        path = tmp_path / "empty.ini"
+        path.write_text(RUN_CONFIG.replace("p = 0.45", "p = 0"))
+        assert main([command, str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'graph.p'" in err
+
     def test_bad_overrides_exit_2(self, config_path, capsys):
         assert main(["run", str(config_path), "--horizon", "0", "--quiet"]) == 2
         assert main(["run", str(config_path), "--seed", "-1", "--quiet"]) == 2
@@ -375,3 +388,51 @@ class TestErrors:
         lines = (out / "fast.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER + ",log10_l2_distance"
         assert len(lines[1].split(",")) == 6
+
+
+# One section per schedule kind; `run` sets a section's `bounds` flag and
+# `verify` accepts it by the same rule, bounds.envelope_error.
+RULE_SCHEDULES = {
+    "c": "kind = constant\nlam = 0.3",
+    "z": "kind = zero",
+    "u": "kind = custom\nseq = 0.5 0.25 0.1",
+    "h": "kind = hyperbolic",
+    "e": "kind = exponential\nrate = 0.5",
+    "a": "kind = adversarial\ntstar = auto",
+}
+
+
+@pytest.mark.parametrize("weights", ["metropolis", "lazy_metropolis", "row_stochastic"])
+@pytest.mark.parametrize("graph", ["er", "complete"])
+def test_bounds_flag_holds_exactly_where_verify_accepts(tmp_path, capsys, graph, weights):
+    head = RUN_CONFIG.split("[schedule.")[0].replace("kind = metropolis", f"kind = {weights}")
+    if graph == "complete":  # sigma_max = 0 under Metropolis weights
+        head = head.replace("kind = er\np = 0.45", "kind = complete")
+    path = tmp_path / "all.ini"
+    path.write_text(head + "".join(f"[schedule.{k}]\n{v}\n\n" for k, v in RULE_SCHEDULES.items()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    manifest = configparser.ConfigParser()
+    manifest.read_string((tmp_path / "out" / "manifest.ini").read_text())
+
+    doubly = weights != "row_stochastic"
+    contracting = doubly and not (graph == "complete" and weights == "metropolis")
+    for label, body in RULE_SCHEDULES.items():
+        flag = manifest[f"run.{label}"].getboolean("bounds")
+        assert flag == (contracting and label in {"z", "u", "h", "e"})
+        one = tmp_path / f"{label}.ini"
+        one.write_text(head + f"[schedule.{label}]\n{body}\n")
+        try:
+            experiment.verify_bounds(parse_config(one.read_text()), trials=2)
+        except FjfadeError as exc:
+            error = exc
+        else:
+            error = None
+        assert (error is None) == flag
+        if error is None:
+            continue
+        # the weights are checked first, then the schedule
+        expected = ("NonVanishingSchedule" if contracting and label == "c" else "InvalidParameter")
+        assert type(error).__name__ == expected
+        assert main(["verify", str(one), "--trials", "2", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {expected}: " in err and f"schedule {label!r}" in err

@@ -184,6 +184,12 @@ class TestRejection:
         with pytest.raises(ConfigError, match="syntax"):
             parse_config(GOOD + "\n[graph]\nkind = star\n")
 
+    def test_er_without_edges_is_rejected(self):
+        # p = 0 can never connect n >= 2 agents, so no graph is drawn
+        with pytest.raises(ConfigError, match=r"edge probability must lie in \(0, 1\], got 0.0") as info:
+            parse_config(GOOD.replace("p = 0.4", "p = 0"))
+        assert info.value.field == "graph.p"
+
     def test_p_only_for_er(self):
         text = GOOD.replace("kind = er", "kind = star")
         with pytest.raises(ConfigError, match="'p' only applies"):

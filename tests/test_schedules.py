@@ -28,7 +28,7 @@ from fjfade import (
     partition_of_unity,
     zero_consensus,
 )
-from fjfade.schedules import SCHEDULE_PARAMS, schedule_values, suffix_products
+from fjfade.schedules import SCHEDULE_PARAMS, suffix_products
 
 # scalar-loop oracle values, frozen
 LAMBDA_2_7_EXP_HALF = 0.35917216287486375
@@ -168,7 +168,7 @@ class TestSuffixProducts:
     def test_schedule_values_window(self):
         s = exponential(0.5)
         np.testing.assert_allclose(
-            schedule_values(s, 2, 6), [s.value(k) for k in range(2, 6)], atol=0
+            s.values(np.arange(2, 6)), [s.value(k) for k in range(2, 6)], atol=0
         )
 
 
@@ -203,8 +203,11 @@ class TestInfiniteProducts:
         table = infinite_products(exponential(0.5))
         ss = np.array([0, 1, 2, 5, 50, 500])
         np.testing.assert_allclose(
-            table.lam_to_inf_array(ss), [table.lam_to_inf(int(s)) for s in ss], atol=0
+            table.lam_to_inf(ss), [table.lam_to_inf(int(s)) for s in ss], atol=0
         )
+        assert isinstance(table.lam_to_inf(3), float)
+        with pytest.raises(InvalidParameter, match="product starts must be >= 0"):
+            table.lam_to_inf(np.array([2, -1]))
 
     def test_hyperbolic_limits_are_zero(self):
         table = infinite_products(hyperbolic())
@@ -266,10 +269,6 @@ class TestInfiniteProducts:
                 expected = max(1, math.ceil(math.log(1.0 / eps) / rate))
                 assert infinite_products(exponential(rate), eps).cutoff == expected
 
-    def test_describe_keys(self):
-        rep = infinite_products(exponential(0.5)).describe()
-        assert set(rep) == {"kind", "exact", "cutoff", "tail_remainder"}
-
 
 class TestNonUniformSchedule:
     def test_vector_switches_off_after_tstar(self):
@@ -321,6 +320,17 @@ def test_make_schedule_dispatch():
 ])
 def test_make_schedule_parameters_are_typed_errors(kind, params):
     with pytest.raises(InvalidParameter, match=f"{kind!r} takes parameters"):
+        make_schedule(kind, **params)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", {"lam": "x"}),
+    ("custom", {"seq": 5}),
+    ("exponential", {"rate": None}),
+    ("custom", {"seq": ["a"]}),
+], ids=["lam-str", "seq-int", "rate-none", "seq-str"])
+def test_make_schedule_values_that_are_not_numbers_are_typed_errors(kind, params):
+    with pytest.raises(InvalidParameter, match=f"{kind!r} needs numbers"):
         make_schedule(kind, **params)
 
 
