@@ -32,10 +32,9 @@ def main():
     out_dir = resolve_out_dir(cfg, args.out)
     write_outputs(result, out_dir)
 
-    sp = result.weighted.spectral
     print(f"graph: {cfg.graph.kind} n={cfg.n} edges={len(result.draw.network.edges)} "
           f"(seed {result.draw.seed_used}, {result.draw.resamples} resamples)")
-    print(f"sigma_max = {sp.sigma_max:.6f}, x_ss = {result.x_ss:.6f}")
+    print(f"sigma_max = {result.weighted.sigma_max:.6f}, x_ss = {result.x_ss:.6f}")
     for run in result.runs:
         traj = run.trajectory
         final = abs(traj.x(traj.horizon) - traj.x_ss).mean()

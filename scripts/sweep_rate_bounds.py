@@ -47,7 +47,7 @@ def main():
     if not net.connected:
         sys.exit(f"graph seed {args.graph_seed} gives a disconnected network")
     w = metropolis_weights(net)
-    sigma = w.spectral.sigma_max
+    sigma = w.sigma_max
     print(f"er(20, 0.1) seed {args.graph_seed}: sigma_max = {sigma:.6f}")
 
     steps = np.arange(1, args.horizon + 1)

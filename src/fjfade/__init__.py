@@ -48,11 +48,9 @@ from .errors import (
 )
 from .network import (
     Network,
-    SpectralData,
     WeightedNetwork,
     WeightKind,
     complete_graph,
-    compute_spectral,
     generate_erdos_renyi,
     metropolis_weights,
     path_graph,

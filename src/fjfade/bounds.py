@@ -39,7 +39,7 @@ from .errors import (
     NonUniformUnsupported,
     NonVanishingSchedule,
 )
-from .network import SpectralData, WeightedNetwork, WeightKind
+from .network import WeightedNetwork, WeightKind
 from .schedules import TAIL_EPS, CompetitionSchedule, NonUniformSchedule, infinite_products
 
 # d(0) below this is numerically a consensus start, and d(t) / d(0) is undefined.
@@ -56,7 +56,7 @@ def envelope_error(
     where = f"schedule {label!r}"
     if weighted.kind is not WeightKind.DOUBLY_STOCHASTIC:
         return InvalidParameter(f"{where}: rate bounds need doubly stochastic weights")
-    sigma_max = weighted.spectral.sigma_max
+    sigma_max = weighted.sigma_max
     if not 0.0 < sigma_max < 1.0:
         return InvalidParameter(f"{where}: rate bounds need sigma_max in (0, 1), got {sigma_max}")
     if not isinstance(schedule, CompetitionSchedule):
@@ -153,13 +153,13 @@ def empirical_ratio(traj: Trajectory) -> np.ndarray:
     return traj.distances / d0
 
 
-def worst_case_initial_condition(spectral: SpectralData, x_ss_target: float) -> np.ndarray:
+def worst_case_initial_condition(weighted: WeightedNetwork, x_ss_target: float) -> np.ndarray:
     """x0 = x_ss_target 1 + v2, the initial condition attaining the lower bound.
 
     Requires symmetric weights so v2 is an eigenvector; with a nonnegative
     second eigenvalue (e.g. lazy Metropolis) the simulated ratio from this
     x0 reproduces lower_bound(t) exactly.
     """
-    if not spectral.symmetric:
+    if not weighted.symmetric:
         raise AsymmetricWeights("the worst-case construction needs symmetric weights")
-    return x_ss_target + spectral.v2
+    return x_ss_target + weighted.v2

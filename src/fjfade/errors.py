@@ -18,7 +18,7 @@ class DisconnectedNetwork(FjfadeError):
 
 
 class ConvergenceFailure(FjfadeError):
-    """An iterative solver hit its iteration cap before meeting tolerance."""
+    """`find_tstar`'s switch-time certificate did not fire within its step cap."""
 
 
 class NonUniformUnsupported(FjfadeError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -123,7 +124,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     after each adversarial switch time is found by its own single-start pass."""
     draw = build_network(cfg)
     weighted, weight_draws = build_weights(cfg, draw.network)
-    weighted.spectral  # run reports sigma_max; factor W before the block pass so their allocations do not stack
+    weighted.sigma_max  # run reports it; factor W before the block pass so their allocations do not stack
     x0, x0_draws = draw_x0(cfg)
     x_ss = weighted.consensus_value(x0)
 
@@ -152,29 +153,33 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _floats(a: np.ndarray) -> Iterator[float]:
+    """The entries of `a` as Python floats, converted 1,024 at a time."""
+    return chain.from_iterable(a[i:i + 1024].tolist() for i in range(0, len(a), 1024))
+
+
 def render_csv(result: ExperimentResult, run: RunResult) -> str:
     """CSV text of one run, zipped row by row from lazy per-column string streams."""
     cfg = result.cfg
     traj = run.trajectory
-    fmt = float.__repr__  # the repr of the Python float, also for numpy scalars
     cols = [
         map(str, range(traj.horizon + 1)),
-        map(fmt, np.log10(np.maximum(traj.avg_distances, DISTANCE_FLOOR))),
+        map(repr, _floats(np.log10(np.maximum(traj.avg_distances, DISTANCE_FLOOR)))),
     ]
     if not run.spec.is_adversarial and traj.distances[0] >= CONSENSUS_FLOOR:
-        cols.append(map(fmt, traj.distances / traj.distances[0]))
+        cols.append(map(repr, _floats(traj.distances / traj.distances[0])))
     else:
         cols.append(repeat(""))
     if run.bounds_used:
-        lower, upper = envelope(result.weighted.spectral.sigma_max, run.schedule, traj.horizon, cfg.tail_eps)
-        cols += [chain([""], map(fmt, upper)), chain([""], map(fmt, lower))]
+        lower, upper = envelope(result.weighted.sigma_max, run.schedule, traj.horizon, cfg.tail_eps)
+        cols += [chain([""], map(repr, _floats(upper))), chain([""], map(repr, _floats(lower)))]
     else:
         cols += [repeat(""), repeat("")]
     header = CSV_HEADER
     if cfg.emit_alt_distance:
         header += "," + ALT_COLUMN
         # math.log10, not np.log10, which may differ in the last ulp
-        cols.append(map(fmt, map(math.log10, np.maximum(traj.distances, DISTANCE_FLOOR))))
+        cols.append(map(repr, map(math.log10, _floats(np.maximum(traj.distances, DISTANCE_FLOOR)))))
     return "\n".join(chain([header], map(",".join, zip(*cols)))) + "\n"
 
 
@@ -230,12 +235,9 @@ def render_manifest(result: ExperimentResult) -> str:
         f"kind = {cfg.weights}",
         f"doubly_stochastic = {str(weighted.kind is WeightKind.DOUBLY_STOCHASTIC).lower()}",
         f"weight_draws = {result.weight_draws}",
-    ]
-    sp = weighted.spectral
-    lines += [
-        f"symmetric = {str(sp.symmetric).lower()}",
-        f"sigma_max = {_fmt(sp.sigma_max)}",
-        "perron = " + " ".join(_fmt(v) for v in sp.perron),
+        f"symmetric = {str(weighted.symmetric).lower()}",
+        f"sigma_max = {_fmt(weighted.sigma_max)}",
+        "perron = " + " ".join(_fmt(v) for v in weighted.perron),
     ]
     source = (
         "uniform " + " ".join(f"{v:g}" for v in cfg.x0_uniform)
@@ -358,14 +360,13 @@ def verify_bounds(
         if error is not None:
             raise error
 
-    sp = weighted.spectral
-    witness = worst_case_initial_condition(sp, x_ss_target=1.0)
+    witness = worst_case_initial_condition(weighted, x_ss_target=1.0)
     rng = np.random.default_rng([cfg.seed, 3])
     horizon = cfg.horizon
     check_lower = cfg.weights == "lazy_metropolis"
 
     def check(spec: ScheduleSpec, starts: np.ndarray) -> ScheduleVerification:
-        lower, upper = envelope(sp.sigma_max, spec.schedule, horizon, cfg.tail_eps)
+        lower, upper = envelope(weighted.sigma_max, spec.schedule, horizon, cfg.tail_eps)
         d = simulate(weighted, starts, spec.schedule, horizon).distances
         ratio = d[1:, 0] / d[0, 0]
         if self_test:  # at least 0.1 below the witness at every step
@@ -413,7 +414,7 @@ def verify_bounds(
 def tstar_report(cfg: ExperimentConfig) -> DeviationReport:
     """Auto-detect the switch time for the configured adversarial target.
 
-    It reads the Perron vector of W but never `weighted.spectral`, so no
+    It reads the Perron vector of W but never `sigma_max` or `v2`, so no
     eigh or SVD runs.
     """
     draw = build_network(cfg)

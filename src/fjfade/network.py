@@ -28,13 +28,10 @@ class Network:
         Number of agents, >= 1.
     edges : tuple of (int, int)
         Edge list with i < j, no self loops, no duplicates.
-    seed : int
-        RNG seed the edge set was drawn with (0 for deterministic graphs).
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -106,7 +103,7 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Network:
         # row i draws pairs (i, i+1..n-1): chunked draws equal one long draw
         js = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
         edges.extend((i, j) for j in js.tolist())
-    return Network(n=n, edges=tuple(edges), seed=seed)
+    return Network(n=n, edges=tuple(edges))
 
 
 def path_graph(n: int) -> Network:
@@ -135,37 +132,14 @@ class WeightKind(str, Enum):
     ROW_STOCHASTIC = "row_stochastic"
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Perron vector and dominant deflated singular triple of a weight matrix.
-
-    perron: left eigenvector of W at eigenvalue 1, positive, sums to 1.
-    sigma_max: largest singular value of the deflated matrix W - 1 perron^T
-      (equal to the second largest singular value of W when W is doubly
-      stochastic).
-    v2, u2: right and left singular vectors of the deflated matrix for
-      sigma_max, unit norm, with v2 orthogonal to the all-ones vector.
-    symmetric: whether W is symmetric, which selects the factorization
-      (eigh when true, SVD when false).
-    iterations: always 0, since no iterative solver runs; kept only because
-      the benchmark's tracer (perfbench/spans.py) reads it.
-    """
-
-    perron: np.ndarray
-    sigma_max: float
-    v2: np.ndarray
-    u2: np.ndarray
-    symmetric: bool
-    iterations: int
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedNetwork:
     """A network together with a stochastic weight matrix on it.
 
-    `perron` and `spectral` are computed on first read and cached, so a
-    command that never reads `spectral` never factorizes W, and a copy made
-    with dataclasses.replace recomputes both from its own W.
+    `perron` is computed on first read and cached, and so are `sigma_max`
+    and `v2`, together from one `factorize` call. A command that reads
+    neither of those two never factorizes W, and a copy made with
+    dataclasses.replace recomputes all three from its own W.
     """
 
     network: Network
@@ -203,9 +177,16 @@ class WeightedNetwork:
         return v
 
     @cached_property
-    def spectral(self) -> SpectralData:
-        """Deflated factorization of W, by `compute_spectral` on first read."""
-        return compute_spectral(self)
+    def _factors(self) -> tuple[float, np.ndarray]:
+        return factorize(self)
+
+    @property
+    def sigma_max(self) -> float:
+        return self._factors[0]
+
+    @property
+    def v2(self) -> np.ndarray:
+        return self._factors[1]
 
     def consensus_value(self, x0: np.ndarray) -> float | np.ndarray:
         """Nominal consensus value perron^T x0; one per column of an n x B block."""
@@ -292,48 +273,28 @@ def _row_stochastic_from_rng(net: Network, rng) -> WeightedNetwork:
     return WeightedNetwork(network=net, W=W, kind=WeightKind.ROW_STOCHASTIC)
 
 
-def compute_spectral(weighted: WeightedNetwork) -> SpectralData:
-    """Dominant deflated singular triple by dense factorization.
-
-    WeightedNetwork.spectral calls this on its first read; the Perron vector
-    comes from the network's cached `perron`, so W gets one stationary solve.
-    Symmetric W (within 1e-12) is doubly stochastic, so perron = 1/n, and
-    A = W - 11^T / n is symmetric: eigh gives its eigenvalue lam of largest
-    magnitude, sigma_max = |lam|, v2 its eigenvector and u2 = sign(lam) v2.
-    For general W the triple is the leading one of the SVD of
-    A = W - 1 perron^T, and a W that is not primitive raises
-    InvalidParameter from the Perron solve. Both are O(n^3) with no
-    tolerance or iteration cap. The sign is fixed so the largest-magnitude
-    entry of v2 is nonnegative.
+def factorize(weighted: WeightedNetwork) -> tuple[float, np.ndarray]:
+    """sigma_max, the largest singular value of A = W - 1 perron^T (the second
+    singular value of W when W is doubly stochastic), and its right singular
+    vector v2: unit norm, orthogonal to 1, largest-magnitude entry nonnegative.
+    One dense O(n^3) factorization after the cached `perron`, with no
+    tolerance or iteration cap: for symmetric W, eigh of A = W - 11^T / n,
+    whose eigenvalue lam of largest magnitude gives sigma_max = |lam| and v2;
+    else the leading pair of the SVD of A. When A vanishes (W = 1 perron^T),
+    sigma_max is 0.0 and v2 = (e_0 - e_{n-1}) / sqrt(2), which A maps to 0.
     """
-    W = weighted.W
-    n = weighted.n
-    perron, symmetric = weighted.perron, weighted.symmetric
-    A = W - perron  # W - 1 perron^T by broadcasting
-
+    A = weighted.W - weighted.perron  # W - 1 perron^T by broadcasting
     if np.abs(A).max() < 1e-15:
-        # rank-one consensus matrix: the deflated operator vanishes
-        z = np.random.default_rng(weighted.network.seed).standard_normal(n)
-        z -= z.mean()  # orthogonal to the all-ones vector
-        if not z.any():
-            z[0], z[-1] = 1.0, -1.0
-        z /= np.linalg.norm(z)
-        v2, u2 = _fix_sign(z, z)
-        return SpectralData(perron=perron, sigma_max=0.0, v2=v2, u2=u2,
-                            symmetric=symmetric, iterations=0)
-
-    if symmetric:
+        v2 = np.zeros(weighted.n)
+        v2[0], v2[-1] = np.sqrt(0.5), -np.sqrt(0.5)
+        return 0.0, v2
+    if weighted.symmetric:
         lam, V = np.linalg.eigh(A)
         k = int(np.argmax(np.abs(lam)))
-        sigma, v2, u2 = abs(lam[k]), V[:, k], np.sign(lam[k]) * V[:, k]
+        sigma, v2 = abs(lam[k]), V[:, k]
     else:
-        U, s, Vt = np.linalg.svd(A)
-        sigma, v2, u2 = s[0], Vt[0], U[:, 0]
-    v2, u2 = _fix_sign(v2, u2)
-    return SpectralData(perron=perron, sigma_max=float(sigma), v2=v2, u2=u2,
-                        symmetric=symmetric, iterations=0)
-
-
-def _fix_sign(v2: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip both vectors so the largest-magnitude entry of v2 is nonnegative."""
-    return (v2, u2) if v2[np.argmax(np.abs(v2))] >= 0 else (-v2, -u2)
+        _, s, Vt = np.linalg.svd(A)
+        sigma, v2 = s[0], Vt[0]
+    if v2[np.argmax(np.abs(v2))] < 0:
+        v2 = -v2
+    return float(sigma), v2

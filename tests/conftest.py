@@ -104,3 +104,16 @@ def small_fixtures():
 def row_stochastic_fixture():
     net = generate_erdos_renyi(8, 0.5, 1)
     return row_stochastic_weights(net, seed=42)
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Names of the eigh and svd calls made while the test runs."""
+    calls = []
+    for name in ("eigh", "svd"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

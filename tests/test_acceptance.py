@@ -87,7 +87,7 @@ def test_criterion_03_decomposition_matches_simulation(criterion, small_fixtures
 
 
 def test_criterion_04_study_convergence_thresholds(criterion, study_weights, study_x0):
-    sigma = study_weights.spectral.sigma_max
+    sigma = study_weights.sigma_max
     t_exp = math.ceil(200.0 / (1.0 - sigma))
     te = simulate(study_weights, study_x0, exponential(0.5), horizon=t_exp)
     avg_exp = float(np.abs(te.x(t_exp) - te.x_ss).mean())
@@ -112,7 +112,7 @@ def test_criterion_05_constant_schedule_persistent_disagreement(criterion, study
 
 
 def test_criterion_06_witness_sandwich(criterion, study_weights_lazy):
-    sp = study_weights_lazy.spectral
+    sp = study_weights_lazy
     start = time.perf_counter()
     witness = worst_case_initial_condition(sp, x_ss_target=0.0)
     rng = np.random.default_rng(123)
@@ -138,8 +138,8 @@ def test_criterion_06_witness_sandwich(criterion, study_weights_lazy):
 
 
 def test_criterion_07_gap_is_sigma_free(criterion, star3, study_weights):
-    s_small = star3.spectral.sigma_max
-    s_large = study_weights.spectral.sigma_max
+    s_small = star3.sigma_max
+    s_large = study_weights.sigma_max
     spread = abs(s_large - s_small)
     worst = 0.0
     for sched in (exponential(0.5), hyperbolic()):
@@ -155,7 +155,7 @@ def test_criterion_07_gap_is_sigma_free(criterion, star3, study_weights):
 
 
 def test_criterion_08_hyperbolic_envelope_shape(criterion, study_weights):
-    sigma = study_weights.spectral.sigma_max
+    sigma = study_weights.sigma_max
     sched = hyperbolic()
     start = time.perf_counter()
     lower = lower_bound_series(sigma, sched, 10_000)

@@ -235,33 +235,30 @@ class TestEmpiricalRatio:
 class TestWorstCaseWitness:
     def test_requires_symmetry(self, row_stochastic_fixture):
         with pytest.raises(AsymmetricWeights):
-            worst_case_initial_condition(row_stochastic_fixture.spectral, 1.0)
+            worst_case_initial_condition(row_stochastic_fixture, 1.0)
 
     def test_witness_attains_lower_bound(self, star3_lazy):
         # lazy weights have a nonnegative spectrum, so the second eigenvector
         # decays exactly at the lower-bound recurrence rate
-        sp = star3_lazy.spectral
-        x0 = worst_case_initial_condition(sp, x_ss_target=2.0)
+        x0 = worst_case_initial_condition(star3_lazy, x_ss_target=2.0)
         assert star3_lazy.consensus_value(x0) == pytest.approx(2.0, abs=1e-9)
         for sched in (exponential(0.5), hyperbolic()):
             traj = simulate(star3_lazy, x0, sched, horizon=100)
             ratio = empirical_ratio(traj)
-            series = lower_bound_series(sp.sigma_max, sched, 100)
+            series = lower_bound_series(star3_lazy.sigma_max, sched, 100)
             np.testing.assert_allclose(ratio, series, atol=1e-9)
 
     def test_witness_attains_lower_bound_on_study_graph(self, study_weights_lazy):
-        sp = study_weights_lazy.spectral
-        x0 = worst_case_initial_condition(sp, x_ss_target=0.0)
+        x0 = worst_case_initial_condition(study_weights_lazy, x_ss_target=0.0)
         traj = simulate(study_weights_lazy, x0, hyperbolic(), horizon=200)
         ratio = empirical_ratio(traj)
-        series = lower_bound_series(sp.sigma_max, hyperbolic(), 200)
+        series = lower_bound_series(study_weights_lazy.sigma_max, hyperbolic(), 200)
         np.testing.assert_allclose(ratio, series, atol=1e-8)
 
     def test_random_starts_stay_below_lower_bound(self, study_weights_lazy):
         # for any start the ratio sits underneath the worst-case envelope
-        sp = study_weights_lazy.spectral
         rng = np.random.default_rng(17)
-        series = lower_bound_series(sp.sigma_max, hyperbolic(), 80)
+        series = lower_bound_series(study_weights_lazy.sigma_max, hyperbolic(), 80)
         for _ in range(5):
             traj = simulate(study_weights_lazy, rng.standard_normal(20), hyperbolic(), 80)
             ratio = empirical_ratio(traj)

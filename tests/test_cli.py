@@ -18,6 +18,7 @@ from fjfade.experiment import (
     CSV_HEADER,
     DISTANCE_FLOOR,
     render_csv,
+    render_manifest,
     run_experiment,
 )
 from fjfade.schedules import CompetitionSchedule, ScheduleKind
@@ -341,6 +342,22 @@ class TestTstar:
             np.testing.assert_array_equal(getattr(report, field.name), getattr(expected, field.name))
 
 
+class TestFactorizedOnce:
+    @pytest.mark.parametrize("weights, solver", [("metropolis", "eigh"), ("row_stochastic", "svd")])
+    def test_run_factorizes_once(self, factorizations, weights, solver):
+        cfg = parse_config(RUN_CONFIG.replace("kind = metropolis", f"kind = {weights}"))
+        result = run_experiment(cfg)
+        render_manifest(result)
+        for run in result.runs:
+            render_csv(result, run)
+        assert factorizations == [solver]
+
+    def test_verify_factorizes_once(self, factorizations):
+        # sigma_max for the envelope and v2 for the witness share one eigh
+        assert experiment.verify_bounds(parse_config(VERIFY_CONFIG), trials=3).passed
+        assert factorizations == ["eigh"]
+
+
 class TestBlockRun:
     @pytest.mark.parametrize("cfg", [load_config(STUDY_CONFIG), parse_config(PATH300_CONFIG)],
                              ids=["study", "path300"])
@@ -375,7 +392,7 @@ def render_csv_oracle(result, run):
         ratio = traj.distances / traj.distances[0]
     upper = lower = None
     if run.bounds_used:
-        sigma = result.weighted.spectral.sigma_max
+        sigma = result.weighted.sigma_max
         steps = np.arange(1, traj.horizon + 1)
         lower = lower_bound(sigma, run.schedule, steps)
         upper = upper_bound(sigma, run.schedule, steps, cfg.tail_eps)

@@ -69,7 +69,6 @@ class TestErdosRenyi:
     def test_frozen_oracle(self):
         net = generate_erdos_renyi(5, 0.5, 7)
         assert net.edges == ER_5_HALF_7_EDGES
-        assert net.seed == 7
 
     @given(n=st.integers(2, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
     @settings(max_examples=50, deadline=None)
@@ -127,20 +126,20 @@ class TestMetropolisWeights:
 
     def test_star3_spectral_exact(self, star3):
         # eigenvalues of the star are {1, 2/3, 0}
-        assert star3.spectral.sigma_max == pytest.approx(2.0 / 3.0, abs=1e-10)
-        np.testing.assert_allclose(star3.spectral.perron, np.full(3, 1.0 / 3.0), atol=1e-10)
-        assert star3.spectral.symmetric
+        assert star3.sigma_max == pytest.approx(2.0 / 3.0, abs=1e-10)
+        np.testing.assert_allclose(star3.perron, np.full(3, 1.0 / 3.0), atol=1e-10)
+        assert star3.symmetric
 
     def test_lazy_shifts_spectrum(self, star3, star3_lazy):
         np.testing.assert_allclose(
             star3_lazy.W, (star3.W + np.eye(3)) / 2.0, atol=1e-15
         )
         # lazy eigenvalues are (1 + mu) / 2, so sigma_max becomes 5/6
-        assert star3_lazy.spectral.sigma_max == pytest.approx(5.0 / 6.0, abs=1e-10)
+        assert star3_lazy.sigma_max == pytest.approx(5.0 / 6.0, abs=1e-10)
 
     def test_path2_is_averaging(self, path2):
         np.testing.assert_allclose(path2.W, np.full((2, 2), 0.5), atol=1e-15)
-        assert path2.spectral.sigma_max == 0.0
+        assert path2.sigma_max == 0.0
 
     def test_validate_passes(self, study_weights):
         study_weights.validate()
@@ -148,9 +147,12 @@ class TestMetropolisWeights:
     def test_replace_recomputes_spectral_data(self, study_weights, study_network):
         # a copy with a new W must not keep the spectral data of the old one
         lazy = metropolis_weights(study_network, lazy=True)
-        assert study_weights.spectral.sigma_max != lazy.spectral.sigma_max
+        assert study_weights.sigma_max != lazy.sigma_max
+        study_weights.v2  # cache the old pair before copying
         copy = replace(study_weights, W=lazy.W)
-        assert copy.spectral.sigma_max == lazy.spectral.sigma_max
+        assert copy.sigma_max == lazy.sigma_max
+        np.testing.assert_array_equal(copy.v2, lazy.v2)
+        assert not np.array_equal(copy.v2, study_weights.v2)
 
     def test_validate_catches_tampering(self, study_weights):
         W = study_weights.W.copy()
@@ -201,12 +203,11 @@ class TestRowStochasticWeights:
         np.testing.assert_allclose(w.W[1], [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_spectral_perron_is_stationary(self, row_stochastic_fixture):
-        sp = row_stochastic_fixture.spectral
-        v = sp.perron
+        v = row_stochastic_fixture.perron
         np.testing.assert_allclose(row_stochastic_fixture.W.T @ v, v, atol=1e-9)
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
         assert (v > 0).all()
-        assert not sp.symmetric
+        assert not row_stochastic_fixture.symmetric
 
 
 class TestSpectralOracle:
@@ -216,43 +217,58 @@ class TestSpectralOracle:
             if not net.connected:
                 continue
             for w in (metropolis_weights(net), row_stochastic_weights(net, seed=seed)):
-                sp = w.spectral
                 # Perron oracle: dominant left eigenvector from dense eig
                 vals, vecs = np.linalg.eig(w.W.T)
                 idx = int(np.argmax(vals.real))
                 v = np.abs(vecs[:, idx].real)
                 v /= v.sum()
-                np.testing.assert_allclose(sp.perron, v, atol=1e-8)
+                np.testing.assert_allclose(w.perron, v, atol=1e-8)
                 # sigma oracle: largest singular value of the deflated operator
                 svals = np.linalg.svd(w.W - np.outer(np.ones(9), v), compute_uv=False)
-                assert sp.sigma_max == pytest.approx(svals[0], abs=1e-8)
+                assert w.sigma_max == pytest.approx(svals[0], abs=1e-8)
 
     def test_rank_one_early_exit(self):
         w = metropolis_weights(complete_graph(5))
-        assert w.spectral.sigma_max == 0.0
+        assert w.sigma_max == 0.0
+
+    def test_sigma_max_and_v2_share_one_factorization(self, factorizations):
+        net = generate_erdos_renyi(9, 0.5, 3)
+        for w, solver in ((metropolis_weights(net), "eigh"), (row_stochastic_weights(net, seed=3), "svd")):
+            factorizations.clear()
+            w.sigma_max
+            w.v2
+            w.sigma_max
+            assert factorizations == [solver]
+
+    def test_rank_one_v2_is_a_null_vector(self):
+        # W = 11^T / n: v2 is a fixed unit vector orthogonal to 1 that A maps to 0
+        w = metropolis_weights(complete_graph(5))
+        A = w.W - np.outer(np.ones(w.n), w.perron)
+        assert np.linalg.norm(w.v2) == pytest.approx(1.0, abs=1e-15)
+        assert abs(w.v2.sum()) <= 1e-15
+        np.testing.assert_allclose(A @ w.v2, 0.0, atol=1e-15)
 
     def test_long_lazy_path_closed_form(self):
         # lazy Metropolis on a path: sigma_max = 1 - (1 - cos(pi / n)) / 3,
         # with a spectral gap of 1e-5 at n = 400
         n = 400
-        sp = metropolis_weights(path_graph(n), lazy=True).spectral
-        assert abs(sp.sigma_max - (1 - (1 - np.cos(np.pi / n)) / 3)) <= 1e-12
-        assert sp.iterations == 0
+        w = metropolis_weights(path_graph(n), lazy=True)
+        assert abs(w.sigma_max - (1 - (1 - np.cos(np.pi / n)) / 3)) <= 1e-12
 
     def test_singular_vector_residual(self, study_weights, row_stochastic_fixture):
         for w in (study_weights, row_stochastic_fixture):
-            sp = w.spectral
-            A = w.W - np.outer(np.ones(w.n), sp.perron)
-            np.testing.assert_allclose(A @ sp.v2, sp.sigma_max * sp.u2, atol=1e-8)
-            np.testing.assert_allclose(A.T @ sp.u2, sp.sigma_max * sp.v2, atol=1e-8)
-            assert sp.v2[np.argmax(np.abs(sp.v2))] >= 0
+            A = w.W - np.outer(np.ones(w.n), w.perron)
+            assert np.linalg.norm(A @ w.v2) == pytest.approx(w.sigma_max, abs=1e-8)
+            np.testing.assert_allclose(A.T @ (A @ w.v2), w.sigma_max**2 * w.v2, atol=1e-8)
+            assert np.linalg.norm(w.v2) == pytest.approx(1.0, abs=1e-12)
+            assert w.v2[np.argmax(np.abs(w.v2))] >= 0
 
     def test_reducible_rejected(self):
         # agent 0 ignores agent 1: the stationary vector (1, 0) is not positive
         W = np.array([[1.0, 0.0], [0.5, 0.5]])
         w = WeightedNetwork(path_graph(2), W, WeightKind.ROW_STOCHASTIC)
         with pytest.raises(InvalidParameter, match="not primitive"):
-            w.spectral
+            w.sigma_max
 
 
 class TestConsensusValue:
