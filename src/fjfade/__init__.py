@@ -31,6 +31,7 @@ from .dynamics import (
     TransitionCalculator,
     TransitionDecomposition,
     iterate,
+    modal_distances,
     simulate,
 )
 from .errors import (

@@ -2,8 +2,8 @@
 
 The uniform update is x_{t+1} = (1 - lambda_t) W x_t + lambda_t x_0; the
 non-uniform variant applies a per-agent competition vector elementwise.
-`iterate` is the one simulation kernel: it streams the states of one start
-or of a block, one schedule per column, and every consumer reduces them.
+`iterate` is the one kernel that steps states, of one start or of a block,
+one schedule per column; `modal_distances` gets l2 distances without them.
 Every step uses the same evaluation order (the product with W first,
 then the convex combination), so a uniform schedule and the equivalent
 constant per-agent vector produce bit-identical trajectories.
@@ -12,7 +12,7 @@ constant per-agent vector produce bit-identical trajectories.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +36,19 @@ def _apply_step(WT: np.ndarray, x: np.ndarray, x0: np.ndarray, lam: np.ndarray) 
     y *= 1.0 - lam
     y += lam * x0
     return y
+
+
+def _lambda_rows(table: Callable[[np.ndarray], np.ndarray], rows: int) -> Iterator[np.ndarray]:
+    """Yield lambda_0, lambda_1, ... as the rows of table(ts), drawn `rows` steps
+    at a time; the first value outside [0, 1] raises InvalidParameter when its
+    step's row is drawn, never earlier."""
+    for t in itertools.count(0, rows):
+        values = table(np.arange(t, t + rows))
+        bad = np.argwhere(~((values >= 0.0) & (values <= 1.0)))  # in row-major order
+        stop = bad[0, 0] if len(bad) else rows
+        yield from values[:stop]
+        if stop < rows:
+            raise InvalidParameter(f"lambda_{t + stop} = {values[tuple(bad[0])]} outside [0, 1]")
 
 
 def iterate(
@@ -71,25 +84,20 @@ def iterate(
     width = n if any(isinstance(s, NonUniformSchedule) for s in schedules) else 1
     rows = max(1, min(CHUNK, BUFFER_ELEMENTS // (len(schedules) * width)))
     row = (len(schedules), width) if per_column else (n,) * (width > 1)  # a lambda row per column, or one shared
+
+    def table(ts: np.ndarray) -> np.ndarray:  # lambda at steps ts, one schedule per column
+        values = np.empty((len(ts), len(schedules), width))
+        for j, s in enumerate(schedules):
+            values[:, j] = s.values(ts, n) if isinstance(s, NonUniformSchedule) else s.values(ts)[:, None]
+        return values.reshape(len(ts), *row)
+
     WT = weighted.W.T
     x0 = np.array(x0.T, order="C")  # one start per row, a copy the caller cannot touch
     x = np.broadcast_to(x0, (columns, n) if per_column else x0.shape).copy()
-    t = 0
+    lams = _lambda_rows(table, rows)
     while True:
         yield x.T
-        i = t % rows
-        if i == 0:  # lambda_t..lambda_{t+rows-1}, one schedule per column
-            ts = np.arange(t, t + rows)
-            table = np.empty((rows, len(schedules), width))
-            for j, s in enumerate(schedules):
-                table[:, j] = s.values(ts, n) if isinstance(s, NonUniformSchedule) else s.values(ts)[:, None]
-            bad = np.argwhere(~((table >= 0.0) & (table <= 1.0)))  # in row-major order
-            stop = bad[0, 0] if len(bad) else rows
-            lam = table.reshape(rows, *row)
-        if i == stop:
-            raise InvalidParameter(f"lambda_{t} = {table[tuple(bad[0])]} outside [0, 1]")
-        x = _apply_step(WT, x, x0, lam[i])
-        t += 1
+        x = _apply_step(WT, x, x0, next(lams))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,24 +150,14 @@ def simulate(
 ) -> Trajectory:
     """Run the dynamics for `horizon` steps from x0 and record its distances.
 
-    Parameters
-    ----------
-    weighted : WeightedNetwork
-        Weight matrix; its Perron vector gives the nominal consensus value
-        x_ss = perron^T x0 (no factorization runs).
-    x0 : array
-        Initial opinions: an n vector, or an n x B block of starts that are
-        simulated together, one per column.
-    schedule : CompetitionSchedule, NonUniformSchedule or a list of them
-        Uniform or per-agent levels, for every column or one per column.
-    horizon : int
-        Number of steps T; the distance series cover steps 0..T, and the
-        trajectory keeps x_0 and x_T.
-
-    Buffers of at most BUFFER_ELEMENTS numbers and CHUNK rows hold one start
-    per contiguous row and are reduced in one call each: norms by stacked
-    BLAS ddot, as in `np.linalg.norm`, and means along the row. So a block
-    column reduces bit for bit like a single run of its states.
+    x0 is an n vector or an n x B block of starts, one per column, and
+    `schedule` one uniform or per-agent schedule, or a list of one per column.
+    The series cover steps 0..horizon around x_ss = perron^T x0 (no
+    factorization runs), and the trajectory keeps x_0 and x_horizon. Buffers
+    of at most BUFFER_ELEMENTS numbers and CHUNK rows hold one start per
+    contiguous row and are reduced in one call each: norms by stacked BLAS
+    ddot, as in `np.linalg.norm`, and means along the row. So a block column
+    reduces bit for bit like a single run of its states.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
@@ -180,15 +178,43 @@ def simulate(
         np.subtract(dev, center, out=dev)
         distances[lo:hi] = np.sqrt(np.matmul(dev[..., None, :], dev[..., None])[..., 0, 0])
         avg_distances[lo:hi] = np.abs(dev, out=dev).mean(axis=-1)
-    return Trajectory(
-        weighted=weighted,
-        x0=start,
-        x_ss=x_ss,
-        horizon=horizon,
-        distances=distances,
-        avg_distances=avg_distances,
-        _x_final=x,
-    )
+    return Trajectory(weighted=weighted, x0=start, x_ss=x_ss, horizon=horizon, distances=distances,
+                      avg_distances=avg_distances, _x_final=x)
+
+
+def modal_distances(
+    weighted: WeightedNetwork, starts: np.ndarray, schedule: CompetitionSchedule, horizon: int
+) -> np.ndarray:
+    """`simulate`'s l2 distances |x_t - x_ss 1|, t = 0..horizon, of one start or
+    an n x B block under a uniform schedule, evaluated in symmetric W's eigenbasis.
+
+    e_t = x_t - x_ss 1 obeys e_{t+1} = (1 - lambda_t) W e_t + lambda_t e_0, so
+    each mode (mu, v) of `weighted.modes` scales v^T e_0 by a gain g_t, with
+    g_0 = 1 and g_{t+1} = mu (1 - lambda_t) g_t + lambda_t in the operation
+    order of `bounds.lower_bound_series`: d_t^2 = sum g_t^2 (v^T e_0)^2. That
+    costs O(n B) a step, with no product with W; the gains are reduced
+    BUFFER_ELEMENTS numbers at a time, and lambda is checked as in `iterate`.
+    """
+    if horizon < 0:
+        raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
+    if not isinstance(schedule, CompetitionSchedule):
+        raise NonUniformUnsupported("modal distances need a uniform schedule")
+    mu, V = weighted.modes
+    starts = np.asarray(starts, dtype=float)
+    C2 = np.square(V.T @ (starts - weighted.consensus_value(starts)))
+    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // weighted.n))
+    lams = _lambda_rows(schedule.values, rows)
+    G, g = np.empty((rows, weighted.n)), np.ones(weighted.n)
+    distances = np.empty((horizon + 1, *C2.shape[1:]))
+    for lo in range(0, horizon + 1, rows):
+        block = G[:min(rows, horizon + 1 - lo)]
+        for i in range(len(block)):
+            if lo + i:  # g_t reads lambda_{t-1}, as x_t does in iterate
+                lam = next(lams)
+                g = mu * (1.0 - lam) * g + lam
+            block[i] = g
+        distances[lo:lo + len(block)] = np.sqrt(np.square(block, out=block) @ C2)
+    return distances
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -25,7 +24,7 @@ import numpy as np
 from .bounds import CONSENSUS_FLOOR, envelope, envelope_error, worst_case_initial_condition
 from .config import SCHEDULE_BUDGET_MB, ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
-from .dynamics import Trajectory, simulate
+from .dynamics import Trajectory, modal_distances, simulate
 from .errors import DisconnectedNetwork, InvalidParameter
 from .network import (
     Network,
@@ -45,7 +44,6 @@ ALT_COLUMN = "log10_l2_distance"
 DISTANCE_FLOOR = 1e-15
 MAX_GRAPH_RESAMPLES = 1000
 BOUND_SLACK = 1e-8
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # in OpenBLAS's order
 
 
 @dataclass(frozen=True)
@@ -287,13 +285,6 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> list[Path]:
     return written
 
 
-def concurrent_passes() -> int:
-    """Usable cores over BLAS threads, which default to one per core (so 1) as in OpenBLAS."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS) if v and v.isdigit() and int(v)), cores)
-    return max(1, cores // blas)
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduleVerification:
     label: str
@@ -321,27 +312,24 @@ def verify_bounds(
     self_test: bool = False,
     slack: float = BOUND_SLACK,
 ) -> VerifyResult:
-    """Check the rate envelope against simulated worst-case trajectories.
+    """Check the rate envelope against the exact distances of worst-case and random starts.
 
-    Per uniform schedule, the witness x0 = x_ss 1 + v2 and `trials` random
-    starts run as one n x (trials + 1) block through `simulate`, and their
-    distance ratios must sit below the upper edge of `bounds.envelope`. For
-    lazy_metropolis weights the witness attains the lower edge exactly, so
-    its deficit below it is checked too. A random start within
-    CONSENSUS_FLOOR of consensus has no ratio and is skipped. A config with
-    no uniform schedule raises InvalidParameter; for a uniform schedule
-    outside the envelope, the error of `bounds.envelope_error`, the rule that
-    also sets `run`'s `bounds` flag, is raised. With self_test=True the upper
-    edge is shifted down by 0.1 plus the witness's largest headroom below it,
-    so it lies at least 0.1 below the witness at every step and the check
-    must FAIL, proving the harness can see a violation. A negative `trials`,
-    or one whose starts and two distance series would pass SCHEDULE_BUDGET_MB
-    per schedule, raises InvalidParameter before any draw.
+    Per uniform schedule, in section order, the witness x0 = x_ss 1 + v2 and
+    `trials` random starts from the (seed, 3) stream form one n x (trials + 1)
+    block, whose distances `modal_distances` evaluates in W's eigenbasis. Their
+    ratios must sit below the upper edge of `bounds.envelope`, and under
+    lazy_metropolis weights the witness, which attains the lower edge, must
+    not fall below it. A random start within CONSENSUS_FLOOR of consensus has
+    no ratio and is skipped. With self_test=True the upper edge is shifted
+    down by 0.1 plus the witness's largest headroom below it, so that it lies
+    at least 0.1 below the witness at every step and the check must FAIL.
 
-    Passes run in batches of `concurrent_passes()` threads, the main thread
-    taking one, so at most that many budgets are held at once (1, a plain
-    loop, when no BLAS thread variable is set). Starts come from the (seed, 3)
-    stream in section order; the first failing schedule's error is raised.
+    A negative `trials`, or one whose starts and two distance series would
+    pass SCHEDULE_BUDGET_MB per schedule, raises InvalidParameter before any
+    draw, and so does a config with no uniform schedule. A uniform schedule
+    outside the envelope raises the error of `bounds.envelope_error`, the
+    rule behind `run`'s `bounds` flag; the first failing schedule's error is
+    raised.
     """
     if trials < 0:
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
@@ -362,52 +350,27 @@ def verify_bounds(
 
     witness = worst_case_initial_condition(weighted, x_ss_target=1.0)
     rng = np.random.default_rng([cfg.seed, 3])
-    horizon = cfg.horizon
-    check_lower = cfg.weights == "lazy_metropolis"
-
-    def check(spec: ScheduleSpec, starts: np.ndarray) -> ScheduleVerification:
-        lower, upper = envelope(weighted.sigma_max, spec.schedule, horizon, cfg.tail_eps)
-        d = simulate(weighted, starts, spec.schedule, horizon).distances
+    checks = []
+    for spec in uniform:  # column 0 is the witness, then one column per random start
+        starts = np.column_stack([witness, rng.standard_normal((trials, cfg.n)).T])
+        lower, upper = envelope(weighted.sigma_max, spec.schedule, cfg.horizon, cfg.tail_eps)
+        d = modal_distances(weighted, starts, spec.schedule, cfg.horizon)
         ratio = d[1:, 0] / d[0, 0]
         if self_test:  # at least 0.1 below the witness at every step
             upper -= 0.1 + np.max(upper - ratio)
         upper_excess = float(np.max(ratio - upper))
-        lower_deficit = float(np.max(lower - ratio)) if check_lower else None
+        lower_deficit = float(np.max(lower - ratio)) if cfg.weights == "lazy_metropolis" else None
         live = d[0, 1:] >= CONSENSUS_FLOOR  # a consensus start has no ratio
         random_ratio = d[1:, 1:][:, live] / d[0, 1:][live]
         random_excess = float(np.max(random_ratio - upper[:, None], initial=-math.inf))
-        ok = upper_excess <= slack and random_excess <= slack
-        if lower_deficit is not None:
-            ok = ok and lower_deficit <= slack
-        return ScheduleVerification(
-            label=spec.label, steps=horizon,
+        checks.append(ScheduleVerification(
+            label=spec.label, steps=cfg.horizon,
             witness_max_upper_excess=upper_excess,
             witness_max_lower_deficit=lower_deficit,
             random_trials=trials,
             random_max_upper_excess=random_excess,
-            passed=ok,
-        )
-
-    def settle(i: int, noise: np.ndarray) -> None:
-        try:  # column 0 is the witness, then one column per random start
-            checks[i] = check(uniform[i], np.column_stack([witness, noise.T]))
-        except Exception as exc:  # raised below, the first in section order
-            checks[i] = exc
-
-    # gemm releases the GIL; each pass makes a lone pass's calls, so results match
-    workers = min(len(uniform), concurrent_passes())
-    checks: list = [None] * len(uniform)
-    for lo in range(0, len(uniform), workers):
-        passes = [threading.Thread(target=settle, args=(i, rng.standard_normal((trials, cfg.n))))
-                  for i in range(lo, min(lo + workers, len(uniform)))]
-        for p in passes[:-1]:
-            p.start()
-        passes[-1].run()  # the main thread takes the batch's last pass
-        for p in passes[:-1]:
-            p.join()
-        for result in checks[lo:lo + workers]:
-            if isinstance(result, Exception):
-                raise result
+            passed=all(v <= slack for v in (upper_excess, random_excess, lower_deficit) if v is not None),
+        ))
     return VerifyResult(checks=tuple(checks), self_test=self_test)
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DisconnectedNetwork, InvalidParameter
+from .errors import AsymmetricWeights, DimensionMismatch, DisconnectedNetwork, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,10 @@ class WeightKind(str, Enum):
 class WeightedNetwork:
     """A network together with a stochastic weight matrix on it.
 
-    `perron` is computed on first read and cached, and so are `sigma_max`
-    and `v2`, together from one `factorize` call. A command that reads
-    neither of those two never factorizes W, and a copy made with
-    dataclasses.replace recomputes all three from its own W.
+    `perron` is computed on first read and cached, and so are `sigma_max`,
+    `v2` and `modes`, together from one `factorize` call. A command that
+    reads none of those three never factorizes W, and a copy made with
+    dataclasses.replace recomputes them all from its own W.
     """
 
     network: Network
@@ -177,7 +177,7 @@ class WeightedNetwork:
         return v
 
     @cached_property
-    def _factors(self) -> tuple[float, np.ndarray]:
+    def _factors(self) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         return factorize(self)
 
     @property
@@ -187,6 +187,13 @@ class WeightedNetwork:
     @property
     def v2(self) -> np.ndarray:
         return self._factors[1]
+
+    @property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, V): the eigenvalues of W - 11^T/n and their orthonormal eigenvectors, for symmetric W."""
+        if not self.symmetric:
+            raise AsymmetricWeights("an orthonormal eigenbasis needs symmetric weights")
+        return self._factors[2]
 
     def consensus_value(self, x0: np.ndarray) -> float | np.ndarray:
         """Nominal consensus value perron^T x0; one per column of an n x B block."""
@@ -273,28 +280,31 @@ def _row_stochastic_from_rng(net: Network, rng) -> WeightedNetwork:
     return WeightedNetwork(network=net, W=W, kind=WeightKind.ROW_STOCHASTIC)
 
 
-def factorize(weighted: WeightedNetwork) -> tuple[float, np.ndarray]:
+def factorize(weighted: WeightedNetwork) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """sigma_max, the largest singular value of A = W - 1 perron^T (the second
-    singular value of W when W is doubly stochastic), and its right singular
-    vector v2: unit norm, orthogonal to 1, largest-magnitude entry nonnegative.
+    singular value of W when W is doubly stochastic), its right singular
+    vector v2 (unit norm, orthogonal to 1, largest-magnitude entry
+    nonnegative), and the eigenpairs (mu, V) of A when W is symmetric, else None.
     One dense O(n^3) factorization after the cached `perron`, with no
     tolerance or iteration cap: for symmetric W, eigh of A = W - 11^T / n,
     whose eigenvalue lam of largest magnitude gives sigma_max = |lam| and v2;
     else the leading pair of the SVD of A. When A vanishes (W = 1 perron^T),
-    sigma_max is 0.0 and v2 = (e_0 - e_{n-1}) / sqrt(2), which A maps to 0.
+    sigma_max is 0.0, v2 = (e_0 - e_{n-1}) / sqrt(2), which A maps to 0, and
+    the modes are mu = 0 on the basis e_0..e_{n-1}.
     """
     A = weighted.W - weighted.perron  # W - 1 perron^T by broadcasting
     if np.abs(A).max() < 1e-15:
         v2 = np.zeros(weighted.n)
         v2[0], v2[-1] = np.sqrt(0.5), -np.sqrt(0.5)
-        return 0.0, v2
+        return 0.0, v2, (np.zeros(weighted.n), np.eye(weighted.n))
     if weighted.symmetric:
-        lam, V = np.linalg.eigh(A)
+        lam, V = modes = np.linalg.eigh(A)
         k = int(np.argmax(np.abs(lam)))
         sigma, v2 = abs(lam[k]), V[:, k]
     else:
+        modes = None
         _, s, Vt = np.linalg.svd(A)
         sigma, v2 = s[0], Vt[0]
     if v2[np.argmax(np.abs(v2))] < 0:
         v2 = -v2
-    return float(sigma), v2
+    return float(sigma), v2, modes

@@ -2,7 +2,6 @@
 
 import configparser
 import math
-import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -185,15 +184,6 @@ class TestRun:
         assert capsys.readouterr().out == ""
 
 
-def open_gate(monkeypatch, cores, blas):
-    """Set the usable cores and exactly the given BLAS thread variables."""
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    for var in experiment.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in blas.items():
-        monkeypatch.setenv(var, value)
-
-
 class TestVerify:
     def test_passes_on_lazy_weights(self, tmp_path, capsys):
         path = tmp_path / "v.ini"
@@ -225,7 +215,7 @@ class TestVerify:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(experiment, "simulate", reached)
+        monkeypatch.setattr(experiment, "modal_distances", reached)
         monkeypatch.setattr(experiment.np.random, "default_rng", reached)
         path = tmp_path / "v.ini"
         path.write_text(VERIFY_CONFIG)
@@ -254,66 +244,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL hyperbolic" in out and "self-test ok" in out
 
-    @pytest.mark.parametrize("blas, cores, expected", [
-        ({}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 2),
-        ({"OMP_NUM_THREADS": "2"}, 4, 2),
-        ({"OMP_NUM_THREADS": "8"}, 4, 1),
-        ({"OPENBLAS_NUM_THREADS": "x"}, 4, 1),
-    ])
-    def test_concurrent_passes_follow_openblas_threads(self, monkeypatch, blas, cores, expected):
-        open_gate(monkeypatch, cores, blas)
-        assert experiment.concurrent_passes() == expected
-
-    @pytest.mark.parametrize("text", [VERIFY_BOUNDS_CONFIG.read_text(), THREE_SCHEDULE_CONFIG],
-                             ids=["verify_bounds", "three_schedules"])
-    @pytest.mark.parametrize("cores", [2, 4])
-    def test_overlapped_passes_match_the_sequential_loop(self, monkeypatch, text, cores):
-        cfg = parse_config(text)
-        open_gate(monkeypatch, cores, {})
-        sequential = experiment.verify_bounds(cfg, trials=4)
-        open_gate(monkeypatch, cores, {"OPENBLAS_NUM_THREADS": "1"})
-        workers = min(len(cfg.schedules), cores)
-        lock, calls, peak, threads = threading.Lock(), [0], [0], set()
-        inner = experiment.simulate
-
-        def counted(*args):
-            with lock:
-                calls[0] += 1
-                peak[0] = max(peak[0], calls[0])
-                threads.add(threading.get_ident())
-            try:
-                return inner(*args)
-            finally:
-                with lock:
-                    calls[0] -= 1
-
-        monkeypatch.setattr(experiment, "simulate", counted)
-        overlapped = experiment.verify_bounds(cfg, trials=4)
-        assert 1 <= peak[0] <= workers and len(threads) == workers
-        assert len(overlapped.checks) == len(sequential.checks) == len(cfg.schedules)
-        for ours, theirs in zip(overlapped.checks, sequential.checks):
-            for field in fields(ours):
-                assert getattr(ours, field.name) == getattr(theirs, field.name), field.name
-
     @pytest.mark.parametrize("bad", [{1: 2}, {0: 5, 1: 2}, {1: 2, 2: 1}], ids=["second", "first", "second-third"])
     def test_overlapped_pass_raises_the_sequential_error(self, monkeypatch, capsys, bad):
         # a lambda above 1 after step k escapes the envelope rule and stops the
-        # simulation; the error is the first failing section's, as in the loop
+        # pass; the error is the first failing section's, in section order
         cfg = parse_config(THREE_SCHEDULE_CONFIG)
         specs = list(cfg.schedules)
         for i, k in bad.items():
             specs[i] = replace(specs[i], schedule=CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * k + (1.5,)))
         monkeypatch.setattr(cli, "load_config", lambda path: replace(cfg, schedules=tuple(specs)))
-        outcomes = []
-        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-            open_gate(monkeypatch, 2, blas)
-            before = threading.active_count()
-            outcomes.append((main(["verify", "unused.ini", "--trials", "3"]), capsys.readouterr().err))
-            assert threading.active_count() == before
-        assert outcomes[0] == outcomes[1] == (2, f"error: InvalidParameter: lambda_{bad[min(bad)]} = 1.5 outside [0, 1]\n")
+        outcome = (main(["verify", "unused.ini", "--trials", "3"]), capsys.readouterr().err)
+        assert outcome == (2, f"error: InvalidParameter: lambda_{bad[min(bad)]} = 1.5 outside [0, 1]\n")
 
 
 class TestTstar:

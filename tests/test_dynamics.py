@@ -5,11 +5,12 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fjfade import (
+    AsymmetricWeights,
     CompetitionSchedule,
     DimensionMismatch,
     InvalidParameter,
@@ -18,14 +19,19 @@ from fjfade import (
     TransitionCalculator,
     constant,
     custom,
+    complete_graph,
     exponential,
+    generate_erdos_renyi,
     hyperbolic,
     infinite_products,
     iterate,
+    lower_bound_series,
     make_adversarial_nonuniform,
     metropolis_weights,
+    modal_distances,
     path_graph,
     simulate,
+    star_graph,
     zero_consensus,
 )
 from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory
@@ -295,6 +301,67 @@ class TestSimulate:
         for t in (-1, 1, 2, 4):
             with pytest.raises(InvalidParameter):
                 traj.x(t)
+
+
+@st.composite
+def modal_configs(draw):
+    """A symmetric network, a uniform schedule, a horizon and a block of starts
+    whose last column is a consensus."""
+    n = draw(st.integers(2, 30))
+    graph = draw(st.sampled_from(["path", "star", "complete", "er"]))
+    if graph == "er":
+        net = generate_erdos_renyi(n, draw(st.floats(0.2, 1.0)), draw(st.integers(0, 1000)))
+        assume(net.connected)
+    else:
+        net = {"path": path_graph, "star": star_graph, "complete": complete_graph}[graph](n)
+    weighted = metropolis_weights(net, lazy=draw(st.booleans()))
+    unit = st.floats(0.0, 1.0)
+    schedule = draw(st.one_of(
+        st.floats(0.01, 3.0).map(exponential), st.just(hyperbolic()), unit.map(constant),
+        st.lists(unit, min_size=1, max_size=40).map(lambda seq: custom(sorted(seq, reverse=True))),
+    ))
+    horizon = draw(st.integers(0, 300))
+    starts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5.0, 5.0, (n, draw(st.integers(1, 6))))
+    starts[:, -1] = draw(st.floats(-5.0, 5.0))
+    return weighted, schedule, horizon, starts
+
+
+class TestModalDistances:
+    @given(modal_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_simulate(self, config):
+        # the eigenbasis evaluation agrees with the stepped states within
+        # 1e-12 (|e_0| + |x_0|): stepping drifts off a consensus start by up
+        # to about t eps |x_0| (1.5e-13 seen at t = 300), as W's row sums round
+        # off 1. At that start the modal distance stays within 1e-14 (1 + |x_0|)
+        # of the exact 0. The lazy witness keeps to the lower edge, which obeys
+        # the same gain recurrence.
+        weighted, schedule, horizon, starts = config
+        d = modal_distances(weighted, starts, schedule, horizon)
+        stepped = simulate(weighted, starts, schedule, horizon).distances
+        size = np.linalg.norm(starts, axis=0)
+        assert d.shape == stepped.shape == (horizon + 1, starts.shape[1])
+        assert (np.abs(d - stepped) <= 1e-12 * (stepped[0] + size)).all()
+        assert (d[:, -1] <= 1e-14 * (1.0 + size[-1])).all()
+        # a diagonal of at least 1/2 (lazy weights) keeps the spectrum nonnegative
+        if weighted.W.diagonal().min() >= 0.5 and 0.0 < weighted.sigma_max < 1.0 and schedule.vanishing:
+            witness = modal_distances(weighted, 1.0 + weighted.v2, schedule, horizon)
+            lower = lower_bound_series(weighted.sigma_max, schedule, horizon)
+            assert np.max(lower - witness / witness[0], initial=0.0) <= 1e-14
+
+    def test_lambda_checked_at_its_step(self, study_weights_lazy, study_x0):
+        # as in iterate: lambda_k = 1.5 is read only by steps past k
+        bad = CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * 1500 + (1.5,))
+        assert modal_distances(study_weights_lazy, study_x0, bad, 1500).shape == (1501,)
+        for run in (modal_distances, simulate):
+            with pytest.raises(InvalidParameter, match=r"^lambda_1500 = 1.5 outside \[0, 1\]$"):
+                run(study_weights_lazy, study_x0, bad, 1501)
+
+    def test_needs_symmetric_weights_and_a_uniform_schedule(self, row_stochastic_fixture, star3):
+        with pytest.raises(AsymmetricWeights):
+            modal_distances(row_stochastic_fixture, np.ones(8), hyperbolic(), 5)
+        with pytest.raises(NonUniformUnsupported):
+            modal_distances(star3, np.ones(3), make_adversarial_nonuniform(2, 0), 5)
 
 
 class TestTransitionDecomposition:
