@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjfade import FjfadeError, cli, deviation_experiment, experiment, simulate
+from fjfade import FjfadeError, cli, deviation_experiment, dynamics, experiment, simulate
 from fjfade.bounds import CONSENSUS_FLOOR, lower_bound, upper_bound
 from fjfade.cli import main
 from fjfade.config import load_config, parse_config
@@ -243,6 +243,29 @@ class TestVerify:
         assert main(["verify", str(path), "--trials", "3", "--self-test"]) == 0
         out = capsys.readouterr().out
         assert "FAIL hyperbolic" in out and "self-test ok" in out
+
+    @pytest.mark.parametrize("text", [VERIFY_BOUNDS_CONFIG.read_text(), THREE_SCHEDULE_CONFIG],
+                             ids=["verify_bounds", "three_schedules"])
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_overlapped_passes_match_the_sequential_loop(self, monkeypatch, text, rows):
+        # modal_distances overlaps `rows` steps in each reduction, the last
+        # block short; the reference steps simulate one product at a time
+        cfg = parse_config(text)
+        monkeypatch.setattr(experiment, "modal_distances",
+                            lambda weighted, starts, schedule, horizon:
+                            simulate(weighted, starts, schedule, horizon).distances)
+        sequential = experiment.verify_bounds(cfg, trials=4)
+        monkeypatch.undo()
+        monkeypatch.setattr(dynamics, "BUFFER_ELEMENTS", rows * cfg.n)
+        overlapped = experiment.verify_bounds(cfg, trials=4)
+        assert len(overlapped.checks) == len(sequential.checks) == len(cfg.schedules)
+        for ours, theirs in zip(overlapped.checks, sequential.checks):
+            for field in fields(ours):
+                a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                if isinstance(a, float):
+                    assert a == pytest.approx(b, rel=0, abs=1e-12), field.name
+                else:
+                    assert a == b, field.name
 
     @pytest.mark.parametrize("bad", [{1: 2}, {0: 5, 1: 2}, {1: 2, 2: 1}], ids=["second", "first", "second-third"])
     def test_overlapped_pass_raises_the_sequential_error(self, monkeypatch, capsys, bad):
