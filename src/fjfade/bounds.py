@@ -146,7 +146,7 @@ def gap(
 
 
 def empirical_ratio(traj: Trajectory) -> np.ndarray:
-    """d(t) / d(0) for a simulated trajectory; per column for a block of starts."""
+    """d(t) / d(0) for a simulated trajectory; per column of a schedule block."""
     d0 = traj.distances[0]
     if (d0 < CONSENSUS_FLOOR).any():
         raise ConsensusInitialCondition("x0 is numerically a consensus; the ratio is undefined")

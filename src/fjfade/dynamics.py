@@ -1,12 +1,12 @@
 """Friedkin-Johnsen updates with time-varying competition, and their closed form.
 
 The uniform update is x_{t+1} = (1 - lambda_t) W x_t + lambda_t x_0; the
-non-uniform variant applies a per-agent competition vector elementwise.
-`iterate` is the one kernel that steps states, of one start or of a block,
-one schedule per column; `modal_distances` gets l2 distances without them.
+adversarial variant holds one agent at its start opinion through tstar.
+`iterate` is the one kernel that steps states, of one start under one
+schedule per column; `modal_distances` gets l2 distances without them.
 Every step uses the same evaluation order (the product with W first,
-then the convex combination), so a uniform schedule and the equivalent
-constant per-agent vector produce bit-identical trajectories.
+then the convex combination), and a held target is pinned to x_0 after
+it, so a held run past tstar is bit-identical to the zero schedule.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ CHUNK = 1024  # steps of lambda values drawn per table
 BUFFER_ELEMENTS = 2**16  # numbers in one lambda table, and in one buffer simulate reduces
 
 
-def _apply_step(WT: np.ndarray, x: np.ndarray, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(1 - lam) (x @ W.T) + lam x0, one start per row; lam broadcasts."""
-    y = x @ WT
-    y *= 1.0 - lam
-    y += lam * x0
-    return y
-
-
 def _lambda_rows(table: Callable[[np.ndarray], np.ndarray], rows: int) -> Iterator[np.ndarray]:
     """Yield lambda_0, lambda_1, ... as the rows of table(ts), drawn `rows` steps
     at a time; the first value outside [0, 1] raises InvalidParameter when its
@@ -58,46 +50,48 @@ def iterate(
 ) -> Iterator[np.ndarray]:
     """Yield the states x_0, x_1, x_2, ... of the dynamics, without end.
 
-    x0 is one start (an n vector) or an n x B block; `schedule` is one
-    schedule, or a list of one per column (of B starts, or of one start run
-    under each). The block advances as C-contiguous rows, one product with
-    W.T per step; each state is a new n x columns `.T` view (an n vector for
-    one start under one schedule), never touched again. Shape and finiteness
-    are checked at the first draw. Each step reads one row of a table of
-    `values(ts)` or `values(ts, n)`, at most CHUNK rows and BUFFER_ELEMENTS
-    numbers; a value outside [0, 1] raises before its step.
+    x0 is one start, an n vector; `schedule` is one schedule, or a list of S
+    run as the columns of a block of S C-contiguous rows, one product with
+    W.T per step. Each state is a new n vector (or n x S `.T` view), never
+    touched again. Shape, finiteness and held targets are checked at the
+    first draw. Each step x <- (1 - lam) x W.T + lam x0 reads one lambda per
+    column from a table of at most CHUNK rows and BUFFER_ELEMENTS numbers; a
+    value outside [0, 1] raises before its step. A held column reads 0, then
+    pins its target to x0[target] through step tstar: the per-agent step's bits.
     """
     n = weighted.n
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[0] != n:
-        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},) or ({n}, B)")
+    x0 = np.array(x0, dtype=float)  # a copy the caller cannot touch
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
     if not np.isfinite(x0).all():
         raise InvalidParameter("x0 must be finite")
     per_column = isinstance(schedule, (list, tuple))
     schedules = list(schedule) if per_column else [schedule]
+    if not schedules:
+        raise DimensionMismatch("no schedules to run")
     if not all(isinstance(s, (CompetitionSchedule, NonUniformSchedule)) for s in schedules):
         raise InvalidParameter(f"unsupported schedule types {[type(s).__name__ for s in schedules]}")
-    starts = 1 if x0.ndim == 1 else x0.shape[1]
-    columns = len(schedules) if per_column else starts
-    if not columns or starts not in (1, columns):
-        raise DimensionMismatch(f"{len(schedules)} schedules for {starts} starts")
-    width = n if any(isinstance(s, NonUniformSchedule) for s in schedules) else 1
-    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // (len(schedules) * width)))
-    row = (len(schedules), width) if per_column else (n,) * (width > 1)  # a lambda row per column, or one shared
+    held = [(j, s.target, s.tstar) for j, s in enumerate(schedules) if isinstance(s, NonUniformSchedule)]
+    for _, target, _ in held:
+        if not 0 <= target < n:
+            raise InvalidParameter(f"target {target} out of range for n={n}")
 
-    def table(ts: np.ndarray) -> np.ndarray:  # lambda at steps ts, one schedule per column
-        values = np.empty((len(ts), len(schedules), width))
-        for j, s in enumerate(schedules):
-            values[:, j] = s.values(ts, n) if isinstance(s, NonUniformSchedule) else s.values(ts)[:, None]
-        return values.reshape(len(ts), *row)
+    def table(ts: np.ndarray) -> np.ndarray:  # lambda at steps ts, a column per schedule
+        return np.stack([s.values(ts) if isinstance(s, CompetitionSchedule) else np.zeros(len(ts))
+                         for s in schedules], axis=-1)[..., None]
 
     WT = weighted.W.T
-    x0 = np.array(x0.T, order="C")  # one start per row, a copy the caller cannot touch
-    x = np.broadcast_to(x0, (columns, n) if per_column else x0.shape).copy()
-    lams = _lambda_rows(table, rows)
+    x = np.tile(x0, (len(schedules), 1))
+    lams = enumerate(_lambda_rows(table, max(1, min(CHUNK, BUFFER_ELEMENTS // len(schedules)))))
     while True:
-        yield x.T
-        x = _apply_step(WT, x, x0, next(lams))
+        yield x.T if per_column else x[0]
+        t, lam = next(lams)
+        x = x @ WT
+        x *= 1.0 - lam
+        x += lam * x0
+        for j, target, tstar in held:
+            if t <= tstar:
+                x[j, target] = x0[target]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +99,15 @@ class Trajectory:
     """Distance-to-consensus series of a simulated run, with its end states.
 
     distances[t] is the l2 distance |x_t - x_ss 1| and avg_distances[t] the
-    mean absolute deviation from x_ss, for t = 0..horizon. For a block of B
-    columns both are (horizon + 1) x B arrays and x_ss holds one value per
-    column, or one for all. Only the start and the final state are kept.
+    mean absolute deviation from x_ss, for t = 0..horizon, around the
+    start's one consensus value x_ss. For a list of S schedules both are
+    (horizon + 1) x S arrays, one column per schedule. Only the start and
+    the final state are kept.
     """
 
     weighted: WeightedNetwork
     x0: np.ndarray
-    x_ss: float | np.ndarray
+    x_ss: float
     horizon: int
     distances: np.ndarray
     avg_distances: np.ndarray
@@ -127,9 +122,8 @@ class Trajectory:
         raise InvalidParameter(f"only steps 0 and {self.horizon} are kept, got t={t}")
 
     def column(self, j: int) -> Trajectory:
-        """The run of block column j, its series as views of the block's."""
-        x_ss = self.x_ss[j] if np.ndim(self.x_ss) else self.x_ss
-        return replace(self, x0=self.x0[:, j], x_ss=x_ss, distances=self.distances[:, j],
+        """The run of schedule column j, its series as views of the block's."""
+        return replace(self, x0=self.x0[:, j], distances=self.distances[:, j],
                        avg_distances=self.avg_distances[:, j], _x_final=self._x_final[:, j])
 
     def converged_at(self, eps: float, window: int = 10) -> int | None:
@@ -150,32 +144,31 @@ def simulate(
 ) -> Trajectory:
     """Run the dynamics for `horizon` steps from x0 and record its distances.
 
-    x0 is an n vector or an n x B block of starts, one per column, and
-    `schedule` one uniform or per-agent schedule, or a list of one per column.
-    The series cover steps 0..horizon around x_ss = perron^T x0 (no
-    factorization runs), and the trajectory keeps x_0 and x_horizon. Buffers
-    of at most BUFFER_ELEMENTS numbers and CHUNK rows hold one start per
-    contiguous row and are reduced in one call each: norms by stacked BLAS
-    ddot, as in `np.linalg.norm`, and means along the row. So a block column
-    reduces bit for bit like a single run of its states.
+    x0 is an n vector and `schedule` one uniform or held schedule, or a list
+    of S run as the columns of one block. The series cover steps 0..horizon
+    around x_ss = perron^T x0 (no factorization runs), and the trajectory
+    keeps x_0 and x_horizon. Buffers of at most BUFFER_ELEMENTS numbers and
+    CHUNK rows hold one column per contiguous row and are reduced in one
+    call each: norms by stacked BLAS ddot, as in `np.linalg.norm`, and means
+    along the row. So a block column reduces bit for bit like a single run
+    of its states.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
     states = iterate(weighted, x0, schedule)
     start = next(states)
-    x_ss = weighted.consensus_value(start if np.ndim(x0) == 2 else x0)
+    x_ss = weighted.consensus_value(x0)
     distances = np.empty((horizon + 1, *start.shape[1:]))
     avg_distances = np.empty_like(distances)
-    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // max(start.size, 1)))
+    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // start.size))
     buf = np.empty((rows, *start.T.shape))
-    center = np.asarray(x_ss)[..., None]  # one value per row
     stream = itertools.chain([start], states)
     for lo in range(0, horizon + 1, rows):
         hi = min(lo + rows, horizon + 1)
         dev = buf[:hi - lo]
         for i in range(hi - lo):
             dev[i] = (x := next(stream)).T
-        np.subtract(dev, center, out=dev)
+        np.subtract(dev, x_ss, out=dev)
         distances[lo:hi] = np.sqrt(np.matmul(dev[..., None, :], dev[..., None])[..., 0, 0])
         avg_distances[lo:hi] = np.abs(dev, out=dev).mean(axis=-1)
     return Trajectory(weighted=weighted, x0=start, x_ss=x_ss, horizon=horizon, distances=distances,

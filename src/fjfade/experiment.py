@@ -80,7 +80,10 @@ class ExperimentResult:
 
 def build_network(cfg: ExperimentConfig) -> NetworkDraw:
     """Realize the graph; ER graphs are resampled with seed+1, seed+2, ...
-    until connected, and the resample count is reported."""
+    until connected, and the resample count is reported. A p so small that a
+    Chernoff bound puts the chance of any draw having the n - 1 edges a
+    connected graph needs below 1e-12 raises DisconnectedNetwork before any
+    draw (a certificate for p < 2/n, silent between 2/n and ln(n)/n)."""
     kind = cfg.graph.kind
     if kind == "path":
         return NetworkDraw(path_graph(cfg.n), None, 0, 0)
@@ -89,6 +92,15 @@ def build_network(cfg: ExperimentConfig) -> NetworkDraw:
     if kind == "complete":
         return NetworkDraw(complete_graph(cfg.n), None, 0, 0)
     pairs = cfg.n * (cfg.n - 1) // 2
+    mu, need = cfg.graph.p * pairs, cfg.n - 1  # expected edges, and the fewest a connected graph has
+    # Chernoff, per draw: P(edges >= need) <= exp(-mu) (e mu / need)^need for need > mu
+    log_any = math.log(MAX_GRAPH_RESAMPLES + 1) - mu + need * (1 + math.log(mu / need)) if mu else -math.inf
+    if need > mu and log_any < math.log(1e-12):
+        raise DisconnectedNetwork(
+            f"er(n={cfg.n}, p={cfg.graph.p}) cannot be connected: it needs {need} edges, expects {mu:.3g}, "
+            f"and by a Chernoff bound the chance that any of {MAX_GRAPH_RESAMPLES + 1} draws has "
+            f"that many is below 1e-12"
+        )
     for k in range(MAX_GRAPH_RESAMPLES + 1):
         net = generate_erdos_renyi(cfg.n, cfg.graph.p, cfg.seed + k)
         if net.connected:

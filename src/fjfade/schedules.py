@@ -293,26 +293,16 @@ def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS)
 
 @dataclass(frozen=True)
 class NonUniformSchedule:
-    """Per-agent competition levels lambda_t^i.
+    """Per-agent competition levels lambda_t^i of the adversarial construction.
 
-    The adversarial construction pins one target agent at full competition
-    through step tstar and leaves everyone else at 0, after which the run
-    is plain consensus.
+    The target agent is held at full competition (lambda = 1) through step
+    tstar and everyone else is at 0, after which the run is plain consensus.
+    `iterate` runs it as the zero schedule with the target pinned to its
+    start opinion, which the per-agent step gives bit for bit.
     """
 
     tstar: int
     target: int
-
-    def values(self, ts: np.ndarray, n: int) -> np.ndarray:
-        """len(ts) x n array of lambda_t^i over an integer array of step indices."""
-        ts = np.asarray(ts)
-        if ts.size and ts.min() < 0:
-            raise InvalidParameter("step indices must be >= 0")
-        if not 0 <= self.target < n:
-            raise InvalidParameter(f"target {self.target} out of range for n={n}")
-        lam = np.zeros((ts.size, n))
-        lam[:, self.target] = ts <= self.tstar
-        return lam
 
     def describe(self) -> dict:
         return {"kind": "adversarial", "tstar": self.tstar, "target": self.target}

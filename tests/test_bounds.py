@@ -220,14 +220,15 @@ class TestEmpiricalRatio:
         r = empirical_ratio(traj)
         assert r[0] == 1.0
         assert (r[1:] <= 1.0 + 1e-12).all()
-        block = simulate(study_weights, np.column_stack([study_x0, -study_x0]), hyperbolic(), 30)
-        np.testing.assert_allclose(empirical_ratio(block), np.column_stack([r, r]), rtol=0, atol=1e-13)
+        block = simulate(study_weights, study_x0, [hyperbolic(), exponential(0.5)], 30)
+        r_exp = empirical_ratio(simulate(study_weights, study_x0, exponential(0.5), 30))
+        np.testing.assert_allclose(empirical_ratio(block), np.column_stack([r, r_exp]), rtol=0, atol=1e-13)
 
     def test_consensus_start_rejected(self, star3):
         traj = simulate(star3, np.ones(3), hyperbolic(), horizon=5)
         with pytest.raises(ConsensusInitialCondition):
             empirical_ratio(traj)
-        block = simulate(star3, np.array([[1.0, 3.0], [1.0, 0.0], [1.0, 0.0]]), hyperbolic(), 5)
+        block = simulate(star3, np.ones(3), [hyperbolic(), constant(0.3)], 5)
         with pytest.raises(ConsensusInitialCondition):
             empirical_ratio(block)
 

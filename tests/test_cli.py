@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjfade import FjfadeError, cli, deviation_experiment, dynamics, experiment, simulate
+from fjfade import DisconnectedNetwork, FjfadeError, cli, deviation_experiment, dynamics, experiment, simulate
 from fjfade.bounds import CONSENSUS_FLOOR, lower_bound, upper_bound
 from fjfade.cli import main
-from fjfade.config import load_config, parse_config
+from fjfade.config import GraphSpec, load_config, parse_config
 from fjfade.experiment import (
     ALT_COLUMN,
     CSV_HEADER,
@@ -249,11 +249,11 @@ class TestVerify:
     @pytest.mark.parametrize("rows", [2, 4])
     def test_overlapped_passes_match_the_sequential_loop(self, monkeypatch, text, rows):
         # modal_distances overlaps `rows` steps in each reduction, the last
-        # block short; the reference steps simulate one product at a time
+        # block short; the reference steps simulate one start at a time
         cfg = parse_config(text)
         monkeypatch.setattr(experiment, "modal_distances",
-                            lambda weighted, starts, schedule, horizon:
-                            simulate(weighted, starts, schedule, horizon).distances)
+                            lambda weighted, starts, schedule, horizon: np.column_stack(
+                                [simulate(weighted, x0, schedule, horizon).distances for x0 in starts.T]))
         sequential = experiment.verify_bounds(cfg, trials=4)
         monkeypatch.undo()
         monkeypatch.setattr(dynamics, "BUFFER_ELEMENTS", rows * cfg.n)
@@ -444,6 +444,30 @@ class TestErrors:
         assert main([command, str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'graph.p'" in err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "tstar"])
+    @pytest.mark.parametrize("n, p", [(500, 1e-4), (1000, 1e-3)])
+    def test_hopeless_er_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, command, n, p):
+        # far fewer edges are expected than the n - 1 a connected graph needs
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"er({n}, {p}) was drawn")
+
+        monkeypatch.setattr(experiment, "generate_erdos_renyi", unreachable)
+        path = tmp_path / "sparse.ini"
+        path.write_text(RUN_CONFIG.replace("n = 8", f"n = {n}").replace("p = 0.45", f"p = {p}"))
+        assert main([command, str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"er(n={n}, p={p}) cannot be connected" in err and "Chernoff bound" in err
+
+    @pytest.mark.parametrize("n, p, connected", [(2, 0.01, True), (20, 0.01, False)])
+    def test_sparse_er_within_reach_is_drawn(self, n, p, connected):
+        # the bound leaves these to the draws: one connects, one exhausts them
+        cfg = replace(parse_config(RUN_CONFIG), n=n, graph=GraphSpec("er", p))
+        if connected:
+            assert experiment.build_network(cfg).network.connected
+        else:
+            with pytest.raises(DisconnectedNetwork, match="no connected graph within"):
+                experiment.build_network(cfg)
 
     def test_bad_overrides_exit_2(self, config_path, capsys):
         assert main(["run", str(config_path), "--horizon", "0", "--quiet"]) == 2

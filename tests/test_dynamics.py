@@ -14,6 +14,7 @@ from fjfade import (
     CompetitionSchedule,
     DimensionMismatch,
     InvalidParameter,
+    NonUniformSchedule,
     NonUniformUnsupported,
     ScheduleKind,
     TransitionCalculator,
@@ -21,6 +22,7 @@ from fjfade import (
     custom,
     complete_graph,
     exponential,
+    find_tstar,
     generate_erdos_renyi,
     hyperbolic,
     infinite_products,
@@ -30,10 +32,12 @@ from fjfade import (
     metropolis_weights,
     modal_distances,
     path_graph,
+    row_stochastic_weights,
     simulate,
     star_graph,
     zero_consensus,
 )
+from fjfade.config import GRAPH_KINDS, WEIGHT_KINDS
 from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory
 
 VANISHING = [exponential(0.5), hyperbolic(), zero_consensus(), custom([0.8, 0.4, 0.2, 0.1])]
@@ -74,7 +78,7 @@ class TestStep:
         np.testing.assert_allclose(xs[1], [0.5, 0.5], atol=1e-15)
 
     def test_uniform_and_constant_vector_bit_equal(self, study_weights):
-        # past tstar the held run's per-agent vector is all zeros; it must
+        # past tstar the held run reads lambda 0 and pins nothing; it must
         # match the uniform zero schedule restarted from the held state
         x0 = np.random.default_rng(5).uniform(-3.0, 3.0, 20)
         tstar = 4
@@ -89,6 +93,8 @@ class TestStep:
             next(iterate(star3, np.ones((3, 2, 1)), hyperbolic()))
         with pytest.raises(InvalidParameter):
             next(iterate(star3, np.ones(3), object()))
+        with pytest.raises(InvalidParameter, match="target 3 out of range for n=3"):
+            next(iterate(star3, np.ones(3), [hyperbolic(), make_adversarial_nonuniform(2, 3)]))
         # lambda_0 is checked before the first step
         stream = iterate(star3, np.ones(3), CompetitionSchedule(ScheduleKind.CONSTANT, lam=1.5))
         next(stream)
@@ -115,8 +121,10 @@ class TestStep:
             next(stream)
 
     def test_schedule_list_validation(self, star3):
-        with pytest.raises(DimensionMismatch):
-            next(iterate(star3, np.ones((3, 2)), [hyperbolic()] * 3))
+        # one start only: an n x B block is rejected with or without a list
+        for sched in ([hyperbolic()] * 2, hyperbolic()):
+            with pytest.raises(DimensionMismatch):
+                next(iterate(star3, np.ones((3, 2)), sched))
         with pytest.raises(DimensionMismatch):
             next(iterate(star3, np.ones(3), []))
         with pytest.raises(InvalidParameter, match="unsupported"):
@@ -163,57 +171,45 @@ class TestSimulate:
         np.testing.assert_array_equal(traj.x(0), [1.0, 0.0, 2.0])
         assert len(traj.distances) == 1
 
-    def test_block_matches_single_runs(self, study_weights):
-        rng = np.random.default_rng(9)
-        block = rng.standard_normal((20, 5))
-        for sched in (hyperbolic(), make_adversarial_nonuniform(6, 3)):
-            traj = simulate(study_weights, block, sched, horizon=200)
-            assert traj.distances.shape == traj.avg_distances.shape == (201, 5)
-            for b in range(5):
-                one = simulate(study_weights, block[:, b], sched, horizon=200)
-                assert abs(traj.x_ss[b] - one.x_ss) < 1e-13
-                np.testing.assert_allclose(traj.distances[:, b], one.distances, rtol=0, atol=1e-13)
-                np.testing.assert_allclose(traj.avg_distances[:, b], one.avg_distances, rtol=0, atol=1e-13)
-                np.testing.assert_allclose(traj.x(200)[:, b], one.x(200), rtol=0, atol=1e-13)
-
     @pytest.mark.parametrize("columns", [None, 1, 40])
     @pytest.mark.parametrize("sched", [hyperbolic(), make_adversarial_nonuniform(6, 3)], ids=["uniform", "adversarial"])
     def test_chunked_reductions_match_per_step(self, study_weights, columns, sched):
         # the buffered reductions must equal per-step norm and mean bit for
-        # bit, at every horizon around the buffer's row count; a block column
-        # must reduce exactly like a single run of its states
-        shape = (20,) if columns is None else (20, columns)
-        x0 = np.random.default_rng(4).standard_normal(shape)
-        rows = min(CHUNK, BUFFER_ELEMENTS // x0.size)
+        # bit, at every horizon around the buffer's row count; a column of a
+        # schedule list must reduce exactly like a single run of its states
+        x0 = np.random.default_rng(4).standard_normal(20)
+        scheds = sched if columns is None else ([sched, constant(0.3)] * columns)[:columns]
+        rows = min(CHUNK, BUFFER_ELEMENTS // (20 * (columns or 1)))
         for horizon in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
-            traj = simulate(study_weights, x0, sched, horizon)
-            xs = list(islice(iterate(study_weights, x0, sched), horizon + 1))
+            traj = simulate(study_weights, x0, scheds, horizon)
+            xs = list(islice(iterate(study_weights, x0, scheds), horizon + 1))
             if columns is None:
                 norms = [np.linalg.norm(x - traj.x_ss) for x in xs]
                 means = [np.abs(x - traj.x_ss).mean() for x in xs]
             else:
                 cols = range(columns)
-                norms = [[np.linalg.norm(x[:, j] - traj.x_ss[j]) for j in cols] for x in xs]
-                means = [[np.abs(x[:, j] - traj.x_ss[j]).mean() for j in cols] for x in xs]
+                norms = [[np.linalg.norm(x[:, j] - traj.x_ss) for j in cols] for x in xs]
+                means = [[np.abs(x[:, j] - traj.x_ss).mean() for j in cols] for x in xs]
             np.testing.assert_array_equal(traj.distances, norms)
             np.testing.assert_array_equal(traj.avg_distances, means)
             np.testing.assert_array_equal(traj.x(horizon), xs[-1])
 
     def test_block_stream_yields_fresh_columns(self, study_weights):
-        # a block streams as n x B arrays that later steps never overwrite,
-        # and a per-agent schedule on a block matches its per-column runs
-        block = np.random.default_rng(8).standard_normal((20, 6))
-        sched = make_adversarial_nonuniform(5, 2)
+        # a schedule list streams as n x S arrays that later steps never
+        # overwrite, and its held columns match their single runs
+        x0 = np.random.default_rng(8).standard_normal(20)
+        scheds = [make_adversarial_nonuniform(5, 2), hyperbolic(), make_adversarial_nonuniform(20, 7),
+                  constant(0.3), make_adversarial_nonuniform(0, 19), zero_consensus()]
         xs, kept = [], []
-        for x in islice(iterate(study_weights, block, sched), 30):
+        for x in islice(iterate(study_weights, x0, scheds), 30):
             xs.append(x)
             kept.append(x.copy())  # as drawn, before any later step
         for x, k in zip(xs, kept):
             assert x.shape == (20, 6)
             np.testing.assert_array_equal(x, k)
-        np.testing.assert_array_equal(xs[0], block)
-        for j in range(6):
-            single = states(study_weights, block[:, j], sched, 29)
+        np.testing.assert_array_equal(xs[0], np.tile(x0[:, None], 6))
+        for j, sched in enumerate(scheds):
+            single = states(study_weights, x0, sched, 29)
             np.testing.assert_allclose(np.array(xs)[:, :, j], single, rtol=0, atol=1e-13)
 
     def test_schedule_per_column_matches_single_runs(self, study_weights, study_x0):
@@ -231,11 +227,6 @@ class TestSimulate:
             np.testing.assert_allclose(col.avg_distances, one.avg_distances, rtol=0, atol=1e-13)
             np.testing.assert_allclose(col.x(300), one.x(300), rtol=0, atol=1e-13)
             assert np.shares_memory(col.distances, block.distances)
-        # the start repeated as an n x 4 block of starts gives the same block
-        repeated = np.repeat(study_x0[:, None], 4, axis=1)
-        for x, y in zip(islice(iterate(study_weights, study_x0, scheds), 20),
-                        islice(iterate(study_weights, repeated, scheds), 20)):
-            np.testing.assert_array_equal(x, y)
 
     def test_one_schedule_list_is_the_single_run(self, study_weights, study_x0):
         # a one-column block holds the start as the same 1 x n row as a
@@ -248,8 +239,8 @@ class TestSimulate:
             np.testing.assert_array_equal(col.x(2 * CHUNK + 5), one.x(2 * CHUNK + 5))
 
     def test_lambda_table_memory_is_bounded(self):
-        # a per-agent column widens the table to n numbers per column; its
-        # rows shrink so that it keeps to BUFFER_ELEMENTS numbers
+        # a held column reads lambda 0 and pins its target, so the table
+        # holds one number per column whatever n (an n-wide one took 1.3 MB)
         n = 1000
         w = metropolis_weights(path_graph(n), lazy=True)
         x0 = np.linspace(0.0, 5.0, n)
@@ -261,7 +252,7 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 8 * BUFFER_ELEMENTS < peak < 4 * 2**20  # a CHUNK-row table would be 16 MB
+        assert peak < 256 * 2**10
 
     def test_adversarial_schedule_holds_target(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])
@@ -277,10 +268,11 @@ class TestSimulate:
         assert (traj.distances[t:t + 10] < 1e-6).all()
         # one step earlier the window must be broken
         assert traj.distances[t - 1] >= 1e-6
-        # a block converges when its slowest column does
-        block = np.array([[0.0, 0.0], [3.0, 30.0], [0.0, 0.0]])
-        fast, slow = (simulate(star3, block[:, b], zero_consensus(), 300).converged_at(1e-6) for b in (0, 1))
-        assert fast < slow == simulate(star3, block, zero_consensus(), 300).converged_at(1e-6)
+        # a schedule list converges when its slowest column does
+        x0 = np.array([3.0, 0.0, 0.0])
+        scheds = [zero_consensus(), exponential(0.2)]
+        fast, slow = (simulate(star3, x0, s, 300).converged_at(1e-6) for s in scheds)
+        assert fast < slow == simulate(star3, x0, scheds, 300).converged_at(1e-6)
 
     @given(horizon=st.integers(0, 40), window=st.integers(1, 12),
            columns=st.sampled_from([None, 1, 3]), data=st.data())
@@ -338,7 +330,7 @@ class TestModalDistances:
         # the same gain recurrence.
         weighted, schedule, horizon, starts = config
         d = modal_distances(weighted, starts, schedule, horizon)
-        stepped = simulate(weighted, starts, schedule, horizon).distances
+        stepped = np.column_stack([simulate(weighted, x0, schedule, horizon).distances for x0 in starts.T])
         size = np.linalg.norm(starts, axis=0)
         assert d.shape == stepped.shape == (horizon + 1, starts.shape[1])
         assert (np.abs(d - stepped) <= 1e-12 * (stepped[0] + size)).all()
@@ -362,6 +354,86 @@ class TestModalDistances:
             modal_distances(row_stochastic_fixture, np.ones(8), hyperbolic(), 5)
         with pytest.raises(NonUniformUnsupported):
             modal_distances(star3, np.ones(3), make_adversarial_nonuniform(2, 0), 5)
+
+
+def reference_states(W, x0, schedule):
+    """x_0, x_1, ... of the paper's recursion x <- (1 - lam) W x + lam x0, one t
+    at a time; a held schedule's lam is 1 at its target while t <= tstar, else 0."""
+    x, t = x0, 0
+    while True:
+        yield x
+        if isinstance(schedule, NonUniformSchedule):
+            lam = np.zeros(len(x0))
+            lam[schedule.target] = t <= schedule.tstar
+        else:
+            lam = schedule.value(t)
+        x = (1.0 - lam) * (W @ x) + lam * x0
+        t += 1
+
+
+@st.composite
+def reference_configs(draw):
+    """A network of every graph and weight kind, one schedule of each uniform
+    kind plus held columns with a fixed tstar, a horizon, and a start that is
+    continuous or 0/1-valued (plateaus of ones keep the maximum for some steps)."""
+    n = draw(st.integers(2, 30))
+    graph = draw(st.sampled_from(GRAPH_KINDS))
+    if graph == "er":
+        net = generate_erdos_renyi(n, draw(st.floats(0.2, 1.0)), draw(st.integers(0, 1000)))
+        assume(net.connected)
+    else:
+        net = {"path": path_graph, "star": star_graph, "complete": complete_graph}[graph](n)
+    weights = {
+        "metropolis": lambda: metropolis_weights(net),
+        "lazy_metropolis": lambda: metropolis_weights(net, lazy=True),
+        "row_stochastic": lambda: row_stochastic_weights(net, seed=draw(st.integers(0, 1000))),
+    }[draw(st.sampled_from(WEIGHT_KINDS))]()
+    horizon = draw(st.integers(0, 300))
+    unit = st.floats(0.0, 1.0)
+    kinds = {
+        ScheduleKind.CONSTANT: unit.map(constant),
+        ScheduleKind.EXPONENTIAL: st.floats(0.01, 3.0).map(exponential),
+        ScheduleKind.HYPERBOLIC: st.just(hyperbolic()),
+        ScheduleKind.ZERO: st.just(zero_consensus()),
+        ScheduleKind.CUSTOM: st.lists(unit, min_size=1, max_size=40).map(lambda seq: custom(sorted(seq, reverse=True))),
+    }
+    held = st.builds(make_adversarial_nonuniform, st.integers(0, horizon + 1), st.integers(0, n - 1))
+    schedules = [draw(kinds[kind]) for kind in ScheduleKind] + draw(st.lists(held, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x0 = (rng.random(n) < draw(st.floats(0.5, 1.0))).astype(float)
+    else:
+        x0 = rng.uniform(-5.0, 5.0, n)
+    return weights, draw(st.permutations(schedules)), horizon, x0
+
+
+class TestReferenceRecursion:
+    @given(reference_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_simulate_and_find_tstar_follow_the_recursion(self, config):
+        # every column of one schedule list agrees with the recursion within
+        # 1e-12 (|e_0| + |x_0|), the |x_0| term for the drift of a consensus
+        # start (see TestModalDistances)
+        weighted, schedules, horizon, x0 = config
+        traj = simulate(weighted, x0, schedules, horizon)
+        x_ss = weighted.consensus_value(x0)
+        tol = 1e-12 * (np.linalg.norm(x0 - x_ss) + np.linalg.norm(x0))
+        for j, sched in enumerate(schedules):
+            dev = np.array(list(islice(reference_states(weighted.W, x0, sched), horizon + 1))) - x_ss
+            assert np.abs(traj.distances[:, j] - np.linalg.norm(dev, axis=1)).max() <= tol
+            assert np.abs(traj.avg_distances[:, j] - np.abs(dev).mean(axis=1)).max() <= tol
+        # find_tstar is one past the last step at which the plain consensus
+        # run still holds the target at x0[target], searched until the maximum
+        # opinion falls below it
+        target = int(np.argmax(x0))
+        if x0.min() == x0.max():
+            return  # a consensus start has no strict drop
+        for t, x in enumerate(reference_states(weighted.W, x0, zero_consensus())):
+            if x.max() < x0[target]:
+                break
+            if x[target] >= x0[target]:
+                last = t
+        assert find_tstar(weighted, x0, target) == last + 1
 
 
 class TestTransitionDecomposition:
