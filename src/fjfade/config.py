@@ -26,6 +26,9 @@ SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 # W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
 MAX_AGENTS = 10_000
+# A run holds each edge as a Python tuple, two adjacency entries and a weight, about
+# 200 bytes and 4 us per edge (complete graphs, n = 1,000 and 1,500): 1 GB at the cap.
+MAX_EDGES = 5_000_000
 SCHEDULE_KEYS = {kind.value: set(names) for kind, names in SCHEDULE_PARAMS.items()}
 SCHEDULE_KEYS["adversarial"] = {"tstar", "target"}
 
@@ -85,6 +88,11 @@ class ExperimentConfig:
             raise ConfigError(f"n must be at most {MAX_AGENTS}, got {self.n}: weights and their factorizations "
                               f"are dense n x n matrices, {8 * MAX_AGENTS**2 / 1e6:.0f} MB each at the cap",
                               field="experiment.n")
+        pairs = self.n * (self.n - 1) // 2  # a complete graph's edges; an ER graph expects p of them
+        edges = {"complete": pairs, "er": self.graph.p * pairs}.get(self.graph.kind, 0)
+        if edges > MAX_EDGES:
+            raise ConfigError(f"{self.graph.kind} graph on {self.n} agents expects {edges:.3g} edges, over the "
+                              f"cap of {MAX_EDGES} that holds its edge lists near 1 GB", field="graph")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
         if not 0.0 < self.tail_eps < 1.0:
@@ -110,16 +118,52 @@ def _line_of(text: str, section: str, key: str | None = None) -> int | None:
     return None
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(map(_finite, raw.split()))
+
+
+def _bool(raw: str) -> bool:
+    words = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+    return words[raw.strip().lower()]
+
+
+def _int_or(word: str):
+    """An integer, or None for `word`."""
+    return lambda raw: None if raw == word else int(raw)
+
+
+def _choice(choices: tuple[str, ...]):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(raw)
+        return raw
+    return parse
+
+
 class _Section:
-    """One parsed section with typed, tracked access to its keys."""
+    """One parsed section with typed access to its keys."""
 
     def __init__(self, text: str, name: str, items: dict[str, str]):
         self.text = text
         self.name = name
         self.items = items
-        self.used: set[str] = set()
 
-    def _raw(self, key: str, required: bool, default=None):
+    def _error(self, key: str, message: str) -> ConfigError:
+        return ConfigError(
+            message, line=_line_of(self.text, self.name, key), field=f"{self.name}.{key}"
+        )
+
+    def get(self, key: str, parse, what: str, required: bool = False, default=None):
+        """parse(raw) of the key's text, or `default` when the key is absent;
+        a parse that raises is reported as "expected <what>"."""
         if key not in self.items:
             if required:
                 raise ConfigError(
@@ -127,76 +171,11 @@ class _Section:
                     line=_line_of(self.text, self.name), field=f"{self.name}.{key}",
                 )
             return default
-        self.used.add(key)
-        return self.items[key]
-
-    def _error(self, key: str, message: str) -> ConfigError:
-        return ConfigError(
-            message, line=_line_of(self.text, self.name, key), field=f"{self.name}.{key}"
-        )
-
-    def get_int(self, key: str, required: bool = False, default: int | None = None) -> int | None:
-        raw = self._raw(key, required, default)
-        if raw is default:
-            return default
+        raw = self.items[key]
         try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise self._error(key, f"expected an integer for {key!r}, got {raw!r}") from None
-
-    def get_float(self, key: str, required: bool = False, default: float | None = None) -> float | None:
-        raw = self._raw(key, required, default)
-        if raw is default:
-            return default
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise self._error(key, f"expected a finite number for {key!r}, got {raw!r}")
-        return value
-
-    def get_int_or(self, key: str, word: str, required: bool = False) -> int | None:
-        """An integer, or None for `word`, which is also the default."""
-        raw = self._raw(key, required, word)
-        if raw == word:
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise self._error(key, f"expected an integer or {word!r}, got {raw!r}") from None
-
-    def get_str(self, key: str, required: bool = False, default: str | None = None,
-                choices: tuple[str, ...] | None = None) -> str | None:
-        raw = self._raw(key, required, default)
-        if raw is default:
-            return default
-        if choices is not None and raw not in choices:
-            raise self._error(key, f"{key!r} must be one of {list(choices)}, got {raw!r}")
-        return raw
-
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        raw = self._raw(key, False, None)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise self._error(key, f"expected a boolean for {key!r}, got {raw!r}")
-
-    def get_floats(self, key: str, required: bool = False) -> tuple[float, ...] | None:
-        raw = self._raw(key, required, None)
-        if raw is None:
-            return None
-        try:
-            values = tuple(float(v) for v in raw.split())
-        except ValueError:
-            values = (math.nan,)
-        if not all(map(math.isfinite, values)):
-            raise self._error(key, f"expected space-separated finite numbers for {key!r}, got {raw!r}")
-        return values
+            return parse(raw)
+        except (KeyError, TypeError, ValueError):
+            raise self._error(key, f"expected {what} for {key!r}, got {raw!r}") from None
 
     def reject_unknown(self, known: set[str]) -> None:
         for key in self.items:
@@ -227,20 +206,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
     exp = sections["experiment"]
     exp.reject_unknown(EXPERIMENT_KEYS)
-    n = exp.get_int("n", required=True)
+    n = exp.get("n", int, "an integer", required=True)
     if n < 2:
         raise exp._error("n", f"need at least 2 agents, got {n}")
-    horizon = exp.get_int("horizon", default=1000)
-    seed = exp.get_int("seed", default=0)
-    out_dir = exp.get_str("out_dir", default="results")
-    eps_conv = exp.get_float("eps_conv", default=1e-8)
-    tail_eps = exp.get_float("tail_eps", default=TAIL_EPS)
-    emit_alt = exp.get_bool("emit_alt_distance", default=False)
+    horizon = exp.get("horizon", int, "an integer", default=1000)
+    seed = exp.get("seed", int, "an integer", default=0)
+    out_dir = exp.get("out_dir", str, "a string", default="results")
+    eps_conv = exp.get("eps_conv", _finite, "a finite number", default=1e-8)
+    tail_eps = exp.get("tail_eps", _finite, "a finite number", default=TAIL_EPS)
+    emit_alt = exp.get("emit_alt_distance", _bool, "a boolean", default=False)
 
     gsec = sections["graph"]
     gsec.reject_unknown({"kind", "p"})
-    gkind = gsec.get_str("kind", required=True, choices=GRAPH_KINDS)
-    p = gsec.get_float("p", default=0.1)
+    gkind = gsec.get("kind", _choice(GRAPH_KINDS), f"one of {list(GRAPH_KINDS)}", required=True)
+    p = gsec.get("p", _finite, "a finite number", default=0.1)
     if gkind == "er" and not 0.0 < p <= 1.0:
         # p = 0 leaves n >= 2 agents without an edge, so no resample could connect them
         raise gsec._error("p", f"edge probability must lie in (0, 1], got {p}")
@@ -249,12 +228,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     wsec = sections["weights"]
     wsec.reject_unknown({"kind"})
-    wkind = wsec.get_str("kind", required=True, choices=WEIGHT_KINDS)
+    wkind = wsec.get("kind", _choice(WEIGHT_KINDS), f"one of {list(WEIGHT_KINDS)}", required=True)
 
     xsec = sections["x0"]
     xsec.reject_unknown({"uniform", "values"})
-    x0_uniform = xsec.get_floats("uniform")
-    x0_values = xsec.get_floats("values")
+    x0_uniform = xsec.get("uniform", _floats, "space-separated finite numbers")
+    x0_values = xsec.get("values", _floats, "space-separated finite numbers")
     if (x0_uniform is None) == (x0_values is None):
         raise ConfigError(
             "section [x0] needs exactly one of 'uniform' or 'values'",
@@ -276,19 +255,20 @@ def parse_config(text: str) -> ExperimentConfig:
                 "schedule label must be non-empty and use only [A-Za-z0-9._-]: "
                 f"[schedule.{label}]", line=_line_of(text, name),
             )
-        kind = sec.get_str("kind", required=True, choices=tuple(SCHEDULE_KEYS))
+        kind = sec.get("kind", _choice(tuple(SCHEDULE_KEYS)), f"one of {list(SCHEDULE_KEYS)}", required=True)
         sec.reject_unknown({"kind"} | SCHEDULE_KEYS[kind])
         if kind == "adversarial":
-            tstar = sec.get_int_or("tstar", "auto", required=True)
+            tstar = sec.get("tstar", _int_or("auto"), "an integer or 'auto'", required=True)
             if tstar is not None and tstar < 0:
                 raise sec._error("tstar", f"tstar must be >= 0, got {tstar}")
-            target = sec.get_int_or("target", "argmax")
+            target = sec.get("target", _int_or("argmax"), "an integer or 'argmax'")
             if target is not None and not 0 <= target < n:
                 raise sec._error("target", f"target must lie in [0, {n - 1}], got {target}")
             schedules.append(ScheduleSpec(label, tstar=tstar, target=target))
             continue
         # seq is the one list-valued parameter
-        params = {key: (sec.get_floats if key == "seq" else sec.get_float)(key, required=True)
+        params = {key: sec.get(key, _floats, "space-separated finite numbers", required=True) if key == "seq"
+                  else sec.get(key, _finite, "a finite number", required=True)
                   for key in SCHEDULE_PARAMS[kind]}
         try:
             schedules.append(ScheduleSpec(label, make_schedule(kind, **params)))

@@ -84,13 +84,9 @@ def build_network(cfg: ExperimentConfig) -> NetworkDraw:
     Chernoff bound puts the chance of any draw having the n - 1 edges a
     connected graph needs below 1e-12 raises DisconnectedNetwork before any
     draw (a certificate for p < 2/n, silent between 2/n and ln(n)/n)."""
-    kind = cfg.graph.kind
-    if kind == "path":
-        return NetworkDraw(path_graph(cfg.n), None, 0, 0)
-    if kind == "star":
-        return NetworkDraw(star_graph(cfg.n), None, 0, 0)
-    if kind == "complete":
-        return NetworkDraw(complete_graph(cfg.n), None, 0, 0)
+    named = {"path": path_graph, "star": star_graph, "complete": complete_graph}.get(cfg.graph.kind)
+    if named is not None:
+        return NetworkDraw(named(cfg.n), None, 0, 0)
     pairs = cfg.n * (cfg.n - 1) // 2
     mu, need = cfg.graph.p * pairs, cfg.n - 1  # expected edges, and the fewest a connected graph has
     # Chernoff, per draw: P(edges >= need) <= exp(-mu) (e mu / need)^need for need > mu
@@ -318,12 +314,7 @@ class VerifyResult:
         return all(c.passed for c in self.checks)
 
 
-def verify_bounds(
-    cfg: ExperimentConfig,
-    trials: int = 20,
-    self_test: bool = False,
-    slack: float = BOUND_SLACK,
-) -> VerifyResult:
+def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = False) -> VerifyResult:
     """Check the rate envelope against the exact distances of worst-case and random starts.
 
     Per uniform schedule, in section order, the witness x0 = x_ss 1 + v2 and
@@ -381,7 +372,7 @@ def verify_bounds(
             witness_max_lower_deficit=lower_deficit,
             random_trials=trials,
             random_max_upper_excess=random_excess,
-            passed=all(v <= slack for v in (upper_excess, random_excess, lower_deficit) if v is not None),
+            passed=all(v <= BOUND_SLACK for v in (upper_excess, random_excess, lower_deficit) if v is not None),
         ))
     return VerifyResult(checks=tuple(checks), self_test=self_test)
 

@@ -203,28 +203,6 @@ class WeightedNetwork:
         x_ss = self.perron @ x0
         return float(x_ss) if x0.ndim == 1 else x_ss
 
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check structural invariants; raises InvalidParameter on violation."""
-        W, net = self.W, self.network
-        if W.shape != (net.n, net.n):
-            raise DimensionMismatch(f"W has shape {W.shape}, expected ({net.n}, {net.n})")
-        if (W < 0).any():
-            raise InvalidParameter("weights must be nonnegative")
-        if np.abs(W.sum(axis=1) - 1.0).max() > atol:
-            raise InvalidParameter("rows must sum to 1")
-        if self.kind is WeightKind.DOUBLY_STOCHASTIC:
-            if np.abs(W.sum(axis=0) - 1.0).max() > atol:
-                raise InvalidParameter("columns must sum to 1 for doubly stochastic weights")
-        support = W > 0
-        for i in range(net.n):
-            expected = set(net.neighbors[i]) | {i}
-            actual = set(np.flatnonzero(support[i]).tolist())
-            if expected != actual:
-                raise InvalidParameter(f"row {i} support {sorted(actual)} != closed neighborhood {sorted(expected)}")
-        # a positive diagonal on a connected support makes W primitive
-        if not net.connected:
-            raise InvalidParameter("weight matrix is not primitive: the network is disconnected")
-
 
 def metropolis_weights(net: Network, lazy: bool = False) -> WeightedNetwork:
     """Metropolis weight matrix of a connected network.

@@ -209,8 +209,8 @@ def lambda_product(
 def suffix_products(schedule: CompetitionSchedule, t: int) -> np.ndarray:
     """Array R with R[j] = Lambda_j^t for j = 0..t+1 (R[t+1] = 1).
 
-    Shared kernel for the partition identity, the transition decomposition
-    and the rate bounds; all of them consume every suffix product at once.
+    `partition_of_unity` reads every suffix product at once, and
+    `infinite_products` stores R for t = cutoff - 1 as its Lambda^inf table.
     """
     if t < 0:
         return np.ones(1)
@@ -262,33 +262,27 @@ def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS)
     the first step with lambda_k <= tail_eps; tail_eps must lie in (0, 1).
     A rate so small that the table would pass MAX_TERMS raises InvalidParameter.
     """
-    kind = schedule.kind
     if not schedule.summable:
         # exact: (1 - lam)^m -> 0 for a constant lam > 0, and hyperbolic Lambda_s^t = s / (t + 1)
         return InfiniteProducts(schedule, exact=True, cutoff=0, back=np.zeros(1), remainder=0.0)
-    if kind is ScheduleKind.ZERO or kind is ScheduleKind.CONSTANT:  # a summable constant is 0
-        return InfiniteProducts(schedule, exact=True, cutoff=0, back=np.ones(1), remainder=0.0)
-    if kind is ScheduleKind.CUSTOM:
-        k = len(schedule.seq)
-        back = np.ones(k + 1)
-        if k:
-            back[:-1] = np.cumprod((1.0 - np.asarray(schedule.seq))[::-1])[::-1]
-        return InfiniteProducts(schedule, exact=True, cutoff=k, back=back, remainder=0.0)
-    rate = schedule.rate  # exponential, the one kind left
-    if not 0.0 < tail_eps < 1.0:
-        raise InvalidParameter(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    # -log, not log(1 / tail_eps), which overflows for a subnormal tail_eps
-    terms = -math.log(tail_eps) / rate
-    if terms > MAX_TERMS:
-        raise InvalidParameter(
-            f"exponential rate {rate} is too small for tail_eps = {tail_eps}: "
-            f"needs {terms:.3g} terms, cap MAX_TERMS = {MAX_TERMS}"
-        )
-    cutoff = max(1, math.ceil(terms))
-    back = np.ones(cutoff + 1)
-    back[:-1] = np.cumprod((1.0 - schedule.values(np.arange(cutoff)))[::-1])[::-1]
-    remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))
-    return InfiniteProducts(schedule, exact=False, cutoff=cutoff, back=back, remainder=remainder)
+    # exact: zero, a summable (lam = 0) constant and custom past its seq have every factor 1
+    exact = schedule.kind is not ScheduleKind.EXPONENTIAL
+    cutoff = len(schedule.seq) if schedule.kind is ScheduleKind.CUSTOM else 0
+    remainder = 0.0
+    if not exact:
+        rate = schedule.rate
+        if not 0.0 < tail_eps < 1.0:
+            raise InvalidParameter(f"tail_eps must lie in (0, 1), got {tail_eps}")
+        # -log, not log(1 / tail_eps), which overflows for a subnormal tail_eps
+        terms = -math.log(tail_eps) / rate
+        if terms > MAX_TERMS:
+            raise InvalidParameter(
+                f"exponential rate {rate} is too small for tail_eps = {tail_eps}: "
+                f"needs {terms:.3g} terms, cap MAX_TERMS = {MAX_TERMS}"
+            )
+        cutoff = max(1, math.ceil(terms))
+        remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))
+    return InfiniteProducts(schedule, exact, cutoff, suffix_products(schedule, cutoff - 1), remainder)
 
 
 @dataclass(frozen=True)

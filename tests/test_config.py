@@ -1,5 +1,7 @@
 """Tests for config parsing, validation diagnostics, and round-tripping."""
 
+import re
+
 import pytest
 
 from fjfade import ConfigError, constant, custom, exponential, parse_config, serialize_config
@@ -145,7 +147,28 @@ class TestRejection:
         with pytest.raises(ConfigError, match="n must be at most 10000, got 10001") as info:
             parse_config(GOOD.replace("n = 6", "n = 10001"))
         assert info.value.field == "experiment.n" and "800 MB" in str(info.value)
-        assert parse_config(GOOD.replace("n = 6", "n = 10000")).n == 10000
+        # p = 0.4 would expect 2e7 edges there, over the edge cap below
+        assert parse_config(GOOD.replace("n = 6", "n = 10000").replace("p = 0.4", "p = 0.001")).n == 10000
+
+    @pytest.mark.parametrize("graph, n, edges", [
+        ("kind = complete", 3163, "5e+06"),
+        ("kind = er\np = 0.4", 10000, "2e+07"),
+        ("kind = er\np = 0.1001", 10000, "5e+06"),
+    ])
+    def test_edge_cap(self, monkeypatch, graph, n, edges):
+        # rejected at parse time, before any builder runs
+        for name in ("complete_graph", "generate_erdos_renyi"):
+            monkeypatch.setattr(f"fjfade.experiment.{name}", lambda *a: pytest.fail("graph was built"))
+        text = GOOD.replace("n = 6", f"n = {n}").replace("kind = er\np = 0.4", graph)
+        with pytest.raises(ConfigError, match=f"expects {re.escape(edges)} edges, over the cap of 5000000") as info:
+            parse_config(text)
+        assert info.value.field == "graph"
+
+    @pytest.mark.parametrize("graph, n", [("kind = complete", 3162), ("kind = er\np = 0.1", 10000),
+                                          ("kind = path", 10000)])
+    def test_edge_cap_admits(self, graph, n):
+        cfg = parse_config(GOOD.replace("n = 6", f"n = {n}").replace("kind = er\np = 0.4", graph))
+        assert cfg.n == n and cfg.graph.kind == graph.split()[2]
 
     @pytest.mark.parametrize("tail_eps", ["0", "-1", "1", "1.5"])
     def test_tail_eps_range(self, tail_eps):
@@ -198,6 +221,35 @@ class TestRejection:
     def test_schedule_param_for_wrong_kind(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(GOOD.replace("kind = hyperbolic", "kind = hyperbolic\nrate = 2"))
+
+
+# One case per value type of a key: (old text, new text, field, line, message
+# start or None). Choice and integer-or-word keys pin only the location.
+BAD_VALUES = {
+    "int": ("n = 6", "n = six", "experiment.n", 2, "expected an integer for 'n', got 'six'"),
+    "finite_float": ("p = 0.4", "p = nan", "graph.p", 10, "expected a finite number for 'p', got 'nan'"),
+    "float_list": ("uniform = 0 5", "uniform = 0 five", "x0.uniform", 16,
+                   "expected space-separated finite numbers for 'uniform', got '0 five'"),
+    "seq": ("rate = 0.5", "rate = 0.5\n[schedule.mix]\nkind = custom\nseq = 0.5 inf", "schedule.mix.seq", 23,
+            "expected space-separated finite numbers for 'seq', got '0.5 inf'"),
+    "bool": ("eps_conv = 1e-9", "eps_conv = 1e-9\nemit_alt_distance = maybe", "experiment.emit_alt_distance", 7,
+             "expected a boolean for 'emit_alt_distance', got 'maybe'"),
+    "int_or_word": ("tstar = auto", "tstar = soon", "schedule.hold.tstar", 27, None),
+    "choice": ("kind = er", "kind = ring", "graph.kind", 9, None),
+    "missing_required": ("n = 6\n", "", "experiment.n", 1, "missing required key 'n' in section [experiment]"),
+    "missing_param": ("rate = 0.5\n", "", "schedule.fast.rate", 18,
+                      "missing required key 'rate' in section [schedule.fast]"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_value_reports_field_and_line(case):
+    old, new, field, line, message = BAD_VALUES[case]
+    with pytest.raises(ConfigError) as info:
+        parse_config(GOOD.replace(old, new, 1))
+    assert (info.value.field, info.value.line) == (field, line)
+    if message is not None:
+        assert str(info.value).startswith(message)
 
 
 class TestRoundTrip:

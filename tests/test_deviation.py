@@ -114,7 +114,7 @@ class TestFindTstar:
         assert find_tstar(w, x0, n - 1, max_steps=10) == 1
 
     def test_negative_weight_rejected(self, star3):
-        # the certificate needs W >= 0; a replace(...)-built W skips validate()
+        # the certificate needs W >= 0, which a replace(...)-built W need not keep
         with pytest.raises(InvalidParameter, match="nonnegative"):
             deviation_experiment(
                 replace(star3, W=NEGATIVE_STAR3_W), np.array([3.0, 0.0, 0.0]), tstar=None

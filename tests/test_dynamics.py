@@ -1,7 +1,9 @@
 """Tests for the update map, the streaming kernel, and transition operators."""
 
+import tempfile
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +39,11 @@ from fjfade import (
     star_graph,
     zero_consensus,
 )
-from fjfade.config import GRAPH_KINDS, WEIGHT_KINDS
+from fjfade.bounds import CONSENSUS_FLOOR
+from fjfade.cli import main
+from fjfade.config import GRAPH_KINDS, WEIGHT_KINDS, parse_config
 from fjfade.dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory
+from fjfade.experiment import DISTANCE_FLOOR, build_network, build_weights
 
 VANISHING = [exponential(0.5), hyperbolic(), zero_consensus(), custom([0.8, 0.4, 0.2, 0.1])]
 
@@ -407,6 +412,37 @@ def reference_configs(draw):
     return weights, draw(st.permutations(schedules)), horizon, x0
 
 
+@st.composite
+def run_configs(draw):
+    """Config text of a small `fjfade run`: every graph and weight kind, one
+    section of each uniform kind, and held sections with a fixed tstar unless
+    the start is a consensus, which no held agent can shift."""
+    n = draw(st.integers(2, 16))
+    graph = draw(st.sampled_from(GRAPH_KINDS))
+    p = f"p = {draw(st.floats(0.3, 1.0))!r}\n" if graph == "er" else ""
+    horizon = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = {"spread": rng.uniform(-5.0, 5.0, n), "binary": (rng.random(n) < 0.7).astype(float),
+              "consensus": np.full(n, rng.uniform(-5.0, 5.0))}
+    x0 = starts[draw(st.sampled_from(sorted(starts)))]
+    unit = st.floats(0.0, 1.0)
+    seq = sorted(draw(st.lists(unit, min_size=1, max_size=20)), reverse=True)
+    sections = [
+        f"kind = constant\nlam = {draw(unit)!r}",
+        f"kind = exponential\nrate = {draw(st.floats(0.01, 3.0))!r}",
+        "kind = hyperbolic",
+        "kind = zero",
+        "kind = custom\nseq = " + " ".join(map(repr, seq)),
+    ]
+    if x0.min() < x0.max():
+        sections += [f"kind = adversarial\ntstar = {t}\ntarget = argmax"
+                     for t in draw(st.lists(st.integers(0, horizon + 1), min_size=1, max_size=2))]
+    head = (f"[experiment]\nn = {n}\nhorizon = {horizon}\nseed = {draw(st.integers(0, 1000))}\n"
+            f"[graph]\nkind = {graph}\n{p}[weights]\nkind = {draw(st.sampled_from(WEIGHT_KINDS))}\n"
+            f"[x0]\nvalues = {' '.join(map(repr, x0.tolist()))}\n")
+    return head + "".join(f"[schedule.s{j}]\n{body}\n" for j, body in enumerate(sections))
+
+
 class TestReferenceRecursion:
     @given(reference_configs())
     @settings(max_examples=100, deadline=None)
@@ -434,6 +470,37 @@ class TestReferenceRecursion:
             if x[target] >= x0[target]:
                 last = t
         assert find_tstar(weighted, x0, target) == last + 1
+
+    @given(run_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_run_csv_follows_the_recursion(self, text):
+        # log10_avg_distance and ratio of each CSV against the recursion's
+        # distances; ratio cells are empty for held columns and consensus starts
+        cfg = parse_config(text)
+        with tempfile.TemporaryDirectory() as out:
+            Path(out, "run.ini").write_text(text)
+            assert main(["run", str(Path(out, "run.ini")), "--out", out, "--quiet"]) == 0
+            csvs = {spec.label: [row.split(",") for row in Path(out, spec.label + ".csv").read_text().splitlines()[1:]]
+                    for spec in cfg.schedules}
+        weighted, _ = build_weights(cfg, build_network(cfg).network)
+        x0 = np.array(cfg.x0_values)
+        x_ss = weighted.consensus_value(x0)
+        d0 = np.linalg.norm(x0 - x_ss)
+        assume(not CONSENSUS_FLOOR / 2 <= d0 <= 2 * CONSENSUS_FLOOR)  # the run and the oracle may round apart
+        tol = 1e-12 * (d0 + np.linalg.norm(x0))
+        for spec in cfg.schedules:
+            sched = spec.schedule or make_adversarial_nonuniform(spec.tstar, int(np.argmax(x0)))
+            dev = np.array(list(islice(reference_states(weighted.W, x0, sched), cfg.horizon + 1))) - x_ss
+            avg, d = np.abs(dev).mean(axis=1), np.linalg.norm(dev, axis=1)
+            rows = csvs[spec.label]
+            assert [int(r[0]) for r in rows] == list(range(cfg.horizon + 1))
+            shown = 10.0 ** np.array([float(r[1]) for r in rows])
+            assert np.all(np.abs(shown - np.maximum(avg, DISTANCE_FLOOR)) <= tol + 1e-13 * shown)
+            if spec.is_adversarial or d[0] < CONSENSUS_FLOOR:
+                assert all(r[2] == "" for r in rows)
+                continue
+            ratio = np.array([float(r[2]) for r in rows])
+            assert np.all(np.abs(ratio - d / d[0]) <= tol * (1.0 + d / d[0]) / d[0] + 1e-13 * ratio)
 
 
 class TestTransitionDecomposition:

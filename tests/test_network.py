@@ -141,9 +141,6 @@ class TestMetropolisWeights:
         np.testing.assert_allclose(path2.W, np.full((2, 2), 0.5), atol=1e-15)
         assert path2.sigma_max == 0.0
 
-    def test_validate_passes(self, study_weights):
-        study_weights.validate()
-
     def test_replace_recomputes_spectral_data(self, study_weights, study_network):
         # a copy with a new W must not keep the spectral data of the old one
         lazy = metropolis_weights(study_network, lazy=True)
@@ -154,22 +151,9 @@ class TestMetropolisWeights:
         np.testing.assert_array_equal(copy.v2, lazy.v2)
         assert not np.array_equal(copy.v2, study_weights.v2)
 
-    def test_validate_catches_tampering(self, study_weights):
-        W = study_weights.W.copy()
-        W[0, 0] += 1e-6
-        with pytest.raises(InvalidParameter):
-            replace(study_weights, W=W).validate()
-
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedNetwork):
             metropolis_weights(Network(n=4, edges=((0, 1), (2, 3))))
-
-    def test_validate_rejects_disjoint_blocks(self, path2):
-        # two averaging blocks: row supports match, but W is reducible
-        W = np.kron(np.eye(2), path2.W)
-        w = WeightedNetwork(Network(4, ((0, 1), (2, 3))), W, WeightKind.DOUBLY_STOCHASTIC)
-        with pytest.raises(InvalidParameter, match="not primitive"):
-            w.validate()
 
     def test_doubly_stochastic_on_random_graphs(self):
         for seed in range(5):
@@ -182,7 +166,44 @@ class TestMetropolisWeights:
             np.testing.assert_allclose(w.W, w.W.T, atol=1e-15)
 
 
+BUILDERS = {
+    "metropolis": metropolis_weights,
+    "lazy_metropolis": lambda net: metropolis_weights(net, lazy=True),
+    "row_stochastic": lambda net: row_stochastic_weights(net, seed=42),
+}
+GRAPHS = {
+    "path": lambda: path_graph(5),
+    "star": lambda: star_graph(4),
+    "complete": lambda: complete_graph(5),
+    "er_study": lambda: generate_erdos_renyi(20, 0.1, 886),
+    "er_dense": lambda: generate_erdos_renyi(8, 0.5, 1),
+}
+
+
+class TestWeightInvariants:
+    """What every weight builder guarantees of the matrix it returns."""
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_builder_output(self, builder, graph):
+        w = BUILDERS[builder](GRAPHS[graph]())
+        net, W = w.network, w.W
+        assert net.connected
+        assert W.shape == (net.n, net.n)
+        assert (W >= 0).all()
+        np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert (w.kind is WeightKind.DOUBLY_STOCHASTIC) == (builder != "row_stochastic")
+        if w.kind is WeightKind.DOUBLY_STOCHASTIC:
+            np.testing.assert_allclose(W.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        for i in range(net.n):  # positive exactly on the closed neighborhood
+            assert set(np.flatnonzero(W[i] > 0).tolist()) == set(net.neighbors[i]) | {i}
+
+
 class TestRowStochasticWeights:
+    def test_disconnected_rejected(self):
+        with pytest.raises(DisconnectedNetwork):
+            row_stochastic_weights(Network(n=4, edges=((0, 1), (2, 3))), seed=0)
+
     def test_rows_normalized_support_respected(self, row_stochastic_fixture):
         w = row_stochastic_fixture
         net = w.network
