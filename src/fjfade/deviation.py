@@ -3,13 +3,15 @@
 Holding a single target agent at full competition (lambda_t^target = 1)
 through step tstar, while everyone else runs plain consensus, produces a
 trajectory y_t that dominates the nominal one entrywise and settles on a
-consensus strictly above x_ss = perron^T x_0 whenever the target holds a
-maximal initial opinion that the nominal run strictly drops below.
+consensus strictly above x_ss = perron^T x_0 whenever W is nonnegative and
+the target holds a maximal initial opinion that the nominal run strictly
+drops below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +42,10 @@ class DeviationReport:
     strict_drop_certified: bool
 
 
-def _validate_target(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> None:
+def _held_agent_inputs(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> float:
+    """x_ss = perron^T x0, once the construction applies: x0 is an n vector,
+    the target is an agent holding a maximal opinion, W >= 0, and x_ss sits
+    strictly below the target's opinion. The Perron vector is solved for last."""
     n = weighted.n
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
@@ -48,10 +53,8 @@ def _validate_target(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> 
         raise InvalidParameter(f"target {target} out of range for n={n}")
     if x0[target] < x0.max() - STRICT_DROP_MARGIN:
         raise InvalidParameter("target must hold a maximal initial opinion")
-
-
-def _nominal_value(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> float:
-    """x_ss = perron^T x0, which must sit strictly below the target's opinion."""
+    if (weighted.W < 0).any():
+        raise InvalidParameter("the held-agent construction needs nonnegative weights")
     x_ss = float(weighted.perron @ x0)
     if x_ss >= x0[target] - STRICT_DROP_MARGIN:
         raise NoStrictDrop(
@@ -68,20 +71,17 @@ def find_tstar(
 ) -> int:
     """Smallest tstar after which the nominal run stays strictly below x0[target].
 
-    W is nonnegative and row stochastic, so every entry of W x is a convex
+    The inputs are checked first, as in `deviation_experiment`. W is then
+    nonnegative and row stochastic, so every entry of W x is a convex
     combination of entries of x and max_i x_t[i] never increases along the
     plain consensus run. At the first step t with max(x_t) < x0[target] the
     target can never again reach its initial opinion, so tstar is one past
     the last step before t where it still did. The pass needs no tolerance,
     keeps O(n) memory and raises ConvergenceFailure if the certificate has
-    not fired by step max_steps; weights with a negative entry raise
-    InvalidParameter.
+    not fired by step max_steps.
     """
     x0 = np.asarray(x0, dtype=float)
-    _validate_target(weighted, x0, target)
-    if (weighted.W < 0).any():
-        raise InvalidParameter("the switch-time certificate needs nonnegative weights")
-    _nominal_value(weighted, x0, target)  # else the maximum need never drop below x0[target]
+    _held_agent_inputs(weighted, x0, target)
     for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
         if x.max() < x0[target]:
             return last_not_below + 1
@@ -102,40 +102,31 @@ def deviation_experiment(
     """Run the single-stubborn-agent construction and report its deviation.
 
     The target (argmax of x0 by default) is held at lambda = 1 for every
-    step t <= tstar; afterwards the run is plain consensus. The reported
+    step t <= tstar; afterwards the run is plain consensus. The inputs are
+    checked at entry, before any step: x0's shape, a target in range holding
+    a maximal opinion, W >= 0 (InvalidParameter) and a strict drop
+    (NoStrictDrop). With W >= 0 and a maximal target the held run dominates
+    the nominal one, y_t >= x_t, by induction on t. A tstar of None is found
+    by `find_tstar` and certified; a fixed tstar is certified when the
+    nominal run's target sits below x0[target] at step tstar. The reported
     consensus value is perron^T y_tstar and the deviation is its distance
-    from the nominal x_ss. The held and nominal runs are streamed in
-    lock-step through tstar, and the dominance y_t >= x_t of the held run
-    over the nominal one is checked at every step; it fails, with
-    InvalidParameter, only for weights with a negative entry; the target
-    and weight checks run before the Perron vector is solved for. One more
-    held step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the held
-    limit is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no
-    spectral data.
+    from the nominal x_ss. One more held step gives y_{tstar+1}, after which
+    y_{t+1} = W y_t, so the held limit is exactly perron^T y_{tstar+1}.
+    Memory is O(n); W needs no spectral data.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
         target = int(np.argmax(x0))
+    x_ss = _held_agent_inputs(weighted, x0, target)
     certified = tstar is None
-    if tstar is None:
+    if certified:
         tstar = find_tstar(weighted, x0, target)
-    else:
-        _validate_target(weighted, x0, target)
-    if tstar < 0:
-        raise InvalidParameter(f"tstar must be >= 0, got {tstar}")
-
     held = iterate(weighted, x0, make_adversarial_nonuniform(tstar=tstar, target=target))
-    nominal = iterate(weighted, x0, zero_consensus())
-    for t, y, x in zip(range(tstar + 1), held, nominal):
-        if (y < x - STRICT_DROP_MARGIN).any():
-            raise InvalidParameter(
-                f"held trajectory fell below the nominal one at step {t}: W must be nonnegative"
-            )
-    y_tstar = y
-    if not certified and tstar >= 1:
-        certified = bool(x[target] < x0[target])
+    if not certified:
+        x_tstar = next(islice(iterate(weighted, x0, zero_consensus()), tstar, None))
+        certified = bool(x_tstar[target] < x0[target])
 
-    x_ss = _nominal_value(weighted, x0, target)
+    y_tstar, y_next = islice(held, tstar, tstar + 2)
     perron = weighted.perron
     y_consensus_value = float(perron @ y_tstar)
     return DeviationReport(
@@ -143,7 +134,7 @@ def deviation_experiment(
         target=target,
         x_limit_nominal=x_ss,
         y_tstar=y_tstar,
-        y_limit_value=float(perron @ next(held)),
+        y_limit_value=float(perron @ y_next),
         y_consensus_value=y_consensus_value,
         deviation=abs(y_consensus_value - x_ss),
         strict_drop_certified=certified,

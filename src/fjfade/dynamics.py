@@ -234,18 +234,12 @@ class TransitionCalculator:
     computed and starts again from t = 0 when asked for an earlier one.
     """
 
-    def __init__(self, weighted: WeightedNetwork | np.ndarray, schedule: CompetitionSchedule):
-        if isinstance(weighted, WeightedNetwork):
-            W = weighted.W
-        else:
-            W = np.asarray(weighted, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise DimensionMismatch(f"W must be square, got {W.shape}")
+    def __init__(self, weighted: WeightedNetwork, schedule: CompetitionSchedule):
         if not isinstance(schedule, CompetitionSchedule):
             raise NonUniformUnsupported("transition decomposition is defined for uniform schedules")
-        self.W = W
+        self.W = weighted.W
         self.schedule = schedule
-        self._eye = np.eye(W.shape[0])
+        self._eye = np.eye(weighted.n)
         self._restart()
 
     def _restart(self) -> None:

@@ -36,13 +36,18 @@ class Network:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameter(f"need at least one agent, got n={self.n}")
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise InvalidParameter(f"edge ({i}, {j}) invalid for n={self.n}")
-            if (i, j) in seen:
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero((e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= self.n))
+        if bad.size:
+            i, j = self.edges[bad[0]]
+            raise InvalidParameter(f"edge ({i}, {j}) invalid for n={self.n}")
+        keys = e[:, 0] * self.n + e[:, 1]  # i n + j orders the pairs as (i, j) does
+        if (keys[1:] <= keys[:-1]).any():  # the builders' ordered pairs skip the sort
+            keys.sort()
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if dup.size:
+                i, j = divmod(int(keys[dup[0]]), self.n)
                 raise InvalidParameter(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:

@@ -59,19 +59,8 @@ class CompetitionSchedule:
     seq: tuple[float, ...] = ()
 
     def value(self, t: int) -> float:
-        """lambda_t for a single step index t >= 0."""
-        if t < 0:
-            raise InvalidParameter(f"step index must be >= 0, got {t}")
-        if self.kind is ScheduleKind.CONSTANT:
-            return self.lam
-        if self.kind is ScheduleKind.EXPONENTIAL:
-            # np.exp, not math.exp: keeps value() bit-identical to values()
-            return float(np.exp(-self.rate * t))
-        if self.kind is ScheduleKind.HYPERBOLIC:
-            return 1.0 / (t + 1)
-        if self.kind is ScheduleKind.ZERO:
-            return 0.0
-        return self.seq[t] if t < len(self.seq) else 0.0
+        """lambda_t for a single step index t >= 0, as `values` gives it."""
+        return float(self.values(t))
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized lambda_t over an integer array of step indices."""
@@ -297,9 +286,6 @@ class NonUniformSchedule:
 
     tstar: int
     target: int
-
-    def describe(self) -> dict:
-        return {"kind": "adversarial", "tstar": self.tstar, "target": self.target}
 
 
 def make_adversarial_nonuniform(tstar: int, target: int) -> NonUniformSchedule:

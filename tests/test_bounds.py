@@ -5,6 +5,8 @@ sums, with infinite tails replaced by long finite sums (600 terms is far past
 double-precision convergence for every schedule used here).
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,17 +35,23 @@ from fjfade import (
 FAR = 600  # finite stand-in for the infinite tail
 
 
+@functools.cache
+def lam(sched, k):
+    """sched.value(k), drawn once: the tail sums below read each value many times."""
+    return sched.value(k)
+
+
 def brute_lambda(sched, s, t):
     p = 1.0
     for k in range(s, t + 1):
-        p *= 1.0 - sched.value(k)
+        p *= 1.0 - lam(sched, k)
     return p
 
 
 def brute_lower(sigma, sched, t):
     total = brute_lambda(sched, 0, t - 1) * sigma ** t
     for k in range(t):
-        total += brute_lambda(sched, k + 1, t - 1) * sched.value(k) * sigma ** (t - 1 - k)
+        total += brute_lambda(sched, k + 1, t - 1) * lam(sched, k) * sigma ** (t - 1 - k)
     return total
 
 
@@ -53,11 +61,11 @@ def brute_upper(sigma, sched, t):
     for k in range(t):
         total += (
             brute_lambda(sched, k + 1, t - 1)
-            * sched.value(k)
+            * lam(sched, k)
             * (sigma ** (t - 1 - k) + 1.0 - linf_t)
         )
     for k in range(t, FAR):
-        total += brute_lambda(sched, k + 1, FAR) * sched.value(k)
+        total += brute_lambda(sched, k + 1, FAR) * lam(sched, k)
     return total
 
 

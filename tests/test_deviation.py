@@ -7,7 +7,7 @@ against a nominal consensus of 1/2.
 """
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from fjfade import (
     ConvergenceFailure,
+    DeviationReport,
     InvalidParameter,
     NoStrictDrop,
     deviation_experiment,
@@ -26,9 +27,11 @@ from fjfade import (
     make_adversarial_nonuniform,
     metropolis_weights,
     path_graph,
+    row_stochastic_weights,
     simulate,
     zero_consensus,
 )
+from fjfade.deviation import STRICT_DROP_MARGIN
 
 # star3 with leaf 1 putting weight -0.1 on the center: row stochastic, not
 # nonnegative
@@ -56,6 +59,39 @@ def persistence_oracle(weighted, x0, target, eps=1e-10, window=10, max_steps=100
             assert t < max_steps, "oracle did not settle"
         if t == cap:
             return last_not_below + 1
+
+
+def lockstep_reference(weighted, x0, target, tstar):
+    """The earlier construction, kept only as a reference: the certificate
+    pass for an auto tstar, then the held and nominal runs stepped in
+    lock-step through tstar with the dominance y_t >= x_t asserted at each
+    step, and the Perron vector solved for last."""
+    certified = tstar is None
+    if certified:
+        for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
+            if x.max() < x0[target]:
+                tstar = last_not_below + 1
+                break
+            if x[target] >= x0[target]:
+                last_not_below = t
+    held = iterate(weighted, x0, make_adversarial_nonuniform(tstar=tstar, target=target))
+    nominal = iterate(weighted, x0, zero_consensus())
+    for t, y, x in zip(range(tstar + 1), held, nominal):
+        assert (y >= x - STRICT_DROP_MARGIN).all(), f"held run below the nominal one at step {t}"
+    if not certified and tstar >= 1:
+        certified = bool(x[target] < x0[target])
+    x_ss = float(weighted.perron @ x0)
+    y_consensus_value = float(weighted.perron @ y)
+    return DeviationReport(
+        tstar=tstar,
+        target=target,
+        x_limit_nominal=x_ss,
+        y_tstar=y,
+        y_limit_value=float(weighted.perron @ next(held)),
+        y_consensus_value=y_consensus_value,
+        deviation=abs(y_consensus_value - x_ss),
+        strict_drop_certified=certified,
+    )
 
 
 class TestTwoAgentHandCase:
@@ -176,11 +212,63 @@ class TestValidation:
 
     def test_negative_weight_breaks_dominance(self, star3):
         # leaf 1 puts weight -0.1 on the held center, so from step 2 on it
-        # sits below its nominal opinion: a typed error, not an assertion
-        with pytest.raises(InvalidParameter, match="fell below the nominal one at step 2"):
+        # would sit below its nominal opinion: the weights are refused at
+        # entry with a typed error, before any step
+        with pytest.raises(InvalidParameter, match="needs nonnegative weights"):
             deviation_experiment(
                 replace(star3, W=NEGATIVE_STAR3_W), np.array([3.0, 0.0, 0.0]), tstar=3
             )
+
+    @pytest.mark.parametrize("tstar", [0, 1, 2, 3, None])
+    def test_negative_weight_refused_before_any_step(self, tstar):
+        # a 4-agent Metropolis path with W[3, 1] = -0.05, moved onto W[3, 3]
+        # so that row 3 still sums to 1: the held run stays above the nominal
+        # one through step 2, so a per-step dominance check passes tstar <= 2;
+        # the input check refuses every tstar
+        w = metropolis_weights(path_graph(4))
+        W = w.W.copy()
+        W[3, 1] -= 0.05
+        W[3, 3] += 0.05
+        with pytest.raises(InvalidParameter, match="nonnegative"):
+            deviation_experiment(replace(w, W=W), np.array([3.0, 1.0, 0.5, 0.0]), tstar=tstar)
+
+
+class TestLockstepReference:
+    @given(
+        n=st.integers(2, 12),
+        er=st.booleans(),
+        p=st.floats(0.2, 1.0),
+        weights=st.sampled_from(["metropolis", "lazy_metropolis", "row_stochastic"]),
+        ties=st.booleans(),
+        tstar=st.one_of(st.none(), st.integers(0, 30)),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_report_matches_reference(self, n, er, p, weights, ties, tstar, data, seed):
+        net = generate_erdos_renyi(n, p, seed) if er else path_graph(n)
+        if not net.connected:
+            net = path_graph(n)
+        if weights == "row_stochastic":
+            w = row_stochastic_weights(net, seed)
+        else:
+            w = metropolis_weights(net, lazy=weights == "lazy_metropolis")
+        rng = np.random.default_rng(seed)
+        # integer starts put several agents on the maximum at once
+        x0 = rng.integers(-2, 3, n).astype(float) if ties else rng.uniform(-5.0, 5.0, n)
+        target = data.draw(st.sampled_from(np.flatnonzero(x0 == x0.max()).tolist()))
+        if w.consensus_value(x0) >= x0[target] - STRICT_DROP_MARGIN:
+            with pytest.raises(NoStrictDrop):
+                deviation_experiment(w, x0, target=target, tstar=tstar)
+            return
+        rep = deviation_experiment(w, x0, target=target, tstar=tstar)
+        ref = lockstep_reference(w, x0, target, tstar)
+        for field in fields(DeviationReport):
+            got, want = getattr(rep, field.name), getattr(ref, field.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
 
 
 class TestStudyFixture:
@@ -194,7 +282,7 @@ class TestStudyFixture:
     def test_dominance_over_nominal(self, study_weights, study_x0):
         rep = deviation_experiment(study_weights, study_x0)
         nominal = simulate(study_weights, study_x0, zero_consensus(), horizon=rep.tstar)
-        # already asserted inside the experiment; re-check the endpoint here
+        # W >= 0 and a maximal target give y_t >= x_t; check the endpoint here
         assert (rep.y_tstar >= nominal.x(rep.tstar) - 1e-12).all()
 
     def test_longer_hold_cannot_reduce_deviation(self, study_weights, study_x0):

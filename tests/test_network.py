@@ -5,6 +5,7 @@ order with scalar rng calls; the generator must reproduce it exactly.
 """
 
 import itertools
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -52,6 +53,36 @@ class TestNetwork:
             Network(n=3, edges=((0, 3),))
         with pytest.raises(InvalidParameter):
             Network(n=3, edges=((0, 0),))
+        with pytest.raises(InvalidParameter, match=r"duplicate edge \(0, 1\)"):
+            Network(n=3, edges=((0, 1), (1, 2), (0, 1)))
+
+    @given(n=st.integers(1, 6), edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_edge_rule(self, n, edges):
+        # each edge must satisfy 0 <= i < j < n and appear once; an error
+        # names an invalid edge if there is one, else a repeated one
+        invalid = [e for e in edges if not 0 <= e[0] < e[1] < n]
+        repeated = [e for k, e in enumerate(edges) if e in edges[:k]]
+        if not invalid and not repeated:
+            assert Network(n=n, edges=tuple(edges)).edges == tuple(edges)
+            return
+        with pytest.raises(InvalidParameter) as err:
+            Network(n=n, edges=tuple(edges))
+        kind, i, j = re.fullmatch(r"(.*)edge \((-?\d+), (-?\d+)\).*", str(err.value)).groups()
+        assert kind == ("" if invalid else "duplicate ")
+        assert (int(i), int(j)) in (invalid or repeated)
+
+    def test_validation_memory_per_edge(self):
+        # the checks run on one int64 array of the edges, 16 bytes an edge,
+        # and keep no per-edge Python object
+        edges = tuple(itertools.combinations(range(1000), 2))
+        tracemalloc.start()
+        try:
+            Network(n=1000, edges=edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(edges) < 60
 
     def test_neighbors_and_degrees(self):
         net = Network(n=4, edges=((0, 1), (1, 2), (1, 3)))
