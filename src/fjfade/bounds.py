@@ -1,8 +1,10 @@
 """Two-sided convergence-rate bounds for doubly stochastic weights.
 
 For a doubly stochastic W with second singular value sigma_max in (0, 1)
-and a vanishing schedule, the worst-case ratio |x_t - x_ss 1| / |x_0 - x_ss 1|
-is sandwiched between
+and a vanishing schedule, every start's ratio |x_t - x_ss 1| / |x_0 - x_ss 1|
+stays below upper(t); the worst reaches lower(t) when W - 11^T/n's eigenvalue
+of largest magnitude is positive, as under lazy weights, and can lie below it
+otherwise (0.23 lower(t) at t = 5, Metropolis weights on K_{10,10}). The edges:
 
   lower(t) = Lambda_0^{t-1} sigma^t
            + sum_{k<t} Lambda_{k+1}^{t-1} lambda_k sigma^{t-1-k}
@@ -28,9 +30,11 @@ the hyperbolic schedule it tends to 1 while lower(t) still decays like 1/t.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import CHUNK, Trajectory
 from .errors import (
     AsymmetricWeights,
     ConsensusInitialCondition,
@@ -93,7 +97,7 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
 
     The lower bound is realized by the trajectory aligned with the second
     singular direction, so it satisfies the same one-step recursion
-    m_{t+1} = sigma (1 - lambda_t) m_t + lambda_t with m_0 = 1.
+    m_{t+1} = sigma (1 - lambda_t) m_t + lambda_t, m_0 = 1, drawing lambda CHUNK steps at a time.
     """
     sigma_max = float(sigma_max)
     if not 0.0 < sigma_max < 1.0:
@@ -101,10 +105,10 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
     _check_vanishing(schedule)
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
-    out = [1.0]
-    for lam in schedule.values(np.arange(horizon)).tolist():  # Python floats: same IEEE ops, no numpy scalars
-        out.append(sigma_max * (1.0 - lam) * out[-1] + lam)
-    return np.array(out)
+    lams = chain.from_iterable(schedule.values(np.arange(lo, min(lo + CHUNK, horizon))).tolist()
+                               for lo in range(0, horizon, CHUNK))  # Python floats: no numpy scalars
+    series = accumulate(lams, lambda m, lam: sigma_max * (1.0 - lam) * m + lam, initial=1.0)
+    return np.fromiter(series, float, horizon + 1)
 
 
 def upper_bound(

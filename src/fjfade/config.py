@@ -20,8 +20,8 @@ WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
 EXPERIMENT_KEYS = {
     "n", "horizon", "seed", "out_dir", "eps_conv", "tail_eps", "emit_alt_distance",
 }
-# A run keeps O(horizon) series per schedule (distances, bounds, CSV text), about
-# 100 bytes a step on the 20-agent study, so the cap holds them near 100 MB each.
+# A run keeps two float64 series per schedule, 16 bytes a step, and writes each CSV from
+# about 48 bytes a step of float64 columns, its text in 1,024-row parts: 64 MB at the cap.
 SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 # W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.

@@ -53,7 +53,7 @@ def _held_agent_inputs(weighted: WeightedNetwork, x0: np.ndarray, target: int) -
         raise InvalidParameter(f"target {target} out of range for n={n}")
     if x0[target] < x0.max() - STRICT_DROP_MARGIN:
         raise InvalidParameter("target must hold a maximal initial opinion")
-    if (weighted.W < 0).any():
+    if weighted.W.min() < 0:
         raise InvalidParameter("the held-agent construction needs nonnegative weights")
     x_ss = float(weighted.perron @ x0)
     if x_ss >= x0[target] - STRICT_DROP_MARGIN:

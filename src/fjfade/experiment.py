@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import CONSENSUS_FLOOR, envelope, envelope_error, worst_case_initial_condition
 from .config import SCHEDULE_BUDGET_MB, ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
-from .dynamics import Trajectory, modal_distances, simulate
+from .dynamics import CHUNK, Trajectory, modal_distances, simulate
 from .errors import DisconnectedNetwork, InvalidParameter
 from .network import (
     Network,
@@ -160,12 +160,14 @@ def _fmt(v: float) -> str:
 
 
 def _floats(a: np.ndarray) -> Iterator[float]:
-    """The entries of `a` as Python floats, converted 1,024 at a time."""
-    return chain.from_iterable(a[i:i + 1024].tolist() for i in range(0, len(a), 1024))
+    """The entries of `a` as Python floats, converted CHUNK at a time."""
+    return chain.from_iterable(a[i:i + CHUNK].tolist() for i in range(0, len(a), CHUNK))
 
 
-def render_csv(result: ExperimentResult, run: RunResult) -> str:
-    """CSV text of one run, zipped row by row from lazy per-column string streams."""
+def render_csv(result: ExperimentResult, run: RunResult) -> Iterator[str]:
+    """CSV text of one run in parts of CHUNK rows, the header in the first part,
+    zipped row by row from lazy per-column string streams. Every column array is
+    computed before this returns, so an error there leaves no partial file."""
     cfg = result.cfg
     traj = run.trajectory
     cols = [
@@ -186,7 +188,8 @@ def render_csv(result: ExperimentResult, run: RunResult) -> str:
         header += "," + ALT_COLUMN
         # math.log10, not np.log10, which may differ in the last ulp
         cols.append(map(repr, map(math.log10, _floats(np.maximum(traj.distances, DISTANCE_FLOOR)))))
-    return "\n".join(chain([header], map(",".join, zip(*cols)))) + "\n"
+    lines = chain([header], map(",".join, zip(*cols)))
+    return ("\n".join(islice(lines, CHUNK + (lo == 0))) + "\n" for lo in range(0, traj.horizon + 1, CHUNK))
 
 
 def _schedule_manifest_lines(run: RunResult) -> list[str]:
@@ -280,14 +283,14 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def _write(name: str, text: str) -> None:
+    def _write(name: str, parts: Iterable[str]) -> None:
         path = out_dir / name
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         written.append(path)
 
-    _write("config.ini", serialize_config(result.cfg))
-    _write("manifest.ini", render_manifest(result))
+    _write("config.ini", [serialize_config(result.cfg)])
+    _write("manifest.ini", [render_manifest(result)])
     for run in result.runs:
         _write(run.csv_name, render_csv(result, run))
     return written
@@ -364,8 +367,10 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
         upper_excess = float(np.max(ratio - upper))
         lower_deficit = float(np.max(lower - ratio)) if cfg.weights == "lazy_metropolis" else None
         live = d[0, 1:] >= CONSENSUS_FLOOR  # a consensus start has no ratio
-        random_ratio = d[1:, 1:][:, live] / d[0, 1:][live]
-        random_excess = float(np.max(random_ratio - upper[:, None], initial=-math.inf))
+        excess = d[1:, 1:][:, live]  # a copy: ratio, then ratio - upper, in place
+        excess /= d[0, 1:][live]
+        excess -= upper[:, None]
+        random_excess = float(np.max(excess, initial=-math.inf))
         checks.append(ScheduleVerification(
             label=spec.label, steps=cfg.horizon,
             witness_max_upper_excess=upper_excess,

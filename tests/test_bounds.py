@@ -31,6 +31,7 @@ from fjfade import (
     worst_case_initial_condition,
     zero_consensus,
 )
+from fjfade.dynamics import CHUNK
 
 FAR = 600  # finite stand-in for the infinite tail
 
@@ -126,8 +127,9 @@ class TestLowerBound:
                              ids=["exp0.5", "exp0.05", "hyperbolic", "custom", "zero"])
     def test_series_matches_scalar_loop(self, sigma, sched):
         # the loop over Python floats does the numpy-scalar loop's IEEE
-        # operations in the same order, so the series agree bit for bit
-        for horizon in (0, 1, 2, 10_000):
+        # operations in the same order, so the series agree bit for bit,
+        # also where lambda is drawn in a new CHUNK of steps
+        for horizon in (0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 10_000):
             np.testing.assert_array_equal(
                 lower_bound_series(sigma, sched, horizon), lower_bound_series_loop(sigma, sched, horizon)
             )

@@ -2,6 +2,7 @@
 
 import configparser
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from fjfade import DisconnectedNetwork, FjfadeError, cli, deviation_experiment, 
 from fjfade.bounds import CONSENSUS_FLOOR, lower_bound, upper_bound
 from fjfade.cli import main
 from fjfade.config import GraphSpec, load_config, parse_config
+from fjfade.dynamics import CHUNK
 from fjfade.experiment import (
     ALT_COLUMN,
     CSV_HEADER,
@@ -19,6 +21,7 @@ from fjfade.experiment import (
     render_csv,
     render_manifest,
     run_experiment,
+    write_outputs,
 )
 from fjfade.schedules import CompetitionSchedule, ScheduleKind
 
@@ -374,13 +377,46 @@ def render_csv_oracle(result, run):
     return "\n".join(lines) + "\n"
 
 
+ORACLE_CONFIG = RUN_CONFIG.replace("out_dir = results", "out_dir = results\nemit_alt_distance = true") + """
+[schedule.flat]
+kind = constant
+lam = 0.3
+"""
+
+
 def test_render_csv_matches_row_oracle():
-    text = RUN_CONFIG.replace("out_dir = results", "out_dir = results\nemit_alt_distance = true")
-    text += "\n[schedule.flat]\nkind = constant\nlam = 0.3\n"
-    result = run_experiment(parse_config(text))
+    result = run_experiment(parse_config(ORACLE_CONFIG))
     assert [run.bounds_used for run in result.runs] == [True, True, False, False]
     for run in result.runs:
-        assert render_csv(result, run) == render_csv_oracle(result, run)
+        assert "".join(render_csv(result, run)) == render_csv_oracle(result, run)
+
+
+@pytest.mark.parametrize("horizon", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+def test_render_csv_parts_hold_at_most_chunk_rows(horizon):
+    # every column kind (bounds, no bounds, no ratio, the alt column) across part boundaries
+    result = run_experiment(parse_config(ORACLE_CONFIG.replace("horizon = 120", f"horizon = {horizon}")))
+    for run in result.runs:
+        parts = list(render_csv(result, run))
+        assert "".join(parts) == render_csv_oracle(result, run)
+        assert parts[0].startswith(CSV_HEADER + "," + ALT_COLUMN + "\n")
+        rows = [part.count("\n") for part in parts]
+        rows[0] -= 1  # the header line
+        assert len(parts) == -(-(horizon + 1) // CHUNK) and max(rows) <= CHUNK and sum(rows) == horizon + 1
+
+
+def test_write_outputs_holds_no_whole_csv(tmp_path):
+    # the parts are written as they are drawn, so the traced peak is the
+    # column arrays and the envelope's temporaries (about 40 bytes a row),
+    # well below the CSV's 88 bytes a row; a joined CSV would pass its size
+    text = RUN_CONFIG.split("[schedule.")[0].replace("horizon = 120", "horizon = 100000")
+    result = run_experiment(parse_config(text + "[schedule.slow]\nkind = hyperbolic\n"))
+    tracemalloc.start()
+    try:
+        (csv,) = [path for path in write_outputs(result, tmp_path) if path.suffix == ".csv"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * csv.stat().st_size
 
 
 class TestErrors:

@@ -168,6 +168,26 @@ class TestMetropolisWeights:
         # lazy eigenvalues are (1 + mu) / 2, so sigma_max becomes 5/6
         assert star3_lazy.sigma_max == pytest.approx(5.0 / 6.0, abs=1e-10)
 
+    @pytest.mark.parametrize("graph", [path_graph(130), star_graph(70), generate_erdos_renyi(20, 0.1, 886)],
+                             ids=["path130", "star70", "er_study"])
+    def test_lazy_is_the_identity_average_bit_for_bit(self, graph):
+        # halving in place, then adding 0.5 on the diagonal, is (W + I) / 2
+        # in every bit, because halving a float is exact
+        np.testing.assert_array_equal(
+            metropolis_weights(graph, lazy=True).W, (metropolis_weights(graph).W + np.eye(graph.n)) / 2.0
+        )
+
+    @pytest.mark.parametrize("n", [63, 65, 130])
+    @pytest.mark.parametrize("delta", [0.0, 5e-13, 2e-12, np.nan])
+    def test_symmetric_by_row_blocks_matches_the_dense_check(self, n, delta):
+        # one asymmetric entry inside the last, partial 64-row block
+        A = np.random.default_rng(n).random((n, n))
+        W = (A + A.T) / 2.0
+        W[n - 1, n - 2] += delta
+        weighted = WeightedNetwork(network=Network(n=n, edges=()), W=W, kind=WeightKind.DOUBLY_STOCHASTIC)
+        assert weighted.symmetric is bool(np.abs(W - W.T).max() <= 1e-12)
+        assert weighted.symmetric is (delta == 0.0 or delta == 5e-13)
+
     def test_path2_is_averaging(self, path2):
         np.testing.assert_allclose(path2.W, np.full((2, 2), 0.5), atol=1e-15)
         assert path2.sigma_max == 0.0
