@@ -17,17 +17,15 @@ from .schedules import SCHEDULE_PARAMS, TAIL_EPS, CompetitionSchedule, make_sche
 
 GRAPH_KINDS = ("er", "path", "star", "complete")
 WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
-EXPERIMENT_KEYS = {
-    "n", "horizon", "seed", "out_dir", "eps_conv", "tail_eps", "emit_alt_distance",
-}
 # A run keeps two float64 series per schedule, 16 bytes a step, and writes each CSV from
-# about 48 bytes a step of float64 columns, its text in 1,024-row parts: 64 MB at the cap.
+# its four float64 columns, 32 bytes a step, its text in 1,024-row parts: 48 MB at the cap.
 SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 # W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
 MAX_AGENTS = 10_000
-# A run holds each edge as a Python tuple, two adjacency entries and a weight, about
-# 200 bytes and 4 us per edge (complete graphs, n = 1,000 and 1,500): 1 GB at the cap.
+# Besides its dense n x n matrices, near 48 bytes per agent pair (`run` on paths: 79 MB at n = 1,000,
+# 139 MB at 1,500), a run holds each edge as an (i, j) tuple, about 50 bytes and 2 us per edge
+# (complete graphs: 104 MB and 1.5 s, 196 MB and 3.4 s, 1 BLAS thread): 250 MB at the cap.
 MAX_EDGES = 5_000_000
 SCHEDULE_KEYS = {kind.value: set(names) for kind, names in SCHEDULE_PARAMS.items()}
 SCHEDULE_KEYS["adversarial"] = {"tstar", "target"}
@@ -148,6 +146,14 @@ def _choice(choices: tuple[str, ...]):
     return parse
 
 
+# Optional [experiment] keys in parse order; an absent one keeps ExperimentConfig's default.
+EXPERIMENT_OPTIONAL = {
+    "horizon": (int, "an integer"), "seed": (int, "an integer"), "out_dir": (str, "a string"),
+    "eps_conv": (_finite, "a finite number"), "tail_eps": (_finite, "a finite number"),
+    "emit_alt_distance": (_bool, "a boolean"),
+}
+
+
 class _Section:
     """One parsed section with typed access to its keys."""
 
@@ -205,21 +211,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required section [{required}]")
 
     exp = sections["experiment"]
-    exp.reject_unknown(EXPERIMENT_KEYS)
+    exp.reject_unknown({"n", *EXPERIMENT_OPTIONAL})
     n = exp.get("n", int, "an integer", required=True)
     if n < 2:
         raise exp._error("n", f"need at least 2 agents, got {n}")
-    horizon = exp.get("horizon", int, "an integer", default=1000)
-    seed = exp.get("seed", int, "an integer", default=0)
-    out_dir = exp.get("out_dir", str, "a string", default="results")
-    eps_conv = exp.get("eps_conv", _finite, "a finite number", default=1e-8)
-    tail_eps = exp.get("tail_eps", _finite, "a finite number", default=TAIL_EPS)
-    emit_alt = exp.get("emit_alt_distance", _bool, "a boolean", default=False)
+    optional = {key: exp.get(key, parse, what) for key, (parse, what) in EXPERIMENT_OPTIONAL.items()
+                if key in exp.items}
 
     gsec = sections["graph"]
     gsec.reject_unknown({"kind", "p"})
     gkind = gsec.get("kind", _choice(GRAPH_KINDS), f"one of {list(GRAPH_KINDS)}", required=True)
-    p = gsec.get("p", _finite, "a finite number", default=0.1)
+    p = gsec.get("p", _finite, "a finite number", default=GraphSpec.p)
     if gkind == "er" and not 0.0 < p <= 1.0:
         # p = 0 leaves n >= 2 agents without an edge, so no resample could connect them
         raise gsec._error("p", f"edge probability must lie in (0, 1], got {p}")
@@ -283,10 +285,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         n=n, graph=GraphSpec(kind=gkind, p=p), weights=wkind,
-        schedules=tuple(schedules), x0_uniform=x0_uniform, x0_values=x0_values,
-        horizon=horizon, seed=seed, out_dir=out_dir,
-        eps_conv=eps_conv, tail_eps=tail_eps,
-        emit_alt_distance=emit_alt,
+        schedules=tuple(schedules), x0_uniform=x0_uniform, x0_values=x0_values, **optional,
     )
 
 

@@ -31,16 +31,8 @@ BUFFER_ELEMENTS = 2**16  # numbers in one lambda table, and in one buffer simula
 
 
 def _lambda_rows(table: Callable[[np.ndarray], np.ndarray], rows: int) -> Iterator[np.ndarray]:
-    """Yield lambda_0, lambda_1, ... as the rows of table(ts), drawn `rows` steps
-    at a time; the first value outside [0, 1] raises InvalidParameter when its
-    step's row is drawn, never earlier."""
-    for t in itertools.count(0, rows):
-        values = table(np.arange(t, t + rows))
-        bad = np.argwhere(~((values >= 0.0) & (values <= 1.0)))  # in row-major order
-        stop = bad[0, 0] if len(bad) else rows
-        yield from values[:stop]
-        if stop < rows:
-            raise InvalidParameter(f"lambda_{t + stop} = {values[tuple(bad[0])]} outside [0, 1]")
+    """Yield lambda_0, lambda_1, ... as the rows of table(ts), drawn `rows` steps at a time."""
+    return itertools.chain.from_iterable(table(np.arange(t, t + rows)) for t in itertools.count(0, rows))
 
 
 def iterate(
@@ -55,9 +47,10 @@ def iterate(
     W.T per step. Each state is a new n vector (or n x S `.T` view), never
     touched again. Shape, finiteness and held targets are checked at the
     first draw. Each step x <- (1 - lam) x W.T + lam x0 reads one lambda per
-    column from a table of at most CHUNK rows and BUFFER_ELEMENTS numbers; a
-    value outside [0, 1] raises before its step. A held column reads 0, then
-    pins its target to x0[target] through step tstar: the per-agent step's bits.
+    column from a table of at most CHUNK rows and BUFFER_ELEMENTS numbers,
+    valid since each schedule checked itself when built. A held column reads
+    0, then pins its target to x0[target] through step tstar: the per-agent
+    step's bits.
     """
     n = weighted.n
     x0 = np.array(x0, dtype=float)  # a copy the caller cannot touch
@@ -186,7 +179,7 @@ def modal_distances(
     g_0 = 1 and g_{t+1} = mu (1 - lambda_t) g_t + lambda_t in the operation
     order of `bounds.lower_bound_series`: d_t^2 = sum g_t^2 (v^T e_0)^2. That
     costs O(n B) a step, with no product with W; the gains are reduced
-    BUFFER_ELEMENTS numbers at a time, and lambda is checked as in `iterate`.
+    BUFFER_ELEMENTS numbers at a time, and lambda is drawn as in `iterate`.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")

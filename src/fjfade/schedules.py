@@ -25,6 +25,10 @@ class ScheduleKind(str, Enum):
     ZERO = "zero"
     CUSTOM = "custom"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidParameter(f"unknown schedule kind {value!r}; expected one of {[k.value for k in cls]}")
+
 
 # The keyword parameters of each kind, all required: make_schedule checks
 # them, describe() reports them and the config grammar reads them.
@@ -51,12 +55,25 @@ class CompetitionSchedule:
       hyperbolic   lambda_t = 1 / (t + 1)
       zero         lambda_t = 0 (plain consensus)
       custom       lambda_t = seq[t] while t < len(seq), 0 afterward
+
+    Construction checks the kind's parameters, so every lambda_t of a
+    schedule lies in [0, 1] and no consumer re-checks a step.
     """
 
     kind: ScheduleKind
     lam: float = 0.0
     rate: float = 0.0
     seq: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", ScheduleKind(self.kind))
+        if self.kind is ScheduleKind.CONSTANT and not 0.0 <= self.lam <= 1.0:
+            raise InvalidParameter(f"constant level must lie in [0, 1], got {self.lam}")
+        if self.kind is ScheduleKind.EXPONENTIAL and not 0.0 < self.rate < math.inf:
+            need = "> 0" if self.rate <= 0.0 else "finite"  # NaN is not finite
+            raise InvalidParameter(f"exponential rate must be {need}, got {self.rate}")
+        if self.kind is ScheduleKind.CUSTOM and not all(0.0 <= v <= 1.0 for v in self.seq):
+            raise InvalidParameter("custom schedule values must lie in [0, 1]")
 
     def value(self, t: int) -> float:
         """lambda_t for a single step index t >= 0, as `values` gives it."""
@@ -84,9 +101,7 @@ class CompetitionSchedule:
     @property
     def vanishing(self) -> bool:
         """True when lambda_t -> 0."""
-        if self.kind is ScheduleKind.CONSTANT:
-            return self.lam == 0.0
-        return True
+        return self.kind is not ScheduleKind.CONSTANT or self.lam == 0.0
 
     @property
     def summable(self) -> bool:
@@ -95,9 +110,7 @@ class CompetitionSchedule:
         Summable vanishing schedules have Lambda_t^inf -> 1; the hyperbolic
         schedule is the canonical non-summable case with Lambda_s^inf = 0.
         """
-        if self.kind is ScheduleKind.CONSTANT:
-            return self.lam == 0.0
-        return self.kind is not ScheduleKind.HYPERBOLIC
+        return self.vanishing and self.kind is not ScheduleKind.HYPERBOLIC
 
     @property
     def label(self) -> str:
@@ -114,19 +127,13 @@ class CompetitionSchedule:
 
 
 def make_schedule(kind: str | ScheduleKind, **params) -> CompetitionSchedule:
-    """Validated constructor for the built-in schedule kinds.
+    """Build a schedule from a kind and its parameters, as numbers or numeric text.
 
-    params must be exactly the kind's SCHEDULE_PARAMS: lam in [0, 1] for
-    constant, rate > 0 for exponential, seq with values in [0, 1] for custom
-    (a warning if it increases), none for hyperbolic and zero. Anything else,
-    a value that is not a number included, raises InvalidParameter.
+    params must be exactly the kind's SCHEDULE_PARAMS, else InvalidParameter;
+    the values are checked by CompetitionSchedule itself (lam in [0, 1], a
+    finite rate > 0, seq values in [0, 1]). A seq that increases warns.
     """
-    try:
-        kind = ScheduleKind(kind)
-    except ValueError:
-        raise InvalidParameter(
-            f"unknown schedule kind {kind!r}; expected one of {[k.value for k in ScheduleKind]}"
-        ) from None
+    kind = ScheduleKind(kind)
     names = SCHEDULE_PARAMS[kind]
     if sorted(params) != sorted(names):
         raise InvalidParameter(f"schedule kind {kind.value!r} takes parameters {list(names)}, "
@@ -136,24 +143,10 @@ def make_schedule(kind: str | ScheduleKind, **params) -> CompetitionSchedule:
     except (TypeError, ValueError):
         raise InvalidParameter(f"schedule kind {kind.value!r} needs numbers for {list(names)}, "
                                f"got {params}") from None
-    if kind is ScheduleKind.CONSTANT:
-        lam = params["lam"]
-        if not 0.0 <= lam <= 1.0:
-            raise InvalidParameter(f"constant level must lie in [0, 1], got {lam}")
-        return CompetitionSchedule(kind, lam=lam)
-    if kind is ScheduleKind.EXPONENTIAL:
-        rate = params["rate"]
-        if not rate > 0.0:
-            raise InvalidParameter(f"exponential rate must be > 0, got {rate}")
-        return CompetitionSchedule(kind, rate=rate)
-    if kind is ScheduleKind.CUSTOM:
-        seq = params["seq"]
-        if any(not 0.0 <= v <= 1.0 for v in seq):
-            raise InvalidParameter("custom schedule values must lie in [0, 1]")
-        if any(b > a for a, b in zip(seq, seq[1:])):
-            warnings.warn("custom schedule is not non-increasing", stacklevel=2)
-        return CompetitionSchedule(kind, seq=seq)
-    return CompetitionSchedule(kind)
+    schedule = CompetitionSchedule(kind, **params)
+    if any(b > a for a, b in zip(schedule.seq, schedule.seq[1:])):
+        warnings.warn("custom schedule is not non-increasing", stacklevel=2)
+    return schedule
 
 
 def constant(lam: float) -> CompetitionSchedule:
@@ -240,7 +233,7 @@ class InfiniteProducts:
         ss = np.asarray(s)
         if ss.size and ss.min() < 0:
             raise InvalidParameter(f"product starts must be >= 0, got {s}")
-        limits = self.back[np.minimum(ss, self.cutoff)]
+        limits = np.take(self.back, ss, mode="clip")  # back[min(s, cutoff)], no index copy
         return float(limits) if ss.ndim == 0 else limits
 
 
@@ -287,11 +280,14 @@ class NonUniformSchedule:
     tstar: int
     target: int
 
+    def __post_init__(self):
+        # iterate checks target < n, the one bound that needs the network
+        if self.tstar < 0:
+            raise InvalidParameter(f"tstar must be >= 0, got {self.tstar}")
+        if self.target < 0:
+            raise InvalidParameter(f"target must be >= 0, got {self.target}")
+
 
 def make_adversarial_nonuniform(tstar: int, target: int) -> NonUniformSchedule:
     """Hold the target at lambda = 1 for t <= tstar, 0 otherwise and for all others."""
-    if tstar < 0:
-        raise InvalidParameter(f"tstar must be >= 0, got {tstar}")
-    if target < 0:
-        raise InvalidParameter(f"target must be >= 0, got {target}")
     return NonUniformSchedule(tstar=int(tstar), target=int(target))

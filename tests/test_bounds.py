@@ -6,6 +6,7 @@ double-precision convergence for every schedule used here).
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fjfade import (
     worst_case_initial_condition,
     zero_consensus,
 )
+from fjfade.bounds import envelope
 from fjfade.dynamics import CHUNK
 
 FAR = 600  # finite stand-in for the infinite tail
@@ -222,6 +224,29 @@ class TestGap:
     def test_array_steps(self):
         for sched in (exponential(0.5), hyperbolic(), custom([0.8, 0.3, 0.1])):
             assert_array_form(lambda t: gap(sched, t))
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("horizon", [1, CHUNK, 3 * CHUNK + 1])
+    def test_is_both_bounds_bit_for_bit(self, horizon):
+        steps = np.arange(1, horizon + 1)
+        for sched in (exponential(0.5), hyperbolic(), zero_consensus(), custom([0.8, 0.3, 0.1])):
+            lower, upper = envelope(0.9, sched, horizon)
+            np.testing.assert_array_equal(lower, lower_bound(0.9, sched, steps))
+            np.testing.assert_array_equal(upper, upper_bound(0.9, sched, steps))
+
+    @pytest.mark.parametrize("sched", [exponential(0.5), hyperbolic()], ids=["exponential", "hyperbolic"])
+    def test_peak_memory_stays_near_its_output(self, sched):
+        # the two returned edges hold 16 bytes a step; no copy of either is made
+        horizon = 100_000
+        envelope(0.9, sched, 10)
+        tracemalloc.start()
+        try:
+            envelope(0.9, sched, horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * horizon
 
 
 class TestEmpiricalRatio:

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjfade import DisconnectedNetwork, FjfadeError, cli, deviation_experiment, dynamics, experiment, simulate
+from fjfade import (
+    DisconnectedNetwork,
+    FjfadeError,
+    cli,
+    constant,
+    deviation_experiment,
+    dynamics,
+    experiment,
+    simulate,
+)
 from fjfade.bounds import CONSENSUS_FLOOR, lower_bound, upper_bound
 from fjfade.cli import main
 from fjfade.config import GraphSpec, load_config, parse_config
@@ -23,7 +32,6 @@ from fjfade.experiment import (
     run_experiment,
     write_outputs,
 )
-from fjfade.schedules import CompetitionSchedule, ScheduleKind
 
 RUN_CONFIG = """\
 [experiment]
@@ -270,17 +278,19 @@ class TestVerify:
                 else:
                     assert a == b, field.name
 
-    @pytest.mark.parametrize("bad", [{1: 2}, {0: 5, 1: 2}, {1: 2, 2: 1}], ids=["second", "first", "second-third"])
+    @pytest.mark.parametrize("bad", [(1,), (0, 1), (1, 2)], ids=["second", "first", "second-third"])
     def test_overlapped_pass_raises_the_sequential_error(self, monkeypatch, capsys, bad):
-        # a lambda above 1 after step k escapes the envelope rule and stops the
-        # pass; the error is the first failing section's, in section order
+        # a section outside the envelope rule stops verify before any pass;
+        # the error is the first failing section's, in section order
         cfg = parse_config(THREE_SCHEDULE_CONFIG)
         specs = list(cfg.schedules)
-        for i, k in bad.items():
-            specs[i] = replace(specs[i], schedule=CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * k + (1.5,)))
+        for i in bad:
+            specs[i] = replace(specs[i], schedule=constant(0.1 * (i + 1)))
         monkeypatch.setattr(cli, "load_config", lambda path: replace(cfg, schedules=tuple(specs)))
         outcome = (main(["verify", "unused.ini", "--trials", "3"]), capsys.readouterr().err)
-        assert outcome == (2, f"error: InvalidParameter: lambda_{bad[min(bad)]} = 1.5 outside [0, 1]\n")
+        label = specs[bad[0]].label
+        assert outcome == (2, f"error: NonVanishingSchedule: schedule {label!r} does not vanish; "
+                              "rate bounds do not apply\n")
 
 
 class TestTstar:
@@ -406,8 +416,8 @@ def test_render_csv_parts_hold_at_most_chunk_rows(horizon):
 
 def test_write_outputs_holds_no_whole_csv(tmp_path):
     # the parts are written as they are drawn, so the traced peak is the
-    # column arrays and the envelope's temporaries (about 40 bytes a row),
-    # well below the CSV's 88 bytes a row; a joined CSV would pass its size
+    # four column arrays (about 36 bytes a row), well below the CSV's 88
+    # bytes a row; a joined CSV would pass its size
     text = RUN_CONFIG.split("[schedule.")[0].replace("horizon = 120", "horizon = 100000")
     result = run_experiment(parse_config(text + "[schedule.slow]\nkind = hyperbolic\n"))
     tracemalloc.start()

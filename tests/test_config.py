@@ -58,14 +58,16 @@ class TestParsing:
         assert cfg.schedules[0].schedule == exponential(0.5) and cfg.schedules[0].kind == "exponential"
 
     def test_defaults(self):
-        cfg = parse_config(
-            "[experiment]\nn = 4\n[graph]\nkind = star\n[weights]\nkind = metropolis\n"
-            "[x0]\nvalues = 1 2 3 4\n[schedule.h]\nkind = hyperbolic\n"
-        )
-        assert cfg.horizon == 1000
-        assert cfg.seed == 0
-        assert cfg.out_dir == "results"
-        assert not cfg.emit_alt_distance
+        text = ("[experiment]\nn = 4\n[graph]\nkind = star\n[weights]\nkind = metropolis\n"
+                "[x0]\nvalues = 1 2 3 4\n[schedule.h]\nkind = hyperbolic\n")
+        for cfg in (parse_config(text), parse_config(text.replace("kind = star", "kind = er"))):
+            assert cfg.horizon == 1000
+            assert cfg.seed == 0
+            assert cfg.out_dir == "results"
+            assert cfg.eps_conv == 1e-8
+            assert cfg.tail_eps == 1e-14
+            assert cfg.emit_alt_distance is False
+            assert cfg.graph.p == 0.1
 
     def test_explicit_values(self):
         cfg = parse_config(GOOD.replace("uniform = 0 5", "values = 1 2 3 4 5 6"))

@@ -100,30 +100,9 @@ class TestStep:
             next(iterate(star3, np.ones(3), object()))
         with pytest.raises(InvalidParameter, match="target 3 out of range for n=3"):
             next(iterate(star3, np.ones(3), [hyperbolic(), make_adversarial_nonuniform(2, 3)]))
-        # lambda_0 is checked before the first step
-        stream = iterate(star3, np.ones(3), CompetitionSchedule(ScheduleKind.CONSTANT, lam=1.5))
-        next(stream)
-        with pytest.raises(InvalidParameter, match="outside"):
-            next(stream)
-
-    def test_chunked_lambda_checked_at_its_step(self, star3):
-        # lambda_1500 = 1.5 sits in the second chunk of schedule values; the
-        # stream still yields x_0..x_1500 and fails only when x_1501 is drawn
-        sched = CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * 1500 + (1.5,))
-        stream = iterate(star3, np.array([1.0, 0.0, 2.0]), sched)
-        assert len(list(islice(stream, 1501))) == 1501
-        with pytest.raises(InvalidParameter, match="lambda_1500 = 1.5"):
-            next(stream)
-
-    def test_chunked_lambda_checked_at_its_step_in_a_block(self, star3):
-        # the same bad value in one column of a uniform + custom block: the
-        # per-column table still raises only when x_1501 is drawn
-        bad = CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * 1500 + (1.5,))
-        stream = iterate(star3, np.array([1.0, 0.0, 2.0]), [hyperbolic(), bad])
-        xs = list(islice(stream, 1501))
-        assert len(xs) == 1501 and xs[-1].shape == (3, 2)
-        with pytest.raises(InvalidParameter, match="lambda_1500 = 1.5"):
-            next(stream)
+        # a schedule checks its lambda when built, so no step re-checks it
+        with pytest.raises(InvalidParameter, match=r"constant level must lie in \[0, 1\], got 1.5"):
+            CompetitionSchedule(ScheduleKind.CONSTANT, lam=1.5)
 
     def test_schedule_list_validation(self, star3):
         # one start only: an n x B block is rejected with or without a list
@@ -345,14 +324,6 @@ class TestModalDistances:
             witness = modal_distances(weighted, 1.0 + weighted.v2, schedule, horizon)
             lower = lower_bound_series(weighted.sigma_max, schedule, horizon)
             assert np.max(lower - witness / witness[0], initial=0.0) <= 1e-14
-
-    def test_lambda_checked_at_its_step(self, study_weights_lazy, study_x0):
-        # as in iterate: lambda_k = 1.5 is read only by steps past k
-        bad = CompetitionSchedule(ScheduleKind.CUSTOM, seq=(0.5,) * 1500 + (1.5,))
-        assert modal_distances(study_weights_lazy, study_x0, bad, 1500).shape == (1501,)
-        for run in (modal_distances, simulate):
-            with pytest.raises(InvalidParameter, match=r"^lambda_1500 = 1.5 outside \[0, 1\]$"):
-                run(study_weights_lazy, study_x0, bad, 1501)
 
     def test_needs_symmetric_weights_and_a_uniform_schedule(self, row_stochastic_fixture, star3):
         with pytest.raises(AsymmetricWeights):

@@ -4,6 +4,7 @@ Frozen constants below were produced by independent scalar-loop oracles
 (plain Python products and sums, no package code).
 """
 
+import dataclasses
 import functools
 import math
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from fjfade import (
     CompetitionSchedule,
     InvalidParameter,
+    NonUniformSchedule,
     ScheduleKind,
     constant,
     custom,
@@ -113,6 +115,40 @@ class TestScheduleValues:
             custom([0.5, 1.3])
         with pytest.raises(InvalidParameter):
             make_schedule("no_such_kind")
+        # the same rules hold for every way a schedule is built
+        for build in (lambda: exponential(math.inf), lambda: exponential(math.nan),
+                      lambda: CompetitionSchedule(ScheduleKind.CONSTANT, lam=1.5),
+                      lambda: dataclasses.replace(constant(0.3), lam=2.0),
+                      lambda: CompetitionSchedule("no_such")):
+            with pytest.raises(InvalidParameter):
+                build()
+        assert CompetitionSchedule("exponential", rate=0.5) == exponential(0.5)
+        assert CompetitionSchedule("custom", seq=(0.5,)).kind is ScheduleKind.CUSTOM
+
+    @pytest.mark.filterwarnings("ignore:custom schedule is not non-increasing")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ScheduleKind)),
+        value=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-1.0, 0.0, 1.0, 1.5, math.inf]),
+        seq=st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.floats(0.0, 1.0), max_size=8),
+        ts=st.lists(st.integers(0, 10**7), min_size=1, max_size=20),
+    )
+    def test_every_built_schedule_stays_in_unit_interval(self, kind, value, seq, ts):
+        # built by make_schedule or directly, from its kind's name or enum, a
+        # schedule either refuses its parameters or keeps every lambda_t in [0, 1]
+        params = {name: {"lam": value, "rate": value, "seq": tuple(seq)}[name] for name in SCHEDULE_PARAMS[kind]}
+        built = []
+        for build in (make_schedule, CompetitionSchedule):
+            for name in (kind, kind.value):
+                try:
+                    built.append(build(name, **params))
+                except InvalidParameter:
+                    built.append(None)
+        assert built.count(None) in (0, len(built)), built
+        for sched in filter(None, built):
+            assert sched == built[0]
+            lams = sched.values(np.array(ts))
+            assert ((lams >= 0.0) & (lams <= 1.0)).all(), (sched, lams)
 
     def test_custom_non_monotone_warns(self):
         with pytest.warns(UserWarning):
@@ -282,6 +318,10 @@ class TestNonUniformSchedule:
             make_adversarial_nonuniform(tstar=-1, target=0)
         with pytest.raises(InvalidParameter):
             make_adversarial_nonuniform(tstar=0, target=-2)
+        with pytest.raises(InvalidParameter, match="tstar must be >= 0, got -1"):
+            NonUniformSchedule(tstar=-1, target=0)
+        with pytest.raises(InvalidParameter, match="target must be >= 0, got -3"):
+            NonUniformSchedule(tstar=0, target=-3)
 
 
 def test_schedule_kind_enum_roundtrip():
