@@ -17,8 +17,8 @@ from .schedules import SCHEDULE_PARAMS, TAIL_EPS, CompetitionSchedule, make_sche
 
 GRAPH_KINDS = ("er", "path", "star", "complete")
 WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
-# A run keeps two float64 series per schedule, 16 bytes a step, and writes each CSV from
-# its four float64 columns, 32 bytes a step, its text in 1,024-row parts: 48 MB at the cap.
+# Per schedule a run keeps two float64 series and four CSV columns, 48 bytes a step (48 MB at the
+# cap), its CSV text in 1,024-row parts; `verify` keeps four series and caps its trials to fit.
 SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 # W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
@@ -90,7 +90,7 @@ class ExperimentConfig:
         edges = {"complete": pairs, "er": self.graph.p * pairs}.get(self.graph.kind, 0)
         if edges > MAX_EDGES:
             raise ConfigError(f"{self.graph.kind} graph on {self.n} agents expects {edges:.3g} edges, over the "
-                              f"cap of {MAX_EDGES} that holds its edge lists near 1 GB", field="graph")
+                              f"cap of {MAX_EDGES} that holds its edge lists near 250 MB", field="graph")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
         if not 0.0 < self.tail_eps < 1.0:

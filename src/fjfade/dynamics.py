@@ -170,16 +170,17 @@ def simulate(
 
 def modal_distances(
     weighted: WeightedNetwork, starts: np.ndarray, schedule: CompetitionSchedule, horizon: int
-) -> np.ndarray:
-    """`simulate`'s l2 distances |x_t - x_ss 1|, t = 0..horizon, of one start or
-    an n x B block under a uniform schedule, evaluated in symmetric W's eigenbasis.
+) -> Iterator[np.ndarray]:
+    """Yield `simulate`'s l2 distances |x_t - x_ss 1|, t = 0..horizon, of one start
+    or an n x B block under a uniform schedule, evaluated in symmetric W's eigenbasis.
 
     e_t = x_t - x_ss 1 obeys e_{t+1} = (1 - lambda_t) W e_t + lambda_t e_0, so
     each mode (mu, v) of `weighted.modes` scales v^T e_0 by a gain g_t, with
     g_0 = 1 and g_{t+1} = mu (1 - lambda_t) g_t + lambda_t in the operation
     order of `bounds.lower_bound_series`: d_t^2 = sum g_t^2 (v^T e_0)^2. That
-    costs O(n B) a step, with no product with W; the gains are reduced
-    BUFFER_ELEMENTS numbers at a time, and lambda is drawn as in `iterate`.
+    costs O(n B) a step, with no product with W; each buffer of at most
+    BUFFER_ELEMENTS gains is reduced and yielded as a new block of its rows,
+    which `np.concatenate` stacks into the series. Lambda is drawn as in `iterate`.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
@@ -191,7 +192,6 @@ def modal_distances(
     rows = max(1, min(CHUNK, BUFFER_ELEMENTS // weighted.n))
     lams = _lambda_rows(schedule.values, rows)
     G, g = np.empty((rows, weighted.n)), np.ones(weighted.n)
-    distances = np.empty((horizon + 1, *C2.shape[1:]))
     for lo in range(0, horizon + 1, rows):
         block = G[:min(rows, horizon + 1 - lo)]
         for i in range(len(block)):
@@ -199,8 +199,7 @@ def modal_distances(
                 lam = next(lams)
                 g = mu * (1.0 - lam) * g + lam
             block[i] = g
-        distances[lo:lo + len(block)] = np.sqrt(np.square(block, out=block) @ C2)
-    return distances
+        yield np.sqrt(D := np.square(block, out=block) @ C2, out=D)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import CONSENSUS_FLOOR, envelope, envelope_error, worst_case_initial_condition
 from .config import SCHEDULE_BUDGET_MB, ExperimentConfig, ScheduleSpec, serialize_config
 from .deviation import DeviationReport, deviation_experiment
-from .dynamics import CHUNK, Trajectory, modal_distances, simulate
+from .dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory, modal_distances, simulate
 from .errors import DisconnectedNetwork, InvalidParameter
 from .network import (
     Network,
@@ -330,16 +330,16 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
     down by 0.1 plus the witness's largest headroom below it, so that it lies
     at least 0.1 below the witness at every step and the check must FAIL.
 
-    A negative `trials`, or one whose starts and two distance series would
-    pass SCHEDULE_BUDGET_MB per schedule, raises InvalidParameter before any
-    draw, and so does a config with no uniform schedule. A uniform schedule
-    outside the envelope raises the error of `bounds.envelope_error`, the
-    rule behind `run`'s `bounds` flag; the first failing schedule's error is
-    raised.
+    A negative `trials`, or one whose starts, two blocks of distances (one
+    reduced, the next being made), gain buffer and four O(horizon) series
+    would pass SCHEDULE_BUDGET_MB, raises InvalidParameter before any draw,
+    and so does a config with no uniform schedule. A uniform schedule outside
+    the envelope raises the error of `bounds.envelope_error`, the rule behind
+    `run`'s `bounds` flag; the first failing schedule's error is raised.
     """
     if trials < 0:
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
-    need_mb = 8e-6 * (trials + 1) * (cfg.n + 2 * (cfg.horizon + 1))
+    need_mb = 8e-6 * ((trials + 1) * (cfg.n + 2 * CHUNK) + BUFFER_ELEMENTS + 4 * (cfg.horizon + 1))
     if need_mb > SCHEDULE_BUDGET_MB:
         raise InvalidParameter(f"trials = {trials} would hold {need_mb:.0f} MB of starts and distance "
                                f"series per schedule, over the {SCHEDULE_BUDGET_MB} MB budget")
@@ -356,30 +356,41 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
 
     witness = worst_case_initial_condition(weighted, x_ss_target=1.0)
     rng = np.random.default_rng([cfg.seed, 3])
-    checks = []
-    for spec in uniform:  # column 0 is the witness, then one column per random start
-        starts = np.column_stack([witness, rng.standard_normal((trials, cfg.n)).T])
-        lower, upper = envelope(weighted.sigma_max, spec.schedule, cfg.horizon, cfg.tail_eps)
-        d = modal_distances(weighted, starts, spec.schedule, cfg.horizon)
-        ratio = d[1:, 0] / d[0, 0]
-        if self_test:  # at least 0.1 below the witness at every step
-            upper -= 0.1 + np.max(upper - ratio)
-        upper_excess = float(np.max(ratio - upper))
-        lower_deficit = float(np.max(lower - ratio)) if cfg.weights == "lazy_metropolis" else None
-        live = d[0, 1:] >= CONSENSUS_FLOOR  # a consensus start has no ratio
-        excess = d[1:, 1:][:, live]  # a copy: ratio, then ratio - upper, in place
-        excess /= d[0, 1:][live]
-        excess -= upper[:, None]
-        random_excess = float(np.max(excess, initial=-math.inf))
-        checks.append(ScheduleVerification(
-            label=spec.label, steps=cfg.horizon,
-            witness_max_upper_excess=upper_excess,
-            witness_max_lower_deficit=lower_deficit,
-            random_trials=trials,
-            random_max_upper_excess=random_excess,
-            passed=all(v <= BOUND_SLACK for v in (upper_excess, random_excess, lower_deficit) if v is not None),
-        ))
-    return VerifyResult(checks=tuple(checks), self_test=self_test)
+    checks = tuple(_verify_schedule(weighted, cfg, spec, np.column_stack(
+        [witness, rng.standard_normal((trials, cfg.n)).T]), self_test) for spec in uniform)
+    return VerifyResult(checks=checks, self_test=self_test)
+
+
+def _verify_schedule(weighted: WeightedNetwork, cfg: ExperimentConfig, spec: ScheduleSpec,
+                     starts: np.ndarray, self_test: bool) -> ScheduleVerification:
+    """`verify_bounds`'s check of one schedule, the witness in column 0 of `starts`, reducing each block of
+    distances as it arrives: rounding is monotone, so max_j fl(r_j - u) = fl(max_j r_j - u), bit for bit."""
+    dist, top = np.empty(cfg.horizon + 1), np.empty(cfg.horizon + 1)  # the witness's; the largest random ratio
+    lo = 0
+    for d in modal_distances(weighted, starts, spec.schedule, cfg.horizon):
+        if not lo:
+            d0 = d[0, 1:].copy()
+            live = d0 >= CONSENSUS_FLOOR  # a consensus start has no ratio
+        dist[lo:lo + len(d)] = d[:, 0]
+        ratios = np.divide(d[:, 1:], d0, out=d[:, 1:], where=live)  # in place: one block at a time
+        top[lo:lo + len(d)] = np.max(ratios, axis=1, initial=-math.inf, where=live)
+        lo += len(d)
+    lower, upper = envelope(weighted.sigma_max, spec.schedule, cfg.horizon, cfg.tail_eps)
+    ratio = np.divide(dist[1:], dist[0], out=dist[1:])
+    if self_test:  # at least 0.1 below the witness at every step
+        upper -= 0.1 + np.max(upper - ratio)
+    excess = np.subtract(top[1:], upper, out=top[1:])  # top's memory, reused for the witness
+    random_excess = float(np.max(excess, initial=-math.inf))
+    upper_excess = float(np.max(np.subtract(ratio, upper, out=excess)))
+    lower_deficit = float(np.max(np.subtract(lower, ratio, out=excess))) if cfg.weights == "lazy_metropolis" else None
+    return ScheduleVerification(
+        label=spec.label, steps=cfg.horizon,
+        witness_max_upper_excess=upper_excess,
+        witness_max_lower_deficit=lower_deficit,
+        random_trials=starts.shape[1] - 1,
+        random_max_upper_excess=random_excess,
+        passed=all(v <= BOUND_SLACK for v in (upper_excess, random_excess, lower_deficit) if v is not None),
+    )
 
 
 def tstar_report(cfg: ExperimentConfig) -> DeviationReport:

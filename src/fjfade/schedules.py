@@ -9,6 +9,7 @@ and the convergence-rate bounds, so they are computed here once, carefully.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -67,6 +68,10 @@ class CompetitionSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScheduleKind(self.kind))
+        seq = tuple(self.seq) if np.iterable(self.seq) else (None,)
+        if not all(isinstance(v, numbers.Real) for v in (self.lam, self.rate, *seq)):  # make_schedule converts text
+            raise InvalidParameter(f"schedule parameters must be numbers, got {self}")
+        object.__setattr__(self, "seq", tuple(map(float, seq)))  # hashable, whatever sequence it was given
         if self.kind is ScheduleKind.CONSTANT and not 0.0 <= self.lam <= 1.0:
             raise InvalidParameter(f"constant level must lie in [0, 1], got {self.lam}")
         if self.kind is ScheduleKind.EXPONENTIAL and not 0.0 < self.rate < math.inf:

@@ -19,7 +19,7 @@ from fjfade import (
     experiment,
     simulate,
 )
-from fjfade.bounds import CONSENSUS_FLOOR, lower_bound, upper_bound
+from fjfade.bounds import CONSENSUS_FLOOR, envelope, lower_bound, upper_bound
 from fjfade.cli import main
 from fjfade.config import GraphSpec, load_config, parse_config
 from fjfade.dynamics import CHUNK
@@ -216,10 +216,12 @@ class TestVerify:
         assert main(["verify", str(path), "--horizon", "50", "--trials", "-1"]) == 2
         assert "InvalidParameter: trials must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("trials, capped", [(10**9, True), (6, True), (5, False)])
+    @pytest.mark.parametrize("trials, capped", [(10**9, True), (4102, True), (4101, False)])
     def test_trials_cap_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, trials, capped):
-        # at n = 8 and horizon 10^6 each start holds 16 MB of distance series:
-        # 6 starts (trials = 5) fit in the 100 MB budget, 7 do not
+        # at n = 8 and horizon 10^6 verify holds four series of 10^6 + 1 steps
+        # (32 MB), a gain buffer of at most BUFFER_ELEMENTS numbers, and per
+        # start its n values and two blocks of at most CHUNK distances: 4,102
+        # starts (trials = 4101) fit in the 100 MB budget, 4,103 do not
         class Reached(Exception):
             pass
 
@@ -260,11 +262,12 @@ class TestVerify:
     @pytest.mark.parametrize("rows", [2, 4])
     def test_overlapped_passes_match_the_sequential_loop(self, monkeypatch, text, rows):
         # modal_distances overlaps `rows` steps in each reduction, the last
-        # block short; the reference steps simulate one start at a time
+        # block short; the reference steps simulate one start at a time and
+        # yields the whole series as one block
         cfg = parse_config(text)
         monkeypatch.setattr(experiment, "modal_distances",
-                            lambda weighted, starts, schedule, horizon: np.column_stack(
-                                [simulate(weighted, x0, schedule, horizon).distances for x0 in starts.T]))
+                            lambda weighted, starts, schedule, horizon: iter([np.column_stack(
+                                [simulate(weighted, x0, schedule, horizon).distances for x0 in starts.T])]))
         sequential = experiment.verify_bounds(cfg, trials=4)
         monkeypatch.undo()
         monkeypatch.setattr(dynamics, "BUFFER_ELEMENTS", rows * cfg.n)
@@ -277,6 +280,47 @@ class TestVerify:
                     assert a == pytest.approx(b, rel=0, abs=1e-12), field.name
                 else:
                     assert a == b, field.name
+
+    @pytest.mark.parametrize("rows", [4, CHUNK])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 0)],
+                             ids=["rows-1", "rows", "rows+1", "3rows"])
+    @pytest.mark.parametrize("trials", [0, 1, 5])
+    @pytest.mark.parametrize("self_test", [False, True])
+    def test_streamed_reduction_matches_the_whole_array(self, monkeypatch, rows, blocks, extra, trials, self_test):
+        # horizon blocks * rows + extra; the first random start is put at
+        # consensus, a dead column: with trials = 1 no random start is live,
+        # with 5 four are
+        cfg = replace(parse_config(VERIFY_BOUNDS_CONFIG.read_text()), horizon=blocks * rows + extra)
+        monkeypatch.setattr(dynamics, "BUFFER_ELEMENTS", rows * cfg.n)
+        seen, streamed = [], experiment.modal_distances
+
+        def consensus_first(weighted, starts, schedule, horizon):
+            starts[:, 1:2] = 3.0
+            seen.append(starts.copy())
+            return streamed(weighted, starts, schedule, horizon)
+
+        monkeypatch.setattr(experiment, "modal_distances", consensus_first)
+        result = experiment.verify_bounds(cfg, trials=trials, self_test=self_test)
+        weighted, _ = experiment.build_weights(cfg, experiment.build_network(cfg).network)
+        assert len(result.checks) == len(seen) == len(cfg.schedules)
+        for check, spec, starts in zip(result.checks, cfg.schedules, seen):
+            got = (check.witness_max_upper_excess, check.witness_max_lower_deficit, check.random_max_upper_excess)
+            assert got == whole_array_excesses(weighted, cfg, spec, starts, self_test)
+
+    def test_holds_no_whole_distance_array(self):
+        # each block of distances is reduced as it arrives, so the traced peak
+        # is about four O(horizon) series (3.4 MB here), well below a quarter
+        # of one whole (horizon + 1) x (trials + 1) array (16.8 MB)
+        horizon, trials = 100_000, 20
+        cfg = replace(parse_config(VERIFY_CONFIG), horizon=horizon)
+        tracemalloc.start()
+        try:
+            result = experiment.verify_bounds(cfg, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and len(result.checks) == 2
+        assert peak < 8 * (horizon + 1) * (trials + 1) / 4
 
     @pytest.mark.parametrize("bad", [(1,), (0, 1), (1, 2)], ids=["second", "first", "second-third"])
     def test_overlapped_pass_raises_the_sequential_error(self, monkeypatch, capsys, bad):
@@ -291,6 +335,20 @@ class TestVerify:
         label = specs[bad[0]].label
         assert outcome == (2, f"error: NonVanishingSchedule: schedule {label!r} does not vanish; "
                               "rate bounds do not apply\n")
+
+
+def whole_array_excesses(weighted, cfg, spec, starts, self_test):
+    """The witness's upper excess and lower deficit (lazy weights) and the random
+    starts' upper excess of one schedule, from the whole (horizon + 1) x B array."""
+    d = np.concatenate(list(dynamics.modal_distances(weighted, starts, spec.schedule, cfg.horizon)))
+    lower, upper = envelope(weighted.sigma_max, spec.schedule, cfg.horizon, cfg.tail_eps)
+    ratio = d[1:, 0] / d[0, 0]
+    if self_test:
+        upper -= 0.1 + np.max(upper - ratio)
+    live = d[0, 1:] >= CONSENSUS_FLOOR
+    excess = d[1:, 1:][:, live] / d[0, 1:][live] - upper[:, None]
+    return (float(np.max(ratio - upper)), float(np.max(lower - ratio)),
+            float(np.max(excess, initial=-math.inf)))
 
 
 class TestTstar:

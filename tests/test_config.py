@@ -165,6 +165,8 @@ class TestRejection:
         with pytest.raises(ConfigError, match=f"expects {re.escape(edges)} edges, over the cap of 5000000") as info:
             parse_config(text)
         assert info.value.field == "graph"
+        # about 50 bytes an edge: 250 MB at the cap
+        assert "over the cap of 5000000 that holds its edge lists near 250 MB (field 'graph')" in str(info.value)
 
     @pytest.mark.parametrize("graph, n", [("kind = complete", 3162), ("kind = er\np = 0.1", 10000),
                                           ("kind = path", 10000)])

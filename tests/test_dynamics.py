@@ -39,6 +39,7 @@ from fjfade import (
     star_graph,
     zero_consensus,
 )
+from fjfade import dynamics
 from fjfade.bounds import CONSENSUS_FLOOR
 from fjfade.cli import main
 from fjfade.config import GRAPH_KINDS, WEIGHT_KINDS, parse_config
@@ -313,7 +314,7 @@ class TestModalDistances:
         # of the exact 0. The lazy witness keeps to the lower edge, which obeys
         # the same gain recurrence.
         weighted, schedule, horizon, starts = config
-        d = modal_distances(weighted, starts, schedule, horizon)
+        d = np.concatenate(list(modal_distances(weighted, starts, schedule, horizon)))
         stepped = np.column_stack([simulate(weighted, x0, schedule, horizon).distances for x0 in starts.T])
         size = np.linalg.norm(starts, axis=0)
         assert d.shape == stepped.shape == (horizon + 1, starts.shape[1])
@@ -321,15 +322,32 @@ class TestModalDistances:
         assert (d[:, -1] <= 1e-14 * (1.0 + size[-1])).all()
         # a diagonal of at least 1/2 (lazy weights) keeps the spectrum nonnegative
         if weighted.W.diagonal().min() >= 0.5 and 0.0 < weighted.sigma_max < 1.0 and schedule.vanishing:
-            witness = modal_distances(weighted, 1.0 + weighted.v2, schedule, horizon)
+            witness = np.concatenate(list(modal_distances(weighted, 1.0 + weighted.v2, schedule, horizon)))
             lower = lower_bound_series(weighted.sigma_max, schedule, horizon)
             assert np.max(lower - witness / witness[0], initial=0.0) <= 1e-14
 
     def test_needs_symmetric_weights_and_a_uniform_schedule(self, row_stochastic_fixture, star3):
+        # checked when the first block is drawn
         with pytest.raises(AsymmetricWeights):
-            modal_distances(row_stochastic_fixture, np.ones(8), hyperbolic(), 5)
+            next(modal_distances(row_stochastic_fixture, np.ones(8), hyperbolic(), 5))
         with pytest.raises(NonUniformUnsupported):
-            modal_distances(star3, np.ones(3), make_adversarial_nonuniform(2, 0), 5)
+            next(modal_distances(star3, np.ones(3), make_adversarial_nonuniform(2, 0), 5))
+
+    @pytest.mark.parametrize("rows", [1, 4, CHUNK])
+    @pytest.mark.parametrize("width", [None, 1, 5])
+    def test_yields_blocks_of_buffer_rows(self, monkeypatch, star3, rows, width):
+        # each block holds `rows` steps, the last one short, and is a new array
+        # that the next block does not overwrite
+        monkeypatch.setattr(dynamics, "BUFFER_ELEMENTS", rows * star3.n)
+        starts = np.arange(3.0) if width is None else np.random.default_rng(width).standard_normal((3, width))
+        for horizon in (0, rows - 1, rows, rows + 1, 3 * rows):
+            blocks = list(modal_distances(star3, starts, exponential(0.3), horizon))
+            assert [len(b) for b in blocks] == [min(rows, horizon + 1 - lo) for lo in range(0, horizon + 1, rows)]
+            assert all(b.shape[1:] == starts.shape[1:] for b in blocks)
+            whole = np.concatenate(blocks)
+            stepped = simulate(star3, starts if width is None else starts[:, 0], exponential(0.3), horizon)
+            column = whole if width is None else whole[:, 0]
+            np.testing.assert_allclose(column, stepped.distances, rtol=0, atol=1e-12)
 
 
 def reference_states(W, x0, schedule):

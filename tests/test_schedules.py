@@ -125,6 +125,25 @@ class TestScheduleValues:
         assert CompetitionSchedule("exponential", rate=0.5) == exponential(0.5)
         assert CompetitionSchedule("custom", seq=(0.5,)).kind is ScheduleKind.CUSTOM
 
+    @pytest.mark.parametrize("kind, params", [
+        ("constant", {"lam": "0.3"}), ("constant", {"lam": None}), ("exponential", {"rate": "0.5"}),
+        ("custom", {"seq": (0.5, "x")}), ("custom", {"seq": "0.5"}), ("custom", {"seq": 0.5}),
+        ("constant", {"lam": 0.3, "rate": "x"}),
+    ])
+    def test_direct_construction_needs_numbers(self, kind, params):
+        # make_schedule converts a config's numeric text; direct construction takes numbers only
+        with pytest.raises(InvalidParameter, match="schedule parameters must be numbers, got CompetitionSchedule"):
+            CompetitionSchedule(kind, **params)
+
+    @pytest.mark.parametrize("seq, expected", [
+        ([0.5, 0.2], (0.5, 0.2)), (np.array([0.5, 0.2]), (0.5, 0.2)), (iter([0.5, 0.2]), (0.5, 0.2)),
+        ((1, 0), (1.0, 0.0)), ([], ()),
+    ], ids=["list", "array", "iterator", "ints", "empty"])
+    def test_custom_seq_is_stored_as_a_tuple_of_floats(self, seq, expected):
+        sched = CompetitionSchedule("custom", seq=seq)
+        assert type(sched.seq) is tuple and [type(v) for v in sched.seq] == [float] * len(expected)
+        assert sched.seq == expected and sched == custom(expected) and hash(sched) == hash(custom(expected))
+
     @pytest.mark.filterwarnings("ignore:custom schedule is not non-increasing")
     @settings(max_examples=200, deadline=None)
     @given(
