@@ -23,6 +23,8 @@ SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
 # W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
 MAX_AGENTS = 10_000
+# The squared l2 distance from consensus, at most n (2 |x0|)^2, stays finite for n <= MAX_AGENTS.
+MAX_OPINION = 1e150
 # Besides its dense n x n matrices, near 48 bytes per agent pair (`run` on paths: 79 MB at n = 1,000,
 # 139 MB at 1,500), a run holds each edge as an (i, j) tuple, about 50 bytes and 2 us per edge
 # (complete graphs: 104 MB and 1.5 s, 196 MB and 3.4 s, 1 BLAS thread): 250 MB at the cap.
@@ -246,6 +248,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise xsec._error("uniform", "expected 'low high' with low < high")
     if x0_values is not None and len(x0_values) != n:
         raise xsec._error("values", f"expected {n} values, got {len(x0_values)}")
+    for key, opinions in (("uniform", x0_uniform), ("values", x0_values)):
+        if opinions is not None and any(abs(v) > MAX_OPINION for v in opinions):
+            raise xsec._error(key, f"opinions must lie in [-{MAX_OPINION:g}, {MAX_OPINION:g}], got {xsec.items[key]!r}")
 
     schedules = []
     for name, sec in sections.items():

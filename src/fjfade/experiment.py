@@ -37,7 +37,7 @@ from .network import (
     row_stochastic_weights,
     star_graph,
 )
-from .schedules import InfiniteProducts, infinite_products, make_adversarial_nonuniform
+from .schedules import infinite_products, make_adversarial_nonuniform
 
 CSV_HEADER = "t,log10_avg_distance,ratio,rho_upper,rho_lower"
 ALT_COLUMN = "log10_l2_distance"
@@ -62,7 +62,6 @@ class RunResult:
     csv_name: str
     bounds_used: bool
     converged_at: int | None
-    products: InfiniteProducts | None = None  # the Lambda^inf table behind the bounds, when used
     report: DeviationReport | None = None
 
 
@@ -142,12 +141,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     runs = []
     for j, (spec, sched, report) in enumerate(zip(cfg.schedules, schedules, reports)):
         traj = block.column(j)
-        use_bounds = envelope_error(weighted, sched, spec.label) is None
         runs.append(RunResult(
             spec=spec, schedule=sched, trajectory=traj,
-            csv_name=f"{spec.label}.csv", bounds_used=use_bounds,
-            converged_at=traj.converged_at(cfg.eps_conv),
-            products=infinite_products(sched, cfg.tail_eps) if use_bounds else None, report=report,
+            csv_name=f"{spec.label}.csv", bounds_used=envelope_error(weighted, sched, spec.label) is None,
+            converged_at=traj.converged_at(cfg.eps_conv), report=report,
         ))
     return ExperimentResult(
         cfg=cfg, draw=draw, weighted=weighted, weight_draws=weight_draws,
@@ -192,7 +189,7 @@ def render_csv(result: ExperimentResult, run: RunResult) -> Iterator[str]:
     return ("\n".join(islice(lines, CHUNK + (lo == 0))) + "\n" for lo in range(0, traj.horizon + 1, CHUNK))
 
 
-def _schedule_manifest_lines(run: RunResult) -> list[str]:
+def _schedule_manifest_lines(run: RunResult, tail_eps: float) -> list[str]:
     spec = run.spec
     lines = [f"[run.{spec.label}]", f"kind = {spec.kind}", f"csv = {run.csv_name}"]
     if not spec.is_adversarial:
@@ -201,8 +198,8 @@ def _schedule_manifest_lines(run: RunResult) -> list[str]:
                 text = " ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
                 lines.append(f"{key} = {text}")
     lines.append(f"bounds = {str(run.bounds_used).lower()}")
-    if run.products is not None:
-        table = run.products
+    if run.bounds_used:
+        table = infinite_products(run.schedule, tail_eps)  # its closed-form facts: no table is built
         lines.append(f"truncation_kind = {table.schedule.kind.value}")
         lines.append(f"truncation_exact = {str(table.exact).lower()}")
         lines.append(f"truncation_cutoff = {table.cutoff}")
@@ -265,7 +262,7 @@ def render_manifest(result: ExperimentResult) -> str:
     ]
     for run in result.runs:
         lines.append("")
-        lines.extend(_schedule_manifest_lines(run))
+        lines.extend(_schedule_manifest_lines(run, cfg.tail_eps))
     return "\n".join(lines) + "\n"
 
 
@@ -280,6 +277,7 @@ def resolve_out_dir(cfg: ExperimentConfig, override: str | None = None) -> Path:
 
 
 def write_outputs(result: ExperimentResult, out_dir: Path) -> list[Path]:
+    manifest = render_manifest(result)  # a rate past MAX_TERMS raises here, before any file is written
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -290,7 +288,7 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> list[Path]:
         written.append(path)
 
     _write("config.ini", [serialize_config(result.cfg)])
-    _write("manifest.ini", [render_manifest(result)])
+    _write("manifest.ini", [manifest])
     for run in result.runs:
         _write(run.csv_name, render_csv(result, run))
     return written
@@ -310,7 +308,6 @@ class ScheduleVerification:
 @dataclass(frozen=True, eq=False)
 class VerifyResult:
     checks: tuple[ScheduleVerification, ...]
-    self_test: bool
 
     @property
     def passed(self) -> bool:
@@ -358,7 +355,7 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
     rng = np.random.default_rng([cfg.seed, 3])
     checks = tuple(_verify_schedule(weighted, cfg, spec, np.column_stack(
         [witness, rng.standard_normal((trials, cfg.n)).T]), self_test) for spec in uniform)
-    return VerifyResult(checks=checks, self_test=self_test)
+    return VerifyResult(checks=checks)
 
 
 def _verify_schedule(weighted: WeightedNetwork, cfg: ExperimentConfig, spec: ScheduleSpec,

@@ -13,6 +13,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +41,8 @@ SCHEDULE_PARAMS = {
     ScheduleKind.ZERO: (),
     ScheduleKind.CUSTOM: ("seq",),
 }
-# Default cutoff of a truncated product: the table stops where lambda_k falls
-# to TAIL_EPS, its remainder bounds the rest, and MAX_TERMS caps its length.
+# Default cutoff of a truncated product: the table stops where lambda_k falls to TAIL_EPS, its
+# remainder bounds the rest, and MAX_TERMS caps its length: 40 MB, about 120 MB while it is built.
 TAIL_EPS = 1e-14
 MAX_TERMS = 5_000_000
 
@@ -218,20 +219,23 @@ def partition_of_unity(schedule: CompetitionSchedule, t: int) -> float:
 
 @dataclass(frozen=True)
 class InfiniteProducts:
-    """Lambda_s^inf = back[min(s, cutoff)], precomputed; a run's manifest
-    reports the table's exact, cutoff and remainder.
+    """Lambda_s^inf = back[min(s, cutoff)], the table built on first read; a
+    run's manifest reports exact, cutoff and remainder, which need no table.
 
     For a summable schedule back[j] = prod_{i=j}^{cutoff-1} (1 - lambda_i),
     and the factors beyond cutoff multiply to within [1 - remainder, 1]; a
-    non-summable one has every limit 0 and stores back = [0.0]. Tables of
+    non-summable one has every limit 0 and back = [0.0]. Tables of
     closed-form kinds are exact, with remainder 0.
     """
 
     schedule: CompetitionSchedule
     exact: bool
     cutoff: int
-    back: np.ndarray
     remainder: float
+
+    @cached_property
+    def back(self) -> np.ndarray:
+        return suffix_products(self.schedule, self.cutoff - 1) if self.schedule.summable else np.zeros(1)
 
     def lam_to_inf(self, s: int | np.ndarray) -> float | np.ndarray:
         """Lambda_s^inf at a start index s, or at each start of an integer array s."""
@@ -243,16 +247,14 @@ class InfiniteProducts:
 
 
 def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS) -> InfiniteProducts:
-    """Build the Lambda_s^inf table for a schedule.
+    """The closed-form facts of a schedule's Lambda_s^inf table; `back` builds the table on first read.
 
     Only the exponential kind is truncated, at cutoff = ceil(-log(tail_eps) / rate),
     the first step with lambda_k <= tail_eps; tail_eps must lie in (0, 1).
     A rate so small that the table would pass MAX_TERMS raises InvalidParameter.
     """
-    if not schedule.summable:
-        # exact: (1 - lam)^m -> 0 for a constant lam > 0, and hyperbolic Lambda_s^t = s / (t + 1)
-        return InfiniteProducts(schedule, exact=True, cutoff=0, back=np.zeros(1), remainder=0.0)
-    # exact: zero, a summable (lam = 0) constant and custom past its seq have every factor 1
+    # exact: zero, a summable (lam = 0) constant and custom past its seq have every factor 1, and every
+    # limit of a non-summable kind is 0: (1 - lam)^m -> 0 for lam > 0, and hyperbolic Lambda_s^t = s / (t + 1)
     exact = schedule.kind is not ScheduleKind.EXPONENTIAL
     cutoff = len(schedule.seq) if schedule.kind is ScheduleKind.CUSTOM else 0
     remainder = 0.0
@@ -269,7 +271,7 @@ def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS)
             )
         cutoff = max(1, math.ceil(terms))
         remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))
-    return InfiniteProducts(schedule, exact, cutoff, suffix_products(schedule, cutoff - 1), remainder)
+    return InfiniteProducts(schedule, exact, cutoff, remainder)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ from fjfade import (
     deviation_experiment,
     dynamics,
     experiment,
+    exponential,
+    infinite_products,
+    schedules,
     simulate,
 )
 from fjfade.bounds import CONSENSUS_FLOOR, envelope, lower_bound, upper_bound
@@ -32,6 +35,7 @@ from fjfade.experiment import (
     run_experiment,
     write_outputs,
 )
+from fjfade.schedules import suffix_products
 
 RUN_CONFIG = """\
 [experiment]
@@ -105,6 +109,25 @@ kind = hyperbolic
 [schedule.adversarial]
 kind = adversarial
 tstar = auto
+"""
+
+TWO_AGENT_CONFIG = """\
+[experiment]
+n = 2
+horizon = 10
+
+[graph]
+kind = path
+
+[weights]
+kind = metropolis
+
+[x0]
+{x0}
+
+[schedule.e]
+kind = exponential
+rate = 0.5
 """
 
 
@@ -487,6 +510,38 @@ def test_write_outputs_holds_no_whole_csv(tmp_path):
     assert peak < 0.75 * csv.stat().st_size
 
 
+def slow_exponential_run(sections):
+    """The study graph at horizon 1,000 with `sections` exponential schedules at rates near 1e-4,
+    whose Lambda^inf tables hold about 322,000 entries (2.6 MB) each."""
+    head = STUDY_CONFIG.read_text().split("[schedule.")[0].replace("horizon = 10000", "horizon = 1000")
+    body = "".join(f"[schedule.e{j}]\nkind = exponential\nrate = {1e-4 * (1 + 0.01 * j)!r}\n\n"
+                   for j in range(sections))
+    return run_experiment(parse_config(head + body))
+
+
+class TestOneTableAtATime:
+    @pytest.mark.parametrize("sections", [1, 6])
+    def test_each_table_is_built_once(self, tmp_path, monkeypatch, sections):
+        built = []
+        monkeypatch.setattr(schedules, "suffix_products",
+                            lambda *args: built.append(args) or suffix_products(*args))
+        write_outputs(slow_exponential_run(sections), tmp_path)
+        assert len(built) == sections
+
+    def test_peak_memory_does_not_grow_with_sections(self, tmp_path):
+        # the manifest reads the tables' closed-form facts and each CSV drops its table when done
+        table_bytes = 8 * (infinite_products(exponential(1e-4)).cutoff + 1)
+        peaks = []
+        for sections in (1, 6):
+            tracemalloc.start()
+            try:
+                write_outputs(slow_exponential_run(sections), tmp_path / str(sections))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + table_bytes
+
+
 class TestErrors:
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -547,6 +602,32 @@ class TestErrors:
         manifest = (tmp_path / "out" / "manifest.ini").read_text()
         assert "tail_eps = 1e-320\n" in manifest
         assert f"truncation_cutoff = {math.ceil(-math.log(1e-320) / 0.5)}\n" in manifest
+
+    @pytest.mark.parametrize("x0, key", [("values = 1e160 2", "values"), ("uniform = 0 1e151", "uniform")])
+    def test_huge_opinion_exits_2(self, tmp_path, capsys, x0, key):
+        # n (2 |x0|)^2 overflowed the squared distance from |x0| near 1e154: the ratio column read nan
+        path = tmp_path / "huge.ini"
+        path.write_text(TWO_AGENT_CONFIG.format(x0=x0))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: opinions must lie in [-1e+150, 1e+150]" in err and f"'x0.{key}', line 12" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_opinion_runs(self, tmp_path):
+        # a RuntimeWarning fails the suite, so the distances and ratios stay finite
+        path = tmp_path / "large.ini"
+        path.write_text(TWO_AGENT_CONFIG.format(x0="values = 1e150 2"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        rows = (tmp_path / "out" / "e.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
+
+    def test_term_cap_exits_2_before_writing(self, tmp_path, capsys):
+        # the manifest reads each bounded schedule's cutoff, so its term cap is checked before any file
+        path = tmp_path / "slow.ini"
+        path.write_text(RUN_CONFIG.replace("rate = 0.5", "rate = 1e-9"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "needs 3.22e+10 terms, cap MAX_TERMS = 5000000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify", "tstar"])
     def test_er_without_edges_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, command):

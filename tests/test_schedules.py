@@ -255,6 +255,7 @@ class TestPartitionOfUnity:
 class TestInfiniteProducts:
     def test_exponential_table(self):
         table = infinite_products(exponential(0.5))
+        assert table.cutoff == 65
         assert table.lam_to_inf(1) == pytest.approx(LAMBDA_1_INF_EXP_HALF, abs=1e-13)
         assert table.lam_to_inf(0) == 0.0
         # far beyond the cutoff the product has converged to 1
@@ -322,6 +323,27 @@ class TestInfiniteProducts:
         assert table.cutoff == math.ceil(-math.log(1e-320) / 0.5)
         assert 0.0 < table.remainder < 1e-319
         assert table.lam_to_inf(1) == pytest.approx(LAMBDA_1_INF_EXP_HALF, abs=1e-13)
+
+    @pytest.mark.parametrize("read", ["back", "lam_to_inf"])
+    @pytest.mark.parametrize("tail_eps", [1e-14, 1.5e-12])
+    @pytest.mark.parametrize("sched", [constant(0.0), constant(0.3), exponential(0.5), exponential(0.05),
+                                       hyperbolic(), zero_consensus(), custom([0.5, 0.25, 0.1])],
+                             ids=lambda s: s.label)
+    def test_table_is_built_on_first_read(self, sched, tail_eps, read):
+        table = infinite_products(sched, tail_eps)
+        assert "back" not in vars(table)  # exact, cutoff and remainder need no table
+        if sched.kind.value == "exponential":
+            cutoff = max(1, math.ceil(-math.log(tail_eps) / sched.rate))
+            facts = (False, cutoff, math.exp(-sched.rate * cutoff) / (1.0 - math.exp(-sched.rate)))
+        else:
+            facts = (True, len(sched.seq), 0.0)
+        assert (table.exact, table.cutoff, table.remainder) == facts
+        if read == "back":
+            table.back
+        else:
+            table.lam_to_inf(np.arange(3))
+        expected = suffix_products(sched, table.cutoff - 1) if sched.summable else np.zeros(1)
+        assert vars(table)["back"].tobytes() == expected.tobytes()
 
     def test_cutoff_is_unchanged(self):
         # the -log form gives the log(1 / tail_eps) cutoff wherever that is finite
