@@ -25,10 +25,10 @@ MAX_HORIZON = 10**6
 MAX_AGENTS = 10_000
 # The squared l2 distance from consensus, at most n (2 |x0|)^2, stays finite for n <= MAX_AGENTS.
 MAX_OPINION = 1e150
-# Besides its dense n x n matrices, near 48 bytes per agent pair (`run` on paths: 79 MB at n = 1,000,
-# 139 MB at 1,500), a run holds each edge as an (i, j) tuple, about 50 bytes and 2 us per edge
-# (complete graphs: 104 MB and 1.5 s, 196 MB and 3.4 s, 1 BLAS thread): 250 MB at the cap.
-MAX_EDGES = 5_000_000
+# Besides its dense n x n matrices, near 48 bytes per agent pair (`run` on paths: 80, 139 and 221 MB
+# at n = 1,000, 1,500 and 2,000), a run's edge arrays add about 21 bytes per edge (complete graphs:
+# 90, 161 and 262 MB, 1 BLAS thread, lazy Metropolis weights): 250 MB at the cap.
+MAX_EDGES = 12_000_000
 SCHEDULE_KEYS = {kind.value: set(names) for kind, names in SCHEDULE_PARAMS.items()}
 SCHEDULE_KEYS["adversarial"] = {"tstar", "target"}
 
@@ -92,7 +92,7 @@ class ExperimentConfig:
         edges = {"complete": pairs, "er": self.graph.p * pairs}.get(self.graph.kind, 0)
         if edges > MAX_EDGES:
             raise ConfigError(f"{self.graph.kind} graph on {self.n} agents expects {edges:.3g} edges, over the "
-                              f"cap of {MAX_EDGES} that holds its edge lists near 250 MB", field="graph")
+                              f"cap of {MAX_EDGES} that holds its edge arrays near 250 MB", field="graph")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
         if not 0.0 < self.tail_eps < 1.0:

@@ -1,14 +1,14 @@
 """Networks, stochastic weight matrices, and their spectral data.
 
-Agents are indexed 0..n-1. Undirected edges are stored as (i, j) pairs with
-i < j in lexicographic order. Weight matrices always put positive mass on
-the closed neighborhood N(i) u {i} and nowhere else, which makes them
-primitive whenever the underlying network is connected.
+Agents are indexed 0..n-1. Undirected edges are stored as one read-only
+(m, 2) int64 array of (i, j) rows with i < j, which degrees, connectivity
+and weights read without a Python object per edge. Weight matrices always
+put positive mass on the closed neighborhood N(i) u {i} and nowhere else,
+which makes them primitive whenever the underlying network is connected.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AsymmetricWeights, DimensionMismatch, DisconnectedNetwork, InvalidParameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Undirected simple graph on n agents.
 
@@ -26,20 +26,25 @@ class Network:
     ----------
     n : int
         Number of agents, >= 1.
-    edges : tuple of (int, int)
-        Edge list with i < j, no self loops, no duplicates.
+    edges : sequence of (int, int)
+        Edge list with i < j, no self loops, no duplicates; kept in order.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameter(f"need at least one agent, got n={self.n}")
-        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        e = np.array(self.edges)
+        if e.size and e.dtype.kind not in "biu":  # a non-integer, or an int past int64: a cast would truncate
+            i, j = next(p for p in self.edges if not all(isinstance(v, (int, np.integer)) and 0 <= v < self.n
+                                                         for v in p))
+            raise InvalidParameter(f"edge ({i}, {j}) invalid for n={self.n}")
+        e = e.astype(np.int64, copy=False).reshape(-1, 2)
         bad = np.flatnonzero((e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= self.n))
         if bad.size:
-            i, j = self.edges[bad[0]]
+            i, j = e[bad[0]]
             raise InvalidParameter(f"edge ({i}, {j}) invalid for n={self.n}")
         keys = e[:, 0] * self.n + e[:, 1]  # i n + j orders the pairs as (i, j) does
         if (keys[1:] <= keys[:-1]).any():  # the builders' ordered pairs skip the sort
@@ -48,32 +53,27 @@ class Network:
             if dup.size:
                 i, j = divmod(int(keys[dup[0]]), self.n)
                 raise InvalidParameter(f"duplicate edge ({i}, {j})")
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.neighbors])
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def connected(self) -> bool:
-        """Breadth-first reachability of every agent from agent 0."""
-        seen = [False] * self.n
-        seen[0] = True
-        queue = [0]
-        while queue:
-            i = queue.pop()
-            for j in self.neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-        return all(seen)
+        """Union-find: each root hooks to the smallest root it shares an edge with,
+        then every pointer jumps to its root, until no edge joins two roots."""
+        root = np.arange(self.n)
+        i, j = self.edges.T
+        while i.size:
+            np.minimum.at(root, i, j)
+            np.minimum.at(root, j, i)
+            while not np.array_equal(up := root[root], root):
+                root = up
+            keep = root[i] != root[j]
+            i, j = root[i[keep]], root[j[keep]]
+        return not root.any()  # roots only hook to smaller ones, so agent 0 roots its component
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Network:
@@ -103,33 +103,31 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Network:
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n - 1):
-        # row i draws pairs (i, i+1..n-1): chunked draws equal one long draw
-        js = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
-        edges.extend((i, j) for j in js.tolist())
-    return Network(n=n, edges=tuple(edges))
+    # row i draws pairs (i, i+1..n-1): chunked draws equal one long draw
+    js = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
+    i = np.repeat(np.arange(n - 1), [len(row) for row in js])
+    return Network(n=n, edges=np.column_stack((i, np.concatenate(js))))
 
 
 def path_graph(n: int) -> Network:
     """Path 0 - 1 - ... - (n-1)."""
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    return Network(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+    return Network(n=n, edges=np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
 
 def star_graph(n: int) -> Network:
     """Star with center 0 and leaves 1..n-1."""
     if n < 2:
         raise InvalidParameter(f"need n >= 2, got {n}")
-    return Network(n=n, edges=tuple((0, i) for i in range(1, n)))
+    return Network(n=n, edges=np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n))))
 
 
 def complete_graph(n: int) -> Network:
     """Complete graph on n agents."""
     if n < 2:
         raise InvalidParameter(f"need n >= 2, got {n}")
-    return Network(n=n, edges=tuple(itertools.combinations(range(n), 2)))
+    return Network(n=n, edges=np.column_stack(np.triu_indices(n, 1)))
 
 
 class WeightKind(str, Enum):
@@ -231,11 +229,9 @@ def metropolis_weights(net: Network, lazy: bool = False) -> WeightedNetwork:
         raise DisconnectedNetwork("metropolis weights need a connected network")
     n = net.n
     deg = net.degrees
+    i, j = net.edges.T
     W = np.zeros((n, n))
-    for i, j in net.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
+    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     if lazy:  # (W + I) / 2 bit for bit, as halving is exact
         W /= 2.0
@@ -258,9 +254,12 @@ def _row_stochastic_from_rng(net: Network, rng) -> WeightedNetwork:
     if not net.connected:
         raise DisconnectedNetwork("row-stochastic weights need a connected network")
     n = net.n
+    i, j = net.edges.T
     W = np.zeros((n, n))
+    W[i, j] = W[j, i] = 1.0  # mark the supports N(i) u {i}; row i is read before it is overwritten
+    np.fill_diagonal(W, 1.0)
     for i in range(n):
-        support = sorted(set(net.neighbors[i]) | {i})
+        support = np.flatnonzero(W[i])
         raw = 1.0 + rng.random(len(support))
         W[i, support] = raw / raw.sum()
     return WeightedNetwork(network=net, W=W, kind=WeightKind.ROW_STOCHASTIC)

@@ -575,14 +575,14 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["run", "verify", "tstar"])
     def test_edge_cap_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, command):
-        # a complete graph on 3,163 agents has 5,000,703 edges
+        # a complete graph on 4,900 agents has 12,002,550 edges
         for name in ("complete_graph", "generate_erdos_renyi"):
             monkeypatch.setattr(experiment, name, lambda *a: pytest.fail("graph was built"))
         path = tmp_path / "dense.ini"
-        path.write_text(RUN_CONFIG.replace("n = 8", "n = 3163").replace("kind = er\np = 0.45", "kind = complete"))
+        path.write_text(RUN_CONFIG.replace("n = 8", "n = 4900").replace("kind = er\np = 0.45", "kind = complete"))
         assert main([command, str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "expects 5e+06 edges, over the cap of 5000000" in err
+        assert "config error" in err and "expects 1.2e+07 edges, over the cap of 12000000" in err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("tail_eps", ["0", "-1", "1"])

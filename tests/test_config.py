@@ -153,22 +153,22 @@ class TestRejection:
         assert parse_config(GOOD.replace("n = 6", "n = 10000").replace("p = 0.4", "p = 0.001")).n == 10000
 
     @pytest.mark.parametrize("graph, n, edges", [
-        ("kind = complete", 3163, "5e+06"),
+        ("kind = complete", 4900, "1.2e+07"),
         ("kind = er\np = 0.4", 10000, "2e+07"),
-        ("kind = er\np = 0.1001", 10000, "5e+06"),
+        ("kind = er\np = 0.2401", 10000, "1.2e+07"),
     ])
     def test_edge_cap(self, monkeypatch, graph, n, edges):
         # rejected at parse time, before any builder runs
         for name in ("complete_graph", "generate_erdos_renyi"):
             monkeypatch.setattr(f"fjfade.experiment.{name}", lambda *a: pytest.fail("graph was built"))
         text = GOOD.replace("n = 6", f"n = {n}").replace("kind = er\np = 0.4", graph)
-        with pytest.raises(ConfigError, match=f"expects {re.escape(edges)} edges, over the cap of 5000000") as info:
+        with pytest.raises(ConfigError, match=f"expects {re.escape(edges)} edges, over the cap of 12000000") as info:
             parse_config(text)
         assert info.value.field == "graph"
-        # about 50 bytes an edge: 250 MB at the cap
-        assert "over the cap of 5000000 that holds its edge lists near 250 MB (field 'graph')" in str(info.value)
+        # about 21 bytes an edge: 250 MB at the cap
+        assert "over the cap of 12000000 that holds its edge arrays near 250 MB (field 'graph')" in str(info.value)
 
-    @pytest.mark.parametrize("graph, n", [("kind = complete", 3162), ("kind = er\np = 0.1", 10000),
+    @pytest.mark.parametrize("graph, n", [("kind = complete", 4899), ("kind = er\np = 0.24", 10000),
                                           ("kind = path", 10000)])
     def test_edge_cap_admits(self, graph, n):
         cfg = parse_config(GOOD.replace("n = 6", f"n = {n}").replace("kind = er\np = 0.4", graph))

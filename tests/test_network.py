@@ -1,7 +1,10 @@
 """Tests for graph generation, consensus weights, and spectral extraction.
 
 The edge-list oracle below draws one uniform per vertex pair in lexicographic
-order with scalar rng calls; the generator must reproduce it exactly.
+order with scalar rng calls; the generator must reproduce it exactly. The
+graph oracles after it walk the edges one Python pair at a time: a neighbour
+table of sorted tuples, a breadth-first search over it, and the per-edge and
+per-row weight loops. The array code must match them in every bit.
 """
 
 import itertools
@@ -43,6 +46,81 @@ def scalar_er_oracle(n, p, seed):
     return tuple(edges)
 
 
+def edge_array(pairs):
+    """The (m, 2) int64 array a network stores for these pairs."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def neighbors_oracle(net):
+    """Each agent's neighbours as a sorted tuple, built one edge at a time."""
+    adj = [[] for _ in range(net.n)]
+    for i, j in net.edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def bfs_connected_oracle(net):
+    """Breadth-first reachability of every agent from agent 0."""
+    neighbors = neighbors_oracle(net)
+    seen = [False] * net.n
+    seen[0] = True
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in neighbors[i]:
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    return all(seen)
+
+
+def metropolis_oracle(net, lazy=False):
+    """W_ij = 1 / (1 + max(d_i, d_j)) set one edge at a time, then the diagonal."""
+    n = net.n
+    deg = np.array([len(a) for a in neighbors_oracle(net)])
+    W = np.zeros((n, n))
+    for i, j in net.edges.tolist():
+        w = 1.0 / (1.0 + max(deg[i], deg[j]))
+        W[i, j] = w
+        W[j, i] = w
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    if lazy:
+        W /= 2.0
+        W.flat[::n + 1] += 0.5
+    return W
+
+
+def row_stochastic_oracle(net, rng):
+    """One batch of draws per row over the sorted set N(i) u {i}, normalized by its own sum."""
+    neighbors = neighbors_oracle(net)
+    W = np.zeros((net.n, net.n))
+    for i in range(net.n):
+        support = sorted(set(neighbors[i]) | {i})
+        raw = 1.0 + rng.random(len(support))
+        W[i, support] = raw / raw.sum()
+    return W
+
+
+@st.composite
+def edge_sets(draw):
+    """A graph on n <= 60 agents under a random labelling and edge order: random
+    pairs, a path, a random tree, or two random trees with no edge between them."""
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["pairs", "path", "tree", "union"]))
+    if shape == "pairs":
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    elif shape == "path":
+        pairs = [(k, k + 1) for k in range(n - 1)]
+    else:
+        cut = draw(st.integers(1, max(1, n - 1))) if shape == "union" else n
+        pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, cut)]
+        pairs += [(draw(st.integers(cut, k - 1)), k) for k in range(cut + 1, n)]
+    label = draw(st.permutations(range(n)))
+    edges = sorted({(min(label[i], label[j]), max(label[i], label[j])) for i, j in pairs if i != j})
+    return Network(n=n, edges=draw(st.permutations(edges)))
+
+
 class TestNetwork:
     def test_validation(self):
         with pytest.raises(InvalidParameter):
@@ -64,7 +142,7 @@ class TestNetwork:
         invalid = [e for e in edges if not 0 <= e[0] < e[1] < n]
         repeated = [e for k, e in enumerate(edges) if e in edges[:k]]
         if not invalid and not repeated:
-            assert Network(n=n, edges=tuple(edges)).edges == tuple(edges)
+            np.testing.assert_array_equal(Network(n=n, edges=tuple(edges)).edges, edge_array(edges), strict=True)
             return
         with pytest.raises(InvalidParameter) as err:
             Network(n=n, edges=tuple(edges))
@@ -86,25 +164,90 @@ class TestNetwork:
 
     def test_neighbors_and_degrees(self):
         net = Network(n=4, edges=((0, 1), (1, 2), (1, 3)))
-        assert net.neighbors[1] == (0, 2, 3)
-        assert net.neighbors[3] == (1,)
+        assert neighbors_oracle(net)[1] == (0, 2, 3)
+        assert neighbors_oracle(net)[3] == (1,)
         np.testing.assert_array_equal(net.degrees, [1, 3, 1, 1])
 
     def test_connectivity(self):
         assert Network(n=3, edges=((0, 1), (1, 2))).connected
         assert not Network(n=4, edges=((0, 1), (2, 3))).connected
         assert not Network(n=3, edges=()).connected
+        assert Network(n=1, edges=()).connected
+
+    def test_edges_are_a_read_only_int64_array(self):
+        given_edges = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        net = Network(n=3, edges=given_edges)
+        np.testing.assert_array_equal(net.edges, edge_array(((0, 1), (1, 2))), strict=True)
+        with pytest.raises(ValueError, match="read-only"):
+            net.edges[0, 0] = 1
+        assert given_edges.flags.writeable  # the caller's array is copied, not frozen
+
+    @pytest.mark.parametrize("edges, named", [
+        (((0, 1), (0, 1.5)), "(0, 1.5)"),
+        (((0, 1.0),), "(0, 1.0)"),
+        (np.array([[0.0, 2.0]]), "(0.0, 2.0)"),
+        (((0, "1"),), "(0, 1)"),
+        (((0, None),), "(0, None)"),
+        (((0, 2**63),), f"(0, {2**63})"),
+        (((0, 1), (-1, 2**70)), f"(-1, {2**70})"),
+    ])
+    def test_non_integer_edge_refused(self, edges, named):
+        # an int64 cast would truncate 1.5 to 1 and build a different graph
+        with pytest.raises(InvalidParameter, match=re.escape(f"edge {named} invalid for n=3")):
+            Network(n=3, edges=edges)
+
+    def test_boolean_entries_are_integers(self):
+        np.testing.assert_array_equal(Network(n=2, edges=((False, True),)).edges, edge_array(((0, 1),)), strict=True)
+
+    def test_long_relabelled_path_is_connected(self):
+        # a randomly labelled path takes many hook rounds and long pointer chains
+        label = np.random.default_rng(0).permutation(5000)
+        i, j = label[:-1], label[1:]
+        net = Network(n=5000, edges=np.column_stack((np.minimum(i, j), np.maximum(i, j))))
+        assert net.connected and bfs_connected_oracle(net)
+        cut = Network(n=5000, edges=net.edges[np.arange(len(net.edges)) != 2500])
+        assert not cut.connected and not bfs_connected_oracle(cut)
+
+
+class TestPerEdgeOracles:
+    """Connectivity, degrees and both weight builders against the per-edge loops."""
+
+    @given(net=edge_sets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_edge_oracles(self, net, seed):
+        assert net.connected is bfs_connected_oracle(net)
+        np.testing.assert_array_equal(net.degrees, [len(a) for a in neighbors_oracle(net)], strict=True)
+        if not net.connected:
+            for build in (metropolis_weights, lambda net: row_stochastic_weights(net, seed)):
+                with pytest.raises(DisconnectedNetwork):
+                    build(net)
+            return
+        for lazy in (False, True):
+            assert metropolis_weights(net, lazy=lazy).W.tobytes() == metropolis_oracle(net, lazy).tobytes()
+        expect = row_stochastic_oracle(net, np.random.default_rng(seed))
+        assert row_stochastic_weights(net, seed).W.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("graph", [generate_erdos_renyi(300, 0.3, 1), generate_erdos_renyi(400, 0.02, 2),
+                                       complete_graph(200), star_graph(300)], ids=["er_dense", "er_sparse",
+                                                                                   "complete", "star"])
+    def test_large_graphs_bit_for_bit(self, graph):
+        assert graph.connected is bfs_connected_oracle(graph)
+        for lazy in (False, True):
+            assert metropolis_weights(graph, lazy=lazy).W.tobytes() == metropolis_oracle(graph, lazy).tobytes()
+        expect = row_stochastic_oracle(graph, np.random.default_rng(5))
+        assert row_stochastic_weights(graph, seed=5).W.tobytes() == expect.tobytes()
 
 
 class TestErdosRenyi:
     def test_frozen_oracle(self):
         net = generate_erdos_renyi(5, 0.5, 7)
-        assert net.edges == ER_5_HALF_7_EDGES
+        np.testing.assert_array_equal(net.edges, edge_array(ER_5_HALF_7_EDGES), strict=True)
 
     @given(n=st.integers(2, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
     @settings(max_examples=50, deadline=None)
     def test_matches_scalar_oracle(self, n, p, seed):
-        assert generate_erdos_renyi(n, p, seed).edges == scalar_er_oracle(n, p, seed)
+        np.testing.assert_array_equal(generate_erdos_renyi(n, p, seed).edges,
+                                      edge_array(scalar_er_oracle(n, p, seed)), strict=True)
 
     def test_memory_is_linear_in_n(self):
         # all n(n-1)/2 pair tuples at n = 1,500 would take about 80 MB
@@ -118,8 +261,8 @@ class TestErdosRenyi:
         assert peak < 8 * 2**20
 
     def test_extremes(self):
-        assert generate_erdos_renyi(6, 0.0, 3).edges == ()
-        assert generate_erdos_renyi(6, 1.0, 3).edges == complete_graph(6).edges
+        np.testing.assert_array_equal(generate_erdos_renyi(6, 0.0, 3).edges, edge_array(()), strict=True)
+        np.testing.assert_array_equal(generate_erdos_renyi(6, 1.0, 3).edges, complete_graph(6).edges, strict=True)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
@@ -131,12 +274,12 @@ class TestErdosRenyi:
 class TestNamedGraphs:
     def test_path(self):
         net = path_graph(4)
-        assert net.edges == ((0, 1), (1, 2), (2, 3))
+        np.testing.assert_array_equal(net.edges, edge_array(((0, 1), (1, 2), (2, 3))), strict=True)
         assert net.connected
 
     def test_star(self):
         net = star_graph(4)
-        assert net.edges == ((0, 1), (0, 2), (0, 3))
+        np.testing.assert_array_equal(net.edges, edge_array(((0, 1), (0, 2), (0, 3))), strict=True)
         np.testing.assert_array_equal(net.degrees, [3, 1, 1, 1])
 
     def test_complete(self):
@@ -246,8 +389,9 @@ class TestWeightInvariants:
         assert (w.kind is WeightKind.DOUBLY_STOCHASTIC) == (builder != "row_stochastic")
         if w.kind is WeightKind.DOUBLY_STOCHASTIC:
             np.testing.assert_allclose(W.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        neighbors = neighbors_oracle(net)
         for i in range(net.n):  # positive exactly on the closed neighborhood
-            assert set(np.flatnonzero(W[i] > 0).tolist()) == set(net.neighbors[i]) | {i}
+            assert set(np.flatnonzero(W[i] > 0).tolist()) == set(neighbors[i]) | {i}
 
 
 class TestRowStochasticWeights:
@@ -259,8 +403,9 @@ class TestRowStochasticWeights:
         w = row_stochastic_fixture
         net = w.network
         np.testing.assert_allclose(w.W.sum(axis=1), np.ones(net.n), atol=1e-12)
+        neighbors = neighbors_oracle(net)
         for i in range(net.n):
-            support = set(net.neighbors[i]) | {i}
+            support = set(neighbors[i]) | {i}
             assert set(np.nonzero(w.W[i])[0]) == support
         assert w.kind is WeightKind.ROW_STOCHASTIC
 
