@@ -50,7 +50,6 @@ from .errors import (
 from .network import (
     Network,
     WeightedNetwork,
-    WeightKind,
     complete_graph,
     generate_erdos_renyi,
     metropolis_weights,

@@ -36,14 +36,13 @@ import numpy as np
 
 from .dynamics import CHUNK, Trajectory
 from .errors import (
-    AsymmetricWeights,
     ConsensusInitialCondition,
     FjfadeError,
     InvalidParameter,
     NonUniformUnsupported,
     NonVanishingSchedule,
 )
-from .network import WeightedNetwork, WeightKind
+from .network import WeightedNetwork
 from .schedules import TAIL_EPS, CompetitionSchedule, NonUniformSchedule, infinite_products
 
 # d(0) below this is numerically a consensus start, and d(t) / d(0) is undefined.
@@ -53,12 +52,12 @@ CONSENSUS_FLOOR = 1e-14
 def envelope_error(
     weighted: WeightedNetwork, schedule: CompetitionSchedule | NonUniformSchedule, label: str
 ) -> FjfadeError | None:
-    """None when the envelope applies: doubly stochastic weights with sigma_max
-    in (0, 1) and a uniform, vanishing schedule. Else the typed error that says
-    why not, naming the schedule's `label`; sigma_max is read only for doubly
-    stochastic weights, so row-stochastic ones never factorize here."""
+    """None when the envelope applies: W doubly stochastic (`weighted.doubly_stochastic`,
+    read from W's column sums) with sigma_max in (0, 1), and a uniform, vanishing
+    schedule. Else the typed error that says why not, naming the schedule's `label`;
+    sigma_max is read only for doubly stochastic W, so other W never factorize here."""
     where = f"schedule {label!r}"
-    if weighted.kind is not WeightKind.DOUBLY_STOCHASTIC:
+    if not weighted.doubly_stochastic:
         return InvalidParameter(f"{where}: rate bounds need doubly stochastic weights")
     sigma_max = weighted.sigma_max
     if not 0.0 < sigma_max < 1.0:
@@ -167,10 +166,9 @@ def empirical_ratio(traj: Trajectory) -> np.ndarray:
 def worst_case_initial_condition(weighted: WeightedNetwork, x_ss_target: float) -> np.ndarray:
     """x0 = x_ss_target 1 + v2, the initial condition attaining the lower bound.
 
-    Requires symmetric weights so v2 is an eigenvector; with a nonnegative
-    second eigenvalue (e.g. lazy Metropolis) the simulated ratio from this
-    x0 reproduces lower_bound(t) exactly.
+    `v2` needs symmetric weights, so that it is an eigenvector, and raises
+    AsymmetricWeights otherwise; when its eigenvalue is positive (always under
+    lazy Metropolis) the simulated ratio from this x0 reproduces lower_bound(t)
+    exactly.
     """
-    if not weighted.symmetric:
-        raise AsymmetricWeights("the worst-case construction needs symmetric weights")
     return x_ss_target + weighted.v2

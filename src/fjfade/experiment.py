@@ -28,7 +28,6 @@ from .dynamics import BUFFER_ELEMENTS, CHUNK, Trajectory, modal_distances, simul
 from .errors import DisconnectedNetwork, InvalidParameter
 from .network import (
     Network,
-    WeightKind,
     WeightedNetwork,
     complete_graph,
     generate_erdos_renyi,
@@ -239,7 +238,7 @@ def render_manifest(result: ExperimentResult) -> str:
         "",
         "[weights]",
         f"kind = {cfg.weights}",
-        f"doubly_stochastic = {str(weighted.kind is WeightKind.DOUBLY_STOCHASTIC).lower()}",
+        f"doubly_stochastic = {str(weighted.doubly_stochastic).lower()}",
         f"weight_draws = {result.weight_draws}",
         f"symmetric = {str(weighted.symmetric).lower()}",
         f"sigma_max = {_fmt(weighted.sigma_max)}",
@@ -320,10 +319,12 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
     Per uniform schedule, in section order, the witness x0 = x_ss 1 + v2 and
     `trials` random starts from the (seed, 3) stream form one n x (trials + 1)
     block, whose distances `modal_distances` evaluates in W's eigenbasis. Their
-    ratios must sit below the upper edge of `bounds.envelope`, and under
-    lazy_metropolis weights the witness, which attains the lower edge, must
-    not fall below it. A random start within CONSENSUS_FLOOR of consensus has
-    no ratio and is skipped. With self_test=True the upper edge is shifted
+    ratios must sit below the upper edge of `bounds.envelope`. When the
+    witness's eigenvalue, the one of largest magnitude in `weighted.modes`, is
+    positive (always under lazy_metropolis weights), the witness attains the
+    lower edge and must not fall below it; else its lower deficit is None. A
+    random start within CONSENSUS_FLOOR of consensus has no ratio and is
+    skipped. With self_test=True the upper edge is shifted
     down by 0.1 plus the witness's largest headroom below it, so that it lies
     at least 0.1 below the witness at every step and the check must FAIL.
 
@@ -379,7 +380,9 @@ def _verify_schedule(weighted: WeightedNetwork, cfg: ExperimentConfig, spec: Sch
     excess = np.subtract(top[1:], upper, out=top[1:])  # top's memory, reused for the witness
     random_excess = float(np.max(excess, initial=-math.inf))
     upper_excess = float(np.max(np.subtract(ratio, upper, out=excess)))
-    lower_deficit = float(np.max(np.subtract(lower, ratio, out=excess))) if cfg.weights == "lazy_metropolis" else None
+    mu = weighted.modes[0]
+    attained = mu[np.argmax(np.abs(mu))] > 0  # the witness's eigenvalue: a positive one attains the lower edge
+    lower_deficit = float(np.max(np.subtract(lower, ratio, out=excess))) if attained else None
     return ScheduleVerification(
         label=spec.label, steps=cfg.horizon,
         witness_max_upper_excess=upper_excess,

@@ -10,7 +10,6 @@ which makes them primitive whenever the underlying network is connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -130,24 +129,18 @@ def complete_graph(n: int) -> Network:
     return Network(n=n, edges=np.column_stack(np.triu_indices(n, 1)))
 
 
-class WeightKind(str, Enum):
-    DOUBLY_STOCHASTIC = "doubly_stochastic"
-    ROW_STOCHASTIC = "row_stochastic"
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedNetwork:
     """A network together with a stochastic weight matrix on it.
 
-    `perron` is computed on first read and cached, and so are `sigma_max`,
-    `v2` and `modes`, together from one `factorize` call. A command that
-    reads none of those three never factorizes W, and a copy made with
+    Every fact about W is read from W on first use and cached: `symmetric`,
+    `doubly_stochastic`, `perron`, `modes`, `sigma_max` and `v2`. A command
+    that reads none of the last three never factorizes W, and a copy made with
     dataclasses.replace recomputes them all from its own W.
     """
 
     network: Network
     W: np.ndarray
-    kind: WeightKind
 
     @property
     def n(self) -> int:
@@ -159,6 +152,11 @@ class WeightedNetwork:
         W = self.W
         blocks = (W[i:i + 64] - W[:, i:i + 64].T for i in range(0, len(W), 64))
         return all(np.abs(b).max() <= 1e-12 for b in blocks)
+
+    @cached_property
+    def doubly_stochastic(self) -> bool:
+        """Whether W's columns, like its rows, sum to 1 within 1e-12; symmetric W is."""
+        return self.symmetric or bool(np.abs(self.W.sum(axis=0) - 1.0).max() <= 1e-12)
 
     @cached_property
     def perron(self) -> np.ndarray:
@@ -181,24 +179,44 @@ class WeightedNetwork:
             raise InvalidParameter("weight matrix is not primitive: its stationary vector is not positive")
         return v
 
+    def _deflated(self) -> np.ndarray | None:
+        """A = W - 1 perron^T, or None when every entry is below 1e-15 (W = 1 perron^T)."""
+        A = self.W - self.perron  # by broadcasting
+        return None if max(A.max(), -A.min()) < 1e-15 else A
+
     @cached_property
-    def _factors(self) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-        return factorize(self)
-
-    @property
-    def sigma_max(self) -> float:
-        return self._factors[0]
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self._factors[1]
-
-    @property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, V): the eigenvalues of W - 11^T/n and their orthonormal eigenvectors, for symmetric W."""
+        """(mu, V): the eigenvalues of A = W - 11^T/n and their orthonormal
+        eigenvectors, from one eigh, for symmetric W; mu = 0 on the basis
+        e_0..e_{n-1} when A vanishes."""
         if not self.symmetric:
             raise AsymmetricWeights("an orthonormal eigenbasis needs symmetric weights")
-        return self._factors[2]
+        A = self._deflated()
+        return (np.zeros(self.n), np.eye(self.n)) if A is None else np.linalg.eigh(A)
+
+    @cached_property
+    def sigma_max(self) -> float:
+        """The largest singular value of A = W - 1 perron^T, the second singular
+        value of W when W is doubly stochastic: the largest |mu| of `modes` for
+        symmetric W, else from a values-only SVD of A; 0.0 when A vanishes."""
+        if self.symmetric:
+            return float(np.abs(self.modes[0]).max())
+        A = self._deflated()
+        return 0.0 if A is None else float(np.linalg.svd(A, compute_uv=False)[0])
+
+    @cached_property
+    def v2(self) -> np.ndarray:
+        """The unit eigenvector of `modes` at the eigenvalue of largest
+        magnitude, signed so that its largest-magnitude entry is nonnegative;
+        (e_0 - e_{n-1}) / sqrt(2), which A maps to 0, when every mu is 0.
+        Symmetric W only: else raises AsymmetricWeights."""
+        mu, V = self.modes
+        if not mu.any():
+            v2 = np.zeros(self.n)
+            v2[0], v2[-1] = np.sqrt(0.5), -np.sqrt(0.5)
+            return v2
+        v2 = V[:, np.argmax(np.abs(mu))]
+        return -v2 if v2[np.argmax(np.abs(v2))] < 0 else v2
 
     def consensus_value(self, x0: np.ndarray) -> float | np.ndarray:
         """Nominal consensus value perron^T x0; one per column of an n x B block."""
@@ -236,7 +254,7 @@ def metropolis_weights(net: Network, lazy: bool = False) -> WeightedNetwork:
     if lazy:  # (W + I) / 2 bit for bit, as halving is exact
         W /= 2.0
         W.flat[::n + 1] += 0.5
-    return WeightedNetwork(network=net, W=W, kind=WeightKind.DOUBLY_STOCHASTIC)
+    return WeightedNetwork(network=net, W=W)
 
 
 def row_stochastic_weights(net: Network, seed: int) -> WeightedNetwork:
@@ -262,34 +280,4 @@ def _row_stochastic_from_rng(net: Network, rng) -> WeightedNetwork:
         support = np.flatnonzero(W[i])
         raw = 1.0 + rng.random(len(support))
         W[i, support] = raw / raw.sum()
-    return WeightedNetwork(network=net, W=W, kind=WeightKind.ROW_STOCHASTIC)
-
-
-def factorize(weighted: WeightedNetwork) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """sigma_max, the largest singular value of A = W - 1 perron^T (the second
-    singular value of W when W is doubly stochastic), its right singular
-    vector v2 (unit norm, orthogonal to 1, largest-magnitude entry
-    nonnegative), and the eigenpairs (mu, V) of A when W is symmetric, else None.
-    One dense O(n^3) factorization after the cached `perron`, with no
-    tolerance or iteration cap: for symmetric W, eigh of A = W - 11^T / n,
-    whose eigenvalue lam of largest magnitude gives sigma_max = |lam| and v2;
-    else the leading pair of the SVD of A. When A vanishes (W = 1 perron^T),
-    sigma_max is 0.0, v2 = (e_0 - e_{n-1}) / sqrt(2), which A maps to 0, and
-    the modes are mu = 0 on the basis e_0..e_{n-1}.
-    """
-    A = weighted.W - weighted.perron  # W - 1 perron^T by broadcasting
-    if max(A.max(), -A.min()) < 1e-15:
-        v2 = np.zeros(weighted.n)
-        v2[0], v2[-1] = np.sqrt(0.5), -np.sqrt(0.5)
-        return 0.0, v2, (np.zeros(weighted.n), np.eye(weighted.n))
-    if weighted.symmetric:
-        lam, V = modes = np.linalg.eigh(A)
-        k = int(np.argmax(np.abs(lam)))
-        sigma, v2 = abs(lam[k]), V[:, k]
-    else:
-        modes = None
-        _, s, Vt = np.linalg.svd(A)
-        sigma, v2 = s[0], Vt[0]
-    if v2[np.argmax(np.abs(v2))] < 0:
-        v2 = -v2
-    return float(sigma), v2, modes
+    return WeightedNetwork(network=net, W=W)

@@ -17,7 +17,9 @@ from fjfade import (
     AsymmetricWeights,
     ConsensusInitialCondition,
     InvalidParameter,
+    Network,
     NonVanishingSchedule,
+    WeightedNetwork,
     constant,
     custom,
     empirical_ratio,
@@ -32,7 +34,7 @@ from fjfade import (
     worst_case_initial_condition,
     zero_consensus,
 )
-from fjfade.bounds import envelope
+from fjfade.bounds import envelope, envelope_error
 from fjfade.dynamics import CHUNK
 
 FAR = 600  # finite stand-in for the infinite tail
@@ -300,3 +302,33 @@ class TestWorstCaseWitness:
             ratio = empirical_ratio(traj)
             assert (ratio <= series + 1e-10).all()
 
+
+
+class TestEnvelopeRule:
+    """`envelope_error` reads double stochasticity from W's column sums, not from how W was built."""
+
+    def test_lazy_directed_cycle_keeps_the_envelope(self):
+        # W = (I + P) / 2 for the cyclic shift P: doubly stochastic, not symmetric,
+        # with singular values |cos(pi k / n)|, so sigma_max = cos(pi / n)
+        n = 6
+        W = (np.eye(n) + np.roll(np.eye(n), 1, axis=1)) / 2.0
+        w = WeightedNetwork(Network(n=n, edges=[(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]), W)
+        assert w.doubly_stochastic and not w.symmetric
+        assert w.sigma_max == pytest.approx(np.cos(np.pi / n), abs=1e-12)
+        rng = np.random.default_rng(4)
+        for sched in (exponential(0.5), hyperbolic()):
+            assert envelope_error(w, sched, "s") is None
+            _, upper = envelope(w.sigma_max, sched, 200)
+            for _ in range(5):
+                ratio = empirical_ratio(simulate(w, rng.standard_normal(n), sched, 200))[1:]
+                assert (ratio <= upper + 1e-12).all()
+
+    def test_rows_without_columns_are_refused(self, factorizations):
+        # rows sum to 1, columns to 3/4, 3/2 and 3/4: the envelope does not
+        # apply, and the rule says so without factorizing W
+        W = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        w = WeightedNetwork(Network(n=3, edges=[(0, 1), (1, 2)]), W)
+        assert not w.doubly_stochastic
+        error = envelope_error(w, hyperbolic(), "s")
+        assert isinstance(error, InvalidParameter) and "doubly stochastic" in str(error)
+        assert factorizations == []

@@ -12,6 +12,7 @@ import pytest
 from fjfade import (
     DisconnectedNetwork,
     FjfadeError,
+    Network,
     cli,
     constant,
     deviation_experiment,
@@ -225,6 +226,32 @@ class TestVerify:
         assert main(["verify", str(path), "--horizon", "150", "--trials", "5"]) == 0
         stdout = capsys.readouterr().out
         assert "PASS fast" in stdout and "PASS slow" in stdout
+
+    def test_metropolis_witness_checks_the_lower_edge(self, tmp_path, capsys):
+        # the eigenvalue of largest magnitude is positive on this graph (0.746),
+        # so the witness attains the lower edge and its deficit is printed
+        path = tmp_path / "v.ini"
+        path.write_text(RUN_CONFIG)
+        assert main(["verify", str(path), "--trials", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["PASS fast", "PASS slow"]
+        for line in lines:
+            deficit = float(line.split("witness_lower_deficit=")[1].split()[0])
+            assert abs(deficit) <= 1e-15
+
+    def test_negative_dominant_eigenvalue_skips_the_lower_edge(self, monkeypatch):
+        # Metropolis weights on K_{10,10}: W = (I + adjacency) / 11, whose
+        # eigenvalues besides 1 are -9/11 and 1/11, so the witness decays like
+        # |g_t(-9/11)| < lower(t) and has no lower edge to attain
+        k10_10 = Network(n=20, edges=[(i, j) for i in range(10) for j in range(10, 20)])
+        monkeypatch.setattr(experiment, "build_network", lambda cfg: experiment.NetworkDraw(k10_10, None, 0, 0))
+        cfg = parse_config(VERIFY_BOUNDS_CONFIG.read_text().replace("kind = lazy_metropolis", "kind = metropolis"))
+        weighted, _ = experiment.build_weights(cfg, k10_10)
+        mu = weighted.modes[0]
+        assert mu[np.argmax(np.abs(mu))] == pytest.approx(-9 / 11, abs=1e-12)
+        result = experiment.verify_bounds(cfg, trials=5)
+        assert result.passed and len(result.checks) == 2
+        assert all(c.witness_max_lower_deficit is None for c in result.checks)
 
     def test_self_test_detects_seeded_violation(self, tmp_path, capsys):
         path = tmp_path / "v.ini"

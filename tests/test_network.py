@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjfade import (
+    AsymmetricWeights,
     DimensionMismatch,
     DisconnectedNetwork,
     InvalidParameter,
     Network,
     WeightedNetwork,
-    WeightKind,
     complete_graph,
     generate_erdos_renyi,
     metropolis_weights,
@@ -296,7 +296,7 @@ class TestMetropolisWeights:
             [third, 0.0, 2 * third],
         ])
         np.testing.assert_allclose(star3.W, expect, atol=1e-15)
-        assert star3.kind is WeightKind.DOUBLY_STOCHASTIC
+        assert star3.doubly_stochastic
 
     def test_star3_spectral_exact(self, star3):
         # eigenvalues of the star are {1, 2/3, 0}
@@ -327,7 +327,7 @@ class TestMetropolisWeights:
         A = np.random.default_rng(n).random((n, n))
         W = (A + A.T) / 2.0
         W[n - 1, n - 2] += delta
-        weighted = WeightedNetwork(network=Network(n=n, edges=()), W=W, kind=WeightKind.DOUBLY_STOCHASTIC)
+        weighted = WeightedNetwork(network=Network(n=n, edges=()), W=W)
         assert weighted.symmetric is bool(np.abs(W - W.T).max() <= 1e-12)
         assert weighted.symmetric is (delta == 0.0 or delta == 5e-13)
 
@@ -386,8 +386,8 @@ class TestWeightInvariants:
         assert W.shape == (net.n, net.n)
         assert (W >= 0).all()
         np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert (w.kind is WeightKind.DOUBLY_STOCHASTIC) == (builder != "row_stochastic")
-        if w.kind is WeightKind.DOUBLY_STOCHASTIC:
+        assert w.doubly_stochastic == (builder != "row_stochastic")
+        if w.doubly_stochastic:
             np.testing.assert_allclose(W.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         neighbors = neighbors_oracle(net)
         for i in range(net.n):  # positive exactly on the closed neighborhood
@@ -407,7 +407,7 @@ class TestRowStochasticWeights:
         for i in range(net.n):
             support = set(neighbors[i]) | {i}
             assert set(np.nonzero(w.W[i])[0]) == support
-        assert w.kind is WeightKind.ROW_STOCHASTIC
+        assert not w.doubly_stochastic
 
     def test_degenerate_rng_gives_uniform_rows(self):
         class ZeroRng:
@@ -448,14 +448,23 @@ class TestSpectralOracle:
         w = metropolis_weights(complete_graph(5))
         assert w.sigma_max == 0.0
 
-    def test_sigma_max_and_v2_share_one_factorization(self, factorizations):
+    def test_sigma_max_and_v2_share_one_factorization(self, factorizations, monkeypatch):
         net = generate_erdos_renyi(9, 0.5, 3)
-        for w, solver in ((metropolis_weights(net), "eigh"), (row_stochastic_weights(net, seed=3), "svd")):
-            factorizations.clear()
-            w.sigma_max
+        w = metropolis_weights(net)
+        w.sigma_max
+        w.v2
+        w.sigma_max
+        assert factorizations == ["eigh"]
+        # general W has no v2, so sigma_max needs only the singular values
+        w = row_stochastic_weights(net, seed=3)
+        factorizations.clear()
+        kwargs, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: kwargs.append(kw) or svd(*a, **kw))
+        with pytest.raises(AsymmetricWeights):
             w.v2
-            w.sigma_max
-            assert factorizations == [solver]
+        w.sigma_max
+        w.sigma_max
+        assert factorizations == ["svd"] and kwargs == [{"compute_uv": False}]
 
     def test_rank_one_v2_is_a_null_vector(self):
         # W = 11^T / n: v2 is a fixed unit vector orthogonal to 1 that A maps to 0
@@ -473,17 +482,24 @@ class TestSpectralOracle:
         assert abs(w.sigma_max - (1 - (1 - np.cos(np.pi / n)) / 3)) <= 1e-12
 
     def test_singular_vector_residual(self, study_weights, row_stochastic_fixture):
-        for w in (study_weights, row_stochastic_fixture):
-            A = w.W - np.outer(np.ones(w.n), w.perron)
-            assert np.linalg.norm(A @ w.v2) == pytest.approx(w.sigma_max, abs=1e-8)
-            np.testing.assert_allclose(A.T @ (A @ w.v2), w.sigma_max**2 * w.v2, atol=1e-8)
-            assert np.linalg.norm(w.v2) == pytest.approx(1.0, abs=1e-12)
-            assert w.v2[np.argmax(np.abs(w.v2))] >= 0
+        w = study_weights
+        A = w.W - np.outer(np.ones(w.n), w.perron)
+        assert np.linalg.norm(A @ w.v2) == pytest.approx(w.sigma_max, abs=1e-8)
+        np.testing.assert_allclose(A.T @ (A @ w.v2), w.sigma_max**2 * w.v2, atol=1e-8)
+        assert np.linalg.norm(w.v2) == pytest.approx(1.0, abs=1e-12)
+        assert w.v2[np.argmax(np.abs(w.v2))] >= 0
+        # general W: no singular vector, and sigma_max is the SVD's leading value
+        w = row_stochastic_fixture
+        with pytest.raises(AsymmetricWeights):
+            w.v2
+        A = w.W - np.outer(np.ones(w.n), w.perron)
+        assert w.sigma_max == pytest.approx(np.linalg.svd(A)[1][0], rel=1e-14)
 
     def test_reducible_rejected(self):
         # agent 0 ignores agent 1: the stationary vector (1, 0) is not positive
         W = np.array([[1.0, 0.0], [0.5, 0.5]])
-        w = WeightedNetwork(path_graph(2), W, WeightKind.ROW_STOCHASTIC)
+        w = WeightedNetwork(path_graph(2), W)
+        assert not w.doubly_stochastic
         with pytest.raises(InvalidParameter, match="not primitive"):
             w.sigma_max
 
