@@ -36,9 +36,7 @@ def main():
           f"(seed {result.draw.seed_used}, {result.draw.resamples} resamples)")
     print(f"sigma_max = {result.weighted.sigma_max:.6f}, x_ss = {result.x_ss:.6f}")
     for run in result.runs:
-        traj = run.trajectory
-        final = abs(traj.x(traj.horizon) - traj.x_ss).mean()
-        line = f"  {run.spec.label:>14s}: final avg distance {final:.3e}"
+        line = f"  {run.spec.label:>14s}: final avg distance {run.trajectory.avg_distances[-1]:.3e}"
         if run.report is not None:
             line += (f", tstar = {run.report.tstar}, "
                      f"deviation = {run.report.deviation:.4f}")

@@ -35,6 +35,16 @@ def _lambda_rows(table: Callable[[np.ndarray], np.ndarray], rows: int) -> Iterat
     return itertools.chain.from_iterable(table(np.arange(t, t + rows)) for t in itertools.count(0, rows))
 
 
+def _start(weighted: WeightedNetwork, x0: np.ndarray) -> np.ndarray:
+    """x0 as a float copy the caller cannot touch, checked to be a finite n vector."""
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (weighted.n,):
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({weighted.n},)")
+    if not np.isfinite(x0).all():
+        raise InvalidParameter("x0 must be finite")
+    return x0
+
+
 def iterate(
     weighted: WeightedNetwork,
     x0: np.ndarray,
@@ -52,12 +62,7 @@ def iterate(
     0, then pins its target to x0[target] through step tstar: the per-agent
     step's bits.
     """
-    n = weighted.n
-    x0 = np.array(x0, dtype=float)  # a copy the caller cannot touch
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
-    if not np.isfinite(x0).all():
-        raise InvalidParameter("x0 must be finite")
+    x0 = _start(weighted, x0)
     per_column = isinstance(schedule, (list, tuple))
     schedules = list(schedule) if per_column else [schedule]
     if not schedules:
@@ -66,8 +71,8 @@ def iterate(
         raise InvalidParameter(f"unsupported schedule types {[type(s).__name__ for s in schedules]}")
     held = [(j, s.target, s.tstar) for j, s in enumerate(schedules) if isinstance(s, NonUniformSchedule)]
     for _, target, _ in held:
-        if not 0 <= target < n:
-            raise InvalidParameter(f"target {target} out of range for n={n}")
+        if not 0 <= target < weighted.n:
+            raise InvalidParameter(f"target {target} out of range for n={weighted.n}")
 
     def table(ts: np.ndarray) -> np.ndarray:  # lambda at steps ts, a column per schedule
         return np.stack([s.values(ts) if isinstance(s, CompetitionSchedule) else np.zeros(len(ts))
@@ -89,35 +94,23 @@ def iterate(
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Distance-to-consensus series of a simulated run, with its end states.
+    """Distance-to-consensus series of a simulated run.
 
     distances[t] is the l2 distance |x_t - x_ss 1| and avg_distances[t] the
     mean absolute deviation from x_ss, for t = 0..horizon, around the
     start's one consensus value x_ss. For a list of S schedules both are
-    (horizon + 1) x S arrays, one column per schedule. Only the start and
-    the final state are kept.
+    (horizon + 1) x S arrays, one column per schedule. No state is kept.
     """
 
     weighted: WeightedNetwork
-    x0: np.ndarray
     x_ss: float
     horizon: int
     distances: np.ndarray
     avg_distances: np.ndarray
-    _x_final: np.ndarray
-
-    def x(self, t: int) -> np.ndarray:
-        """Opinions at step t, which must be 0 or the horizon."""
-        if t == self.horizon:
-            return self._x_final.copy()
-        if t == 0:
-            return self.x0.copy()
-        raise InvalidParameter(f"only steps 0 and {self.horizon} are kept, got t={t}")
 
     def column(self, j: int) -> Trajectory:
         """The run of schedule column j, its series as views of the block's."""
-        return replace(self, x0=self.x0[:, j], distances=self.distances[:, j],
-                       avg_distances=self.avg_distances[:, j], _x_final=self._x_final[:, j])
+        return replace(self, distances=self.distances[:, j], avg_distances=self.avg_distances[:, j])
 
     def converged_at(self, eps: float, window: int = 10) -> int | None:
         """Smallest t with distances below eps for `window` consecutive steps
@@ -138,34 +131,33 @@ def simulate(
     """Run the dynamics for `horizon` steps from x0 and record its distances.
 
     x0 is an n vector and `schedule` one uniform or held schedule, or a list
-    of S run as the columns of one block. The series cover steps 0..horizon
-    around x_ss = perron^T x0 (no factorization runs), and the trajectory
-    keeps x_0 and x_horizon. Buffers of at most BUFFER_ELEMENTS numbers and
-    CHUNK rows hold one column per contiguous row and are reduced in one
-    call each: norms by stacked BLAS ddot, as in `np.linalg.norm`, and means
-    along the row. So a block column reduces bit for bit like a single run
-    of its states.
+    of S run as the columns of one block. `iterate` steps e_0 = x0 - x_ss 1,
+    x_ss = perron^T x0 (no factorization runs): the recursion anchors on its
+    start, so it yields e_t = x_t - x_ss 1, free of W's row sums rounding off 1.
+    Buffers of at most BUFFER_ELEMENTS numbers and CHUNK rows hold one column
+    per contiguous row and are reduced in one call each: norms by stacked BLAS
+    ddot, as in `np.linalg.norm`, and means along the row. So a block column
+    reduces bit for bit like a single run of its deviations.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
-    states = iterate(weighted, x0, schedule)
-    start = next(states)
+    x0 = _start(weighted, x0)
     x_ss = weighted.consensus_value(x0)
+    devs = iterate(weighted, x0 - x_ss, schedule)
+    start = next(devs)
     distances = np.empty((horizon + 1, *start.shape[1:]))
     avg_distances = np.empty_like(distances)
     rows = max(1, min(CHUNK, BUFFER_ELEMENTS // start.size))
     buf = np.empty((rows, *start.T.shape))
-    stream = itertools.chain([start], states)
+    stream = itertools.chain([start], devs)
     for lo in range(0, horizon + 1, rows):
         hi = min(lo + rows, horizon + 1)
         dev = buf[:hi - lo]
         for i in range(hi - lo):
-            dev[i] = (x := next(stream)).T
-        np.subtract(dev, x_ss, out=dev)
+            dev[i] = next(stream).T
         distances[lo:hi] = np.sqrt(np.matmul(dev[..., None, :], dev[..., None])[..., 0, 0])
         avg_distances[lo:hi] = np.abs(dev, out=dev).mean(axis=-1)
-    return Trajectory(weighted=weighted, x0=start, x_ss=x_ss, horizon=horizon, distances=distances,
-                      avg_distances=avg_distances, _x_final=x)
+    return Trajectory(weighted=weighted, x_ss=x_ss, horizon=horizon, distances=distances, avg_distances=avg_distances)
 
 
 def modal_distances(

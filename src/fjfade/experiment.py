@@ -130,7 +130,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     weighted, weight_draws = build_weights(cfg, draw.network)
     weighted.sigma_max  # run reports it; factor W before the block pass so their allocations do not stack
     x0, x0_draws = draw_x0(cfg)
-    x_ss = weighted.consensus_value(x0)
 
     reports = [deviation_experiment(weighted, x0, target=spec.target, tstar=spec.tstar)
                if spec.is_adversarial else None for spec in cfg.schedules]
@@ -147,7 +146,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ))
     return ExperimentResult(
         cfg=cfg, draw=draw, weighted=weighted, weight_draws=weight_draws,
-        x0=x0, x0_draws=x0_draws, x_ss=x_ss, runs=tuple(runs),
+        x0=x0, x0_draws=x0_draws, x_ss=block.x_ss, runs=tuple(runs),
     )
 
 

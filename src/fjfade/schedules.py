@@ -93,7 +93,8 @@ class CompetitionSchedule:
         if self.kind is ScheduleKind.CONSTANT:
             return np.full(ts.shape, self.lam)
         if self.kind is ScheduleKind.EXPONENTIAL:
-            return np.exp(-self.rate * ts)
+            with np.errstate(over="ignore"):  # rate * t past the float range is inf, and exp(-inf) = 0 is exact
+                return np.exp(-self.rate * ts)
         if self.kind is ScheduleKind.HYPERBOLIC:
             return 1.0 / (ts + 1.0)
         if self.kind is ScheduleKind.ZERO:

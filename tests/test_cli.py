@@ -218,6 +218,15 @@ class TestRun:
         main(["run", str(config_path), "--out", str(tmp_path / "o"), "--quiet"])
         assert capsys.readouterr().out == ""
 
+    def test_study_exponential_tail_sits_at_the_floor(self, tmp_path):
+        # the shipped study's exponential run falls below the 1e-15 distance
+        # floor by t = 248; its tail must not read W's row sums rounding off 1
+        out = tmp_path / "out"
+        assert main(["run", str(STUDY_CONFIG), "--out", str(out), "--horizon", "1000", "--quiet"]) == 0
+        rows = [line.split(",") for line in (out / "exponential.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 1001
+        assert {row[1] for row in rows[300:]} == {"-15.0"}
+
 
 class TestVerify:
     def test_passes_on_lazy_weights(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the update map, the streaming kernel, and transition operators."""
 
+import re
 import tempfile
 import tracemalloc
 from itertools import islice
@@ -63,6 +64,11 @@ def converged_at_loop(distances, eps, window):
 def states(weighted, x0, schedule, horizon):
     """x_0..x_horizon of the stream, stacked along the first axis."""
     return np.array(list(islice(iterate(weighted, x0, schedule), horizon + 1)))
+
+
+def deviations(weighted, x0, schedule, horizon):
+    """e_0..e_horizon, the states of the stream from x0 - x_ss that `simulate` reduces."""
+    return states(weighted, x0 - weighted.consensus_value(x0), schedule, horizon)
 
 
 class TestStep:
@@ -135,49 +141,58 @@ class TestSimulate:
         x0 = np.array([3.0, 0.0, 0.0])
         traj = simulate(star3, x0, zero_consensus(), horizon=200)
         assert traj.x_ss == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(traj.x(200), np.ones(3), atol=1e-8)
+        e = deviations(star3, x0, zero_consensus(), 200)[-1]
+        np.testing.assert_allclose(traj.x_ss + e, np.ones(3), atol=1e-8)
+        assert traj.distances[-1] == np.linalg.norm(e)
         assert traj.distances[-1] < 1e-8
 
     def test_constant_one_never_moves(self, star3):
         x0 = np.array([3.0, 0.0, 0.0])
         traj = simulate(star3, x0, constant(1.0), horizon=20)
-        np.testing.assert_array_equal(traj.x(20), x0)
+        es = deviations(star3, x0, constant(1.0), 20)
+        np.testing.assert_array_equal(es, np.tile(x0 - traj.x_ss, (21, 1)))
+        np.testing.assert_array_equal(traj.distances, np.linalg.norm(x0 - traj.x_ss))
+        np.testing.assert_array_equal(traj.avg_distances, np.abs(x0 - traj.x_ss).mean())
 
     def test_distances_definition(self, study_weights, study_x0):
+        # simulate steps e_t = x_t - x_ss 1 from e_0 = x0 - x_ss 1 and reduces it
         traj = simulate(study_weights, study_x0, hyperbolic(), horizon=50)
-        xs = states(study_weights, study_x0, hyperbolic(), 50)
+        assert traj.x_ss == study_weights.consensus_value(study_x0)
+        es = states(study_weights, study_x0 - traj.x_ss, hyperbolic(), 50)
         for t in (0, 7, 50):
-            assert traj.distances[t] == np.linalg.norm(xs[t] - traj.x_ss)
-            assert traj.avg_distances[t] == np.abs(xs[t] - traj.x_ss).mean()
-        np.testing.assert_array_equal(traj.x(50), xs[50])
+            assert traj.distances[t] == np.linalg.norm(es[t])
+            assert traj.avg_distances[t] == np.abs(es[t]).mean()
 
     def test_horizon_zero(self, star3):
-        traj = simulate(star3, np.array([1.0, 0.0, 2.0]), hyperbolic(), horizon=0)
-        np.testing.assert_array_equal(traj.x(0), [1.0, 0.0, 2.0])
-        assert len(traj.distances) == 1
+        x0 = np.array([1.0, 0.0, 2.0])
+        traj = simulate(star3, x0, hyperbolic(), horizon=0)
+        (e,) = deviations(star3, x0, hyperbolic(), 0)
+        np.testing.assert_array_equal(e, x0 - traj.x_ss)
+        np.testing.assert_array_equal(traj.distances, [np.linalg.norm(e)])
+        np.testing.assert_array_equal(traj.avg_distances, [np.abs(e).mean()])
 
     @pytest.mark.parametrize("columns", [None, 1, 40])
     @pytest.mark.parametrize("sched", [hyperbolic(), make_adversarial_nonuniform(6, 3)], ids=["uniform", "adversarial"])
     def test_chunked_reductions_match_per_step(self, study_weights, columns, sched):
-        # the buffered reductions must equal per-step norm and mean bit for
-        # bit, at every horizon around the buffer's row count; a column of a
-        # schedule list must reduce exactly like a single run of its states
+        # the buffered reductions must equal per-step norm and mean of the
+        # stepped deviations bit for bit, at every horizon around the buffer's
+        # row count; a column of a schedule list must reduce exactly like a
+        # single run of its deviations
         x0 = np.random.default_rng(4).standard_normal(20)
         scheds = sched if columns is None else ([sched, constant(0.3)] * columns)[:columns]
         rows = min(CHUNK, BUFFER_ELEMENTS // (20 * (columns or 1)))
         for horizon in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
             traj = simulate(study_weights, x0, scheds, horizon)
-            xs = list(islice(iterate(study_weights, x0, scheds), horizon + 1))
+            es = list(islice(iterate(study_weights, x0 - traj.x_ss, scheds), horizon + 1))
             if columns is None:
-                norms = [np.linalg.norm(x - traj.x_ss) for x in xs]
-                means = [np.abs(x - traj.x_ss).mean() for x in xs]
+                norms = [np.linalg.norm(e) for e in es]
+                means = [np.abs(e).mean() for e in es]
             else:
                 cols = range(columns)
-                norms = [[np.linalg.norm(x[:, j] - traj.x_ss) for j in cols] for x in xs]
-                means = [[np.abs(x[:, j] - traj.x_ss).mean() for j in cols] for x in xs]
+                norms = [[np.linalg.norm(e[:, j]) for j in cols] for e in es]
+                means = [[np.abs(e[:, j]).mean() for j in cols] for e in es]
             np.testing.assert_array_equal(traj.distances, norms)
             np.testing.assert_array_equal(traj.avg_distances, means)
-            np.testing.assert_array_equal(traj.x(horizon), xs[-1])
 
     def test_block_stream_yields_fresh_columns(self, study_weights):
         # a schedule list streams as n x S arrays that later steps never
@@ -204,24 +219,31 @@ class TestSimulate:
         block = simulate(study_weights, study_x0, scheds, horizon=300)
         assert block.distances.shape == (301, 4)
         assert block.x_ss == study_weights.consensus_value(study_x0)
+        e_block = deviations(study_weights, study_x0, scheds, 300)[-1]
         for j, sched in enumerate(scheds):
             one = simulate(study_weights, study_x0, sched, horizon=300)
             col = block.column(j)
             assert col.x_ss == one.x_ss
             np.testing.assert_allclose(col.distances, one.distances, rtol=0, atol=1e-13)
             np.testing.assert_allclose(col.avg_distances, one.avg_distances, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(col.x(300), one.x(300), rtol=0, atol=1e-13)
+            e_one = deviations(study_weights, study_x0, sched, 300)[-1]
+            np.testing.assert_allclose(e_block[:, j], e_one, rtol=0, atol=1e-13)
+            assert col.distances[-1] == np.linalg.norm(e_block[:, j])
+            assert one.distances[-1] == np.linalg.norm(e_one)
             assert np.shares_memory(col.distances, block.distances)
 
     def test_one_schedule_list_is_the_single_run(self, study_weights, study_x0):
         # a one-column block holds the start as the same 1 x n row as a
         # single run, so its series are bit-identical
+        horizon = 2 * CHUNK + 5
         for sched in (hyperbolic(), make_adversarial_nonuniform(7, 4)):
-            one = simulate(study_weights, study_x0, sched, horizon=2 * CHUNK + 5)
-            col = simulate(study_weights, study_x0, [sched], horizon=2 * CHUNK + 5).column(0)
+            one = simulate(study_weights, study_x0, sched, horizon)
+            col = simulate(study_weights, study_x0, [sched], horizon).column(0)
             np.testing.assert_array_equal(col.distances, one.distances)
             np.testing.assert_array_equal(col.avg_distances, one.avg_distances)
-            np.testing.assert_array_equal(col.x(2 * CHUNK + 5), one.x(2 * CHUNK + 5))
+            e_one = deviations(study_weights, study_x0, sched, horizon)
+            np.testing.assert_array_equal(deviations(study_weights, study_x0, [sched], horizon)[:, :, 0], e_one)
+            np.testing.assert_array_equal(one.distances, [np.linalg.norm(e) for e in e_one])
 
     def test_lambda_table_memory_is_bounded(self):
         # a held column reads lambda 0 and pins its target, so the table
@@ -267,17 +289,22 @@ class TestSimulate:
         below = data.draw(arrays(np.bool_, shape))
         for mask in (below, np.zeros(shape, bool)):  # the second never converges
             d = np.where(mask, 0.0, 1.0)
-            traj = Trajectory(weighted=star3, x0=np.zeros(3), x_ss=0.0, horizon=horizon,
-                              distances=d, avg_distances=d, _x_final=np.zeros(3))
+            traj = Trajectory(weighted=star3, x_ss=0.0, horizon=horizon, distances=d, avg_distances=d)
             assert traj.converged_at(0.5, window) == converged_at_loop(d, 0.5, window)
         assert traj.converged_at(0.5, window) is None
 
-    def test_x_out_of_range(self, star3):
-        # only the start and the final state are kept
-        traj = simulate(star3, np.ones(3), hyperbolic(), horizon=3)
-        for t in (-1, 1, 2, 4):
-            with pytest.raises(InvalidParameter):
-                traj.x(t)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_start_rejected(self, star3, bad):
+        # checked before x_ss is taken, so no warning from subtracting it
+        for sched in (hyperbolic(), [hyperbolic(), make_adversarial_nonuniform(2, 0)]):
+            with pytest.raises(InvalidParameter, match="^x0 must be finite$"):
+                simulate(star3, np.array([1.0, bad, 0.0]), sched, 5)
+
+    def test_wrong_length_start_rejected(self, star3):
+        for x0 in (np.ones(2), np.ones((3, 2))):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"x0 has shape {x0.shape}, expected (3,)")):
+                simulate(star3, x0, hyperbolic(), 5)
 
 
 @st.composite
@@ -307,12 +334,10 @@ class TestModalDistances:
     @given(modal_configs())
     @settings(max_examples=150, deadline=None)
     def test_matches_simulate(self, config):
-        # the eigenbasis evaluation agrees with the stepped states within
-        # 1e-12 (|e_0| + |x_0|): stepping drifts off a consensus start by up
-        # to about t eps |x_0| (1.5e-13 seen at t = 300), as W's row sums round
-        # off 1. At that start the modal distance stays within 1e-14 (1 + |x_0|)
-        # of the exact 0. The lazy witness keeps to the lower edge, which obeys
-        # the same gain recurrence.
+        # the eigenbasis evaluation agrees with the stepped deviations within
+        # 1e-12 (|e_0| + |x_0|). At a consensus start the modal distance stays
+        # within 1e-14 (1 + |x_0|) of the exact 0. The lazy witness keeps to the
+        # lower edge, which obeys the same gain recurrence.
         weighted, schedule, horizon, starts = config
         d = np.concatenate(list(modal_distances(weighted, starts, schedule, horizon)))
         stepped = np.column_stack([simulate(weighted, x0, schedule, horizon).distances for x0 in starts.T])
@@ -365,6 +390,25 @@ def reference_states(W, x0, schedule):
         t += 1
 
 
+UNIT = st.floats(0.0, 1.0)
+UNIFORM_KINDS = {
+    ScheduleKind.CONSTANT: UNIT.map(constant),
+    ScheduleKind.EXPONENTIAL: st.floats(0.01, 3.0).map(exponential),
+    ScheduleKind.HYPERBOLIC: st.just(hyperbolic()),
+    ScheduleKind.ZERO: st.just(zero_consensus()),
+    ScheduleKind.CUSTOM: st.lists(UNIT, min_size=1, max_size=40).map(lambda seq: custom(sorted(seq, reverse=True))),
+}
+
+
+def draw_weights(draw, net):
+    """Weights of a drawn kind on a connected network."""
+    return {
+        "metropolis": lambda: metropolis_weights(net),
+        "lazy_metropolis": lambda: metropolis_weights(net, lazy=True),
+        "row_stochastic": lambda: row_stochastic_weights(net, seed=draw(st.integers(0, 1000))),
+    }[draw(st.sampled_from(WEIGHT_KINDS))]()
+
+
 @st.composite
 def reference_configs(draw):
     """A network of every graph and weight kind, one schedule of each uniform
@@ -377,28 +421,27 @@ def reference_configs(draw):
         assume(net.connected)
     else:
         net = {"path": path_graph, "star": star_graph, "complete": complete_graph}[graph](n)
-    weights = {
-        "metropolis": lambda: metropolis_weights(net),
-        "lazy_metropolis": lambda: metropolis_weights(net, lazy=True),
-        "row_stochastic": lambda: row_stochastic_weights(net, seed=draw(st.integers(0, 1000))),
-    }[draw(st.sampled_from(WEIGHT_KINDS))]()
+    weights = draw_weights(draw, net)
     horizon = draw(st.integers(0, 300))
-    unit = st.floats(0.0, 1.0)
-    kinds = {
-        ScheduleKind.CONSTANT: unit.map(constant),
-        ScheduleKind.EXPONENTIAL: st.floats(0.01, 3.0).map(exponential),
-        ScheduleKind.HYPERBOLIC: st.just(hyperbolic()),
-        ScheduleKind.ZERO: st.just(zero_consensus()),
-        ScheduleKind.CUSTOM: st.lists(unit, min_size=1, max_size=40).map(lambda seq: custom(sorted(seq, reverse=True))),
-    }
     held = st.builds(make_adversarial_nonuniform, st.integers(0, horizon + 1), st.integers(0, n - 1))
-    schedules = [draw(kinds[kind]) for kind in ScheduleKind] + draw(st.lists(held, min_size=1, max_size=3))
+    schedules = [draw(UNIFORM_KINDS[kind]) for kind in ScheduleKind] + draw(st.lists(held, min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         x0 = (rng.random(n) < draw(st.floats(0.5, 1.0))).astype(float)
     else:
         x0 = rng.uniform(-5.0, 5.0, n)
     return weights, draw(st.permutations(schedules)), horizon, x0
+
+
+@st.composite
+def consensus_configs(draw):
+    """A connected ER network with weights of every kind, one schedule of each
+    uniform kind, a horizon, and a consensus start c 1."""
+    n = draw(st.integers(2, 30))
+    net = generate_erdos_renyi(n, draw(st.floats(0.2, 1.0)), draw(st.integers(0, 1000)))
+    assume(net.connected)
+    schedules = [draw(UNIFORM_KINDS[kind]) for kind in ScheduleKind]
+    return draw_weights(draw, net), schedules, draw(st.integers(0, 300)), np.full(n, draw(st.floats(-5.0, 5.0)))
 
 
 @st.composite
@@ -437,8 +480,8 @@ class TestReferenceRecursion:
     @settings(max_examples=100, deadline=None)
     def test_simulate_and_find_tstar_follow_the_recursion(self, config):
         # every column of one schedule list agrees with the recursion within
-        # 1e-12 (|e_0| + |x_0|), the |x_0| term for the drift of a consensus
-        # start (see TestModalDistances)
+        # 1e-12 (|e_0| + |x_0|), the |x_0| term for the oracle's own drift: it
+        # steps x_t, whose mean moves as W's row sums round off 1
         weighted, schedules, horizon, x0 = config
         traj = simulate(weighted, x0, schedules, horizon)
         x_ss = weighted.consensus_value(x0)
@@ -490,6 +533,19 @@ class TestReferenceRecursion:
                 continue
             ratio = np.array([float(r[2]) for r in rows])
             assert np.all(np.abs(ratio - d / d[0]) <= tol * (1.0 + d / d[0]) / d[0] + 1e-13 * ratio)
+
+
+class TestConsensusStart:
+    @given(consensus_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_distances_stay_within_the_rounding_of_the_start(self, config):
+        # e_0 = c - x_ss is a rounding error (often exactly 0), and every step is
+        # a convex blend of W e and e_0, so no distance exceeds sqrt(n) max|e_0|
+        # beyond rounding: the row sums of W rounding off 1 never act on c
+        weighted, schedules, horizon, x0 = config
+        traj = simulate(weighted, x0, schedules, horizon)
+        bound = np.sqrt(len(x0)) * np.abs(x0 - traj.x_ss).max() * (1.0 + 1e-12)
+        assert (traj.distances <= bound).all()
 
 
 class TestTransitionDecomposition:

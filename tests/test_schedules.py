@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fjfade import (
@@ -152,6 +152,7 @@ class TestScheduleValues:
         seq=st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.floats(0.0, 1.0), max_size=8),
         ts=st.lists(st.integers(0, 10**7), min_size=1, max_size=20),
     )
+    @example(kind=ScheduleKind.EXPONENTIAL, value=1.622320309414598e304, seq=[], ts=[0, 11081])  # rate * t overflows
     def test_every_built_schedule_stays_in_unit_interval(self, kind, value, seq, ts):
         # built by make_schedule or directly, from its kind's name or enum, a
         # schedule either refuses its parameters or keeps every lambda_t in [0, 1]
