@@ -131,7 +131,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a config or output path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FjfadeError as exc:

@@ -29,8 +29,6 @@ MAX_OPINION = 1e150
 # at n = 1,000, 1,500 and 2,000), a run's edge arrays add about 21 bytes per edge (complete graphs:
 # 90, 161 and 262 MB, 1 BLAS thread, lazy Metropolis weights): 250 MB at the cap.
 MAX_EDGES = 12_000_000
-SCHEDULE_KEYS = {kind.value: set(names) for kind, names in SCHEDULE_PARAMS.items()}
-SCHEDULE_KEYS["adversarial"] = {"tstar", "target"}
 
 
 @dataclass(frozen=True)
@@ -140,58 +138,51 @@ def _int_or(word: str):
     return lambda raw: None if raw == word else int(raw)
 
 
-def _choice(choices: tuple[str, ...]):
-    def parse(raw: str) -> str:
-        if raw not in choices:
-            raise ValueError(raw)
-        return raw
-    return parse
+def _kind(choices: tuple[str, ...]):
+    """A required key that takes one of `choices`; other text raises KeyError."""
+    return dict(zip(choices, choices)).__getitem__, f"one of {list(choices)}", True
 
 
-# Optional [experiment] keys in parse order; an absent one keeps ExperimentConfig's default.
-EXPERIMENT_OPTIONAL = {
-    "horizon": (int, "an integer"), "seed": (int, "an integer"), "out_dir": (str, "a string"),
-    "eps_conv": (_finite, "a finite number"), "tail_eps": (_finite, "a finite number"),
-    "emit_alt_distance": (_bool, "a boolean"),
+_INT, _NUMBER, _NUMBERS = (int, "an integer"), (_finite, "a finite number"), (_floats, "space-separated finite numbers")
+# The keys of each section: key -> (parse, what a value must be, required). An absent optional
+# [experiment] key keeps ExperimentConfig's default, and serialize_config writes them in this order.
+# A schedule section takes `kind`, then SCHEDULE_PARAMS[kind], or tstar and target when adversarial.
+SECTION_KEYS = {
+    "experiment": {"n": (*_INT, True), "horizon": (*_INT, False), "seed": (*_INT, False),
+                   "out_dir": (str, "a string", False), "eps_conv": (*_NUMBER, False),
+                   "tail_eps": (*_NUMBER, False), "emit_alt_distance": (_bool, "a boolean", False)},
+    "graph": {"kind": _kind(GRAPH_KINDS), "p": (*_NUMBER, False)},
+    "weights": {"kind": _kind(WEIGHT_KINDS)},
+    "x0": {"uniform": (*_NUMBERS, False), "values": (*_NUMBERS, False)},
+    "schedule": {"kind": _kind((*(kind.value for kind in SCHEDULE_PARAMS), "adversarial")),
+                 "lam": (*_NUMBER, True), "rate": (*_NUMBER, True), "seq": (*_NUMBERS, True),
+                 "tstar": (_int_or("auto"), "an integer or 'auto'", True),
+                 "target": (_int_or("argmax"), "an integer or 'argmax'", False)},
 }
 
 
-class _Section:
-    """One parsed section with typed access to its keys."""
+def _error(text: str, section: str, key: str, message: str) -> ConfigError:
+    return ConfigError(message, line=_line_of(text, section, key), field=f"{section}.{key}")
 
-    def __init__(self, text: str, name: str, items: dict[str, str]):
-        self.text = text
-        self.name = name
-        self.items = items
 
-    def _error(self, key: str, message: str) -> ConfigError:
-        return ConfigError(
-            message, line=_line_of(self.text, self.name, key), field=f"{self.name}.{key}"
-        )
-
-    def get(self, key: str, parse, what: str, required: bool = False, default=None):
-        """parse(raw) of the key's text, or `default` when the key is absent;
-        a parse that raises is reported as "expected <what>"."""
-        if key not in self.items:
+def _read(text: str, name: str, items: dict[str, str], keys: dict) -> dict:
+    """The parsed value of each key present in section `name`, checked against `keys`:
+    an unknown key, a missing required key or a value that does not parse raises ConfigError."""
+    for key in items:
+        if key not in keys:
+            raise _error(text, name, key, f"unknown key {key!r} in section [{name}]")
+    values = {}
+    for key, (parse, what, required) in keys.items():
+        if key not in items:
             if required:
-                raise ConfigError(
-                    f"missing required key {key!r} in section [{self.name}]",
-                    line=_line_of(self.text, self.name), field=f"{self.name}.{key}",
-                )
-            return default
-        raw = self.items[key]
+                raise ConfigError(f"missing required key {key!r} in section [{name}]",
+                                  line=_line_of(text, name), field=f"{name}.{key}")
+            continue
         try:
-            return parse(raw)
+            values[key] = parse(items[key])
         except (KeyError, TypeError, ValueError):
-            raise self._error(key, f"expected {what} for {key!r}, got {raw!r}") from None
-
-    def reject_unknown(self, known: set[str]) -> None:
-        for key in self.items:
-            if key not in known:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{self.name}]",
-                    line=_line_of(self.text, self.name, key), field=f"{self.name}.{key}",
-                )
+            raise _error(text, name, key, f"expected {what} for {key!r}, got {items[key]!r}") from None
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -203,57 +194,44 @@ def parse_config(text: str) -> ExperimentConfig:
         line = getattr(exc, "lineno", None)
         raise ConfigError(f"config syntax error: {exc.message.splitlines()[0]}", line=line) from exc
 
-    sections = {name: _Section(text, name, dict(parser.items(name))) for name in parser.sections()}
-
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    required = ("experiment", "graph", "weights", "x0")
     for name in sections:
-        if name not in ("experiment", "graph", "weights", "x0") and not name.startswith("schedule."):
+        if name not in required and not name.startswith("schedule."):
             raise ConfigError(f"unknown section [{name}]", line=_line_of(text, name))
-    for required in ("experiment", "graph", "weights", "x0"):
-        if required not in sections:
-            raise ConfigError(f"missing required section [{required}]")
+    for name in required:
+        if name not in sections:
+            raise ConfigError(f"missing required section [{name}]")
 
-    exp = sections["experiment"]
-    exp.reject_unknown({"n", *EXPERIMENT_OPTIONAL})
-    n = exp.get("n", int, "an integer", required=True)
+    exp = _read(text, "experiment", sections["experiment"], SECTION_KEYS["experiment"])
+    n = exp["n"]
     if n < 2:
-        raise exp._error("n", f"need at least 2 agents, got {n}")
-    optional = {key: exp.get(key, parse, what) for key, (parse, what) in EXPERIMENT_OPTIONAL.items()
-                if key in exp.items}
-
-    gsec = sections["graph"]
-    gsec.reject_unknown({"kind", "p"})
-    gkind = gsec.get("kind", _choice(GRAPH_KINDS), f"one of {list(GRAPH_KINDS)}", required=True)
-    p = gsec.get("p", _finite, "a finite number", default=GraphSpec.p)
-    if gkind == "er" and not 0.0 < p <= 1.0:
+        raise _error(text, "experiment", "n", f"need at least 2 agents, got {n}")
+    graph = _read(text, "graph", sections["graph"], SECTION_KEYS["graph"])
+    p = graph.get("p", GraphSpec.p)
+    if graph["kind"] == "er" and not 0.0 < p <= 1.0:
         # p = 0 leaves n >= 2 agents without an edge, so no resample could connect them
-        raise gsec._error("p", f"edge probability must lie in (0, 1], got {p}")
-    if gkind != "er" and "p" in gsec.items:
-        raise gsec._error("p", f"key 'p' only applies to kind 'er', not {gkind!r}")
+        raise _error(text, "graph", "p", f"edge probability must lie in (0, 1], got {p}")
+    if graph["kind"] != "er" and "p" in graph:
+        raise _error(text, "graph", "p", f"key 'p' only applies to kind 'er', not {graph['kind']!r}")
+    weights = _read(text, "weights", sections["weights"], SECTION_KEYS["weights"])
 
-    wsec = sections["weights"]
-    wsec.reject_unknown({"kind"})
-    wkind = wsec.get("kind", _choice(WEIGHT_KINDS), f"one of {list(WEIGHT_KINDS)}", required=True)
-
-    xsec = sections["x0"]
-    xsec.reject_unknown({"uniform", "values"})
-    x0_uniform = xsec.get("uniform", _floats, "space-separated finite numbers")
-    x0_values = xsec.get("values", _floats, "space-separated finite numbers")
-    if (x0_uniform is None) == (x0_values is None):
-        raise ConfigError(
-            "section [x0] needs exactly one of 'uniform' or 'values'",
-            line=_line_of(text, "x0"), field="x0",
-        )
-    if x0_uniform is not None:
-        if len(x0_uniform) != 2 or x0_uniform[0] >= x0_uniform[1]:
-            raise xsec._error("uniform", "expected 'low high' with low < high")
-    if x0_values is not None and len(x0_values) != n:
-        raise xsec._error("values", f"expected {n} values, got {len(x0_values)}")
-    for key, opinions in (("uniform", x0_uniform), ("values", x0_values)):
-        if opinions is not None and any(abs(v) > MAX_OPINION for v in opinions):
-            raise xsec._error(key, f"opinions must lie in [-{MAX_OPINION:g}, {MAX_OPINION:g}], got {xsec.items[key]!r}")
+    x0 = _read(text, "x0", sections["x0"], SECTION_KEYS["x0"])
+    if len(x0) != 1:
+        raise ConfigError("section [x0] needs exactly one of 'uniform' or 'values'",
+                          line=_line_of(text, "x0"), field="x0")
+    if "uniform" in x0 and (len(x0["uniform"]) != 2 or x0["uniform"][0] >= x0["uniform"][1]):
+        raise _error(text, "x0", "uniform", "expected 'low high' with low < high")
+    if "values" in x0 and len(x0["values"]) != n:
+        raise _error(text, "x0", "values", f"expected {n} values, got {len(x0['values'])}")
+    [(key, opinions)] = x0.items()
+    if any(abs(v) > MAX_OPINION for v in opinions):
+        raise _error(text, "x0", key,
+                     f"opinions must lie in [-{MAX_OPINION:g}, {MAX_OPINION:g}], got {sections['x0'][key]!r}")
 
     schedules = []
-    for name, sec in sections.items():
+    keys = SECTION_KEYS["schedule"]
+    for name, items in sections.items():
         if not name.startswith("schedule."):
             continue
         label = name[len("schedule."):]
@@ -262,23 +240,21 @@ def parse_config(text: str) -> ExperimentConfig:
                 "schedule label must be non-empty and use only [A-Za-z0-9._-]: "
                 f"[schedule.{label}]", line=_line_of(text, name),
             )
-        kind = sec.get("kind", _choice(tuple(SCHEDULE_KEYS)), f"one of {list(SCHEDULE_KEYS)}", required=True)
-        sec.reject_unknown({"kind"} | SCHEDULE_KEYS[kind])
+        kind = _read(text, name, {k: v for k, v in items.items() if k == "kind"}, {"kind": keys["kind"]})["kind"]
+        names = ("tstar", "target") if kind == "adversarial" else SCHEDULE_PARAMS[kind]
+        params = _read(text, name, items, {key: keys[key] for key in ("kind", *names)})
         if kind == "adversarial":
-            tstar = sec.get("tstar", _int_or("auto"), "an integer or 'auto'", required=True)
-            if tstar is not None and tstar < 0:
-                raise sec._error("tstar", f"tstar must be >= 0, got {tstar}")
-            target = sec.get("target", _int_or("argmax"), "an integer or 'argmax'")
+            tstar, target = params["tstar"], params.get("target")
+            if tstar is not None and not 0 <= tstar <= MAX_HORIZON:
+                # the held and nominal runs step to tstar, and an auto search stops at the same count
+                bound = ">= 0" if tstar < 0 else f"at most {MAX_HORIZON}"
+                raise _error(text, name, "tstar", f"tstar must be {bound}, got {tstar}")
             if target is not None and not 0 <= target < n:
-                raise sec._error("target", f"target must lie in [0, {n - 1}], got {target}")
+                raise _error(text, name, "target", f"target must lie in [0, {n - 1}], got {target}")
             schedules.append(ScheduleSpec(label, tstar=tstar, target=target))
             continue
-        # seq is the one list-valued parameter
-        params = {key: sec.get(key, _floats, "space-separated finite numbers", required=True) if key == "seq"
-                  else sec.get(key, _finite, "a finite number", required=True)
-                  for key in SCHEDULE_PARAMS[kind]}
         try:
-            schedules.append(ScheduleSpec(label, make_schedule(kind, **params)))
+            schedules.append(ScheduleSpec(label, make_schedule(**params)))
         except InvalidParameter as exc:
             raise ConfigError(f"invalid schedule {label!r}: {exc}", line=_line_of(text, name)) from exc
 
@@ -289,8 +265,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("schedule labels must be unique")
 
     return ExperimentConfig(
-        n=n, graph=GraphSpec(kind=gkind, p=p), weights=wkind,
-        schedules=tuple(schedules), x0_uniform=x0_uniform, x0_values=x0_values, **optional,
+        graph=GraphSpec(kind=graph["kind"], p=p), weights=weights["kind"],
+        schedules=tuple(schedules), x0_uniform=x0.get("uniform"), x0_values=x0.get("values"), **exp,
     )
 
 
@@ -300,45 +276,44 @@ def _exact(v: float) -> str:
     return text if float(text) == v else repr(v)
 
 
+def _text(value) -> str:
+    """A key's value as config text: floats exactly, lists by repr."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _exact(value)
+    if isinstance(value, tuple):
+        return " ".join(map(repr, value))
+    return str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config back to its text form (canonical key order); the text
     parses back to an equal config."""
-    lines = [
-        "[experiment]",
-        f"n = {cfg.n}",
-        f"horizon = {cfg.horizon}",
-        f"seed = {cfg.seed}",
-        f"out_dir = {cfg.out_dir}",
-        f"eps_conv = {_exact(cfg.eps_conv)}",
-        f"tail_eps = {_exact(cfg.tail_eps)}",
-        f"emit_alt_distance = {str(cfg.emit_alt_distance).lower()}",
-        "",
-        "[graph]",
-        f"kind = {cfg.graph.kind}",
-    ]
+    lines = ["[experiment]", *(f"{key} = {_text(getattr(cfg, key))}" for key in SECTION_KEYS["experiment"]),
+             "", "[graph]", f"kind = {cfg.graph.kind}"]
     if cfg.graph.kind == "er":
         lines.append(f"p = {_exact(cfg.graph.p)}")
     lines += ["", "[weights]", f"kind = {cfg.weights}", "", "[x0]"]
     if cfg.x0_uniform is not None:
         lines.append("uniform = " + " ".join(map(_exact, cfg.x0_uniform)))
     else:
-        lines.append("values = " + " ".join(repr(v) for v in cfg.x0_values))
+        lines.append(f"values = {_text(cfg.x0_values)}")
     for spec in cfg.schedules:
         lines += ["", f"[schedule.{spec.label}]"]
         if spec.is_adversarial:
             lines += ["kind = adversarial",
                       f"tstar = {'auto' if spec.tstar is None else spec.tstar}",
                       f"target = {'argmax' if spec.target is None else spec.target}"]
-            continue
-        for key, value in spec.schedule.describe().items():
-            if isinstance(value, tuple):
-                value = " ".join(map(repr, value))
-            elif isinstance(value, float):
-                value = _exact(value)
-            lines.append(f"{key} = {value}")
+        else:
+            lines += [f"{key} = {_text(value)}" for key, value in spec.schedule.describe().items()]
     return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
+    return parse_config(text)

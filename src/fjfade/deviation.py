@@ -82,6 +82,11 @@ def find_tstar(
     """
     x0 = np.asarray(x0, dtype=float)
     _held_agent_inputs(weighted, x0, target)
+    return _search_tstar(weighted, x0, target, max_steps)
+
+
+def _search_tstar(weighted: WeightedNetwork, x0: np.ndarray, target: int, max_steps: int = 1_000_000) -> int:
+    """`find_tstar`'s pass over the nominal run, for inputs already checked."""
     for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
         if x.max() < x0[target]:
             return last_not_below + 1
@@ -107,12 +112,13 @@ def deviation_experiment(
     a maximal opinion, W >= 0 (InvalidParameter) and a strict drop
     (NoStrictDrop). With W >= 0 and a maximal target the held run dominates
     the nominal one, y_t >= x_t, by induction on t. A tstar of None is found
-    by `find_tstar` and certified; a fixed tstar is certified when the
-    nominal run's target sits below x0[target] at step tstar. The reported
-    consensus value is perron^T y_tstar and the deviation is its distance
-    from the nominal x_ss. One more held step gives y_{tstar+1}, after which
-    y_{t+1} = W y_t, so the held limit is exactly perron^T y_{tstar+1}.
-    Memory is O(n); W needs no spectral data.
+    by `find_tstar`'s search, which skips its second check of the inputs, and
+    certified; a fixed tstar is certified when the nominal run's target sits
+    below x0[target] at step tstar. The reported consensus value is
+    perron^T y_tstar and the deviation is its distance from the nominal x_ss.
+    One more held step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the
+    held limit is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no
+    spectral data.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
@@ -120,7 +126,7 @@ def deviation_experiment(
     x_ss = _held_agent_inputs(weighted, x0, target)
     certified = tstar is None
     if certified:
-        tstar = find_tstar(weighted, x0, target)
+        tstar = _search_tstar(weighted, x0, target)
     held = iterate(weighted, x0, make_adversarial_nonuniform(tstar=tstar, target=target))
     if not certified:
         x_tstar = next(islice(iterate(weighted, x0, zero_consensus()), tstar, None))

@@ -102,8 +102,13 @@ class CompetitionSchedule:
         out = np.zeros(ts.shape)
         inside = ts < len(self.seq)
         if inside.any():
-            out[inside] = np.asarray(self.seq)[ts[inside]]
+            out[inside] = self._seq[ts[inside]]
         return out
+
+    @cached_property
+    def _seq(self) -> np.ndarray:
+        """seq as one array, built on first read: `values` indexes it chunk by chunk."""
+        return np.asarray(self.seq)
 
     @property
     def vanishing(self) -> bool:

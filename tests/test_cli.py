@@ -710,6 +710,36 @@ class TestErrors:
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
         assert capsys.readouterr().err != ""
 
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+    def test_out_path_that_is_a_file_exits_2(self, config_path, tmp_path, capsys):
+        taken = tmp_path / "taken.md"
+        taken.write_text("kept\n")
+        assert main(["run", str(config_path), "--out", str(taken), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(RUN_CONFIG.replace("out_dir = results", "out_dir = r\xe9sultats").encode("latin-1"))
+        assert main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not UTF-8 text") and err.count("\n") == 1
+
+    def test_fixed_tstar_over_the_cap_exits_2_before_running(self, tmp_path, monkeypatch, capsys):
+        # the held and nominal runs step all the way to a fixed tstar
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: pytest.fail("the experiment ran"))
+        path = tmp_path / "far.ini"
+        held = "\n[schedule.h]\nkind = adversarial\ntstar = 1000000000000\n"
+        path.write_text(TWO_AGENT_CONFIG.format(x0="values = 1 0") + held)
+        assert main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "tstar must be at most 1000000, got 1000000000000" in err and "'schedule.h.tstar'" in err
+
     def test_alt_distance_column(self, tmp_path):
         text = RUN_CONFIG.replace("out_dir = results", "out_dir = results\nemit_alt_distance = true")
         path = tmp_path / "alt.ini"

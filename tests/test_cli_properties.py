@@ -44,7 +44,7 @@ def schedule_sections(draw, n):
         seq = draw(st.lists(LEVELS, min_size=1, max_size=5))
         lines.append("seq = " + " ".join(map(repr, seq)))
     elif kind == "adversarial":
-        lines.append(f"tstar = {draw(mostly(['auto', '0', '3', '12'], ['-1']))}")
+        lines.append(f"tstar = {draw(mostly(['auto', '0', '3', '12'], ['-1', '1000000000000']))}")
         lines.append(f"target = {draw(mostly(['argmax'] * 3 + [str(i) for i in range(n)], ['-1', str(n)]))}")
     return lines
 

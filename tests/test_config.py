@@ -184,6 +184,13 @@ class TestRejection:
         text = GOOD.replace("eps_conv = 1e-9", "eps_conv = 1e-9\ntail_eps = 1e-320")
         assert parse_config(text).tail_eps == 1e-320
 
+    def test_fixed_tstar_cap(self):
+        # a fixed tstar is stepped to, so it is capped like the auto search, at 10^6 steps
+        assert parse_config(GOOD.replace("tstar = auto", "tstar = 1000000")).schedules[2].tstar == 10**6
+        with pytest.raises(ConfigError, match="tstar must be at most 1000000, got 1000001") as info:
+            parse_config(GOOD.replace("tstar = auto", "tstar = 1000001"))
+        assert (info.value.field, info.value.line) == ("schedule.hold.tstar", 27)
+
     def test_x0_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(GOOD.replace("uniform = 0 5", "uniform = 0 5\nvalues = 1 2 3 4 5 6"))

@@ -20,6 +20,7 @@ from fjfade import (
     DeviationReport,
     InvalidParameter,
     NoStrictDrop,
+    deviation,
     deviation_experiment,
     find_tstar,
     generate_erdos_renyi,
@@ -175,6 +176,14 @@ class TestFindTstar:
         if w.consensus_value(x0) >= x0[target] - 1e-12:
             return  # no strict drop: nothing to certify
         assert find_tstar(w, x0, target) == persistence_oracle(w, x0, target)
+
+    def test_auto_tstar_checks_the_inputs_once(self, study_weights, study_x0, monkeypatch):
+        # deviation_experiment checks its inputs, then searches without find_tstar's second check
+        expected = find_tstar(study_weights, study_x0, int(np.argmax(study_x0)))
+        check, calls = deviation._held_agent_inputs, []
+        monkeypatch.setattr(deviation, "_held_agent_inputs", lambda *args: calls.append(args) or check(*args))
+        assert deviation_experiment(study_weights, study_x0).tstar == expected
+        assert len(calls) == 1
 
     def test_memory_is_linear_in_n(self):
         # the pass keeps O(n) state: a search that stored the states it

@@ -7,6 +7,7 @@ Frozen constants below were produced by independent scalar-loop oracles
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,21 @@ class TestScheduleValues:
             assert sched == built[0]
             lams = sched.values(np.array(ts))
             assert ((lams >= 0.0) & (lams <= 1.0)).all(), (sched, lams)
+
+    def test_custom_chunk_reads_one_array(self):
+        # every consumer reads lambda_t in 1,024-step chunks: after the first, a chunk
+        # allocates O(chunk), not a fresh 8 MB array of the whole seq
+        sched = custom(np.linspace(1.0, 0.0, 10**6))
+        ts = np.arange(500_000, 501_024)
+        sched.values(ts)
+        tracemalloc.start()
+        try:
+            lams = sched.values(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lams.tolist() == list(sched.seq[500_000:501_024])
+        assert peak < 64 * 1024
 
     def test_custom_non_monotone_warns(self):
         with pytest.warns(UserWarning):
