@@ -28,8 +28,8 @@ def main():
     if args.seed is not None:
         from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
-    result = run_experiment(cfg)
     out_dir = resolve_out_dir(cfg, args.out)
+    result = run_experiment(cfg)
     write_outputs(result, out_dir)
 
     print(f"graph: {cfg.graph.kind} n={cfg.n} edges={len(result.draw.network.edges)} "

@@ -25,7 +25,7 @@ from .bounds import (
     upper_bound,
     worst_case_initial_condition,
 )
-from .deviation import DeviationReport, deviation_experiment, find_tstar
+from .deviation import DeviationReport, deviation_experiment
 from .dynamics import (
     Trajectory,
     TransitionCalculator,

@@ -18,8 +18,8 @@ Lambda_{k+1}^inf lambda_k = Lambda_{k+1}^inf - Lambda_k^inf, the upper bound
 has the closed form upper(t) = lower(t) + gap(t) with gap(t) = 2 (1 - Lambda_t^inf),
 or gap(t) = 1 for a non-summable schedule, whose every Lambda^inf is 0; the
 gap does not depend on sigma_max. Every bound here takes a step or an
-integer array of steps >= 1 and costs O(max t): one pass of the
-lower_bound_series recurrence and one table lookup.
+integer array of steps >= 1 and costs O(max t): one pass of
+`dynamics.gains` at mu = sigma_max and one table lookup.
 A truncated table overestimates Lambda_t^inf by up to a factor 1/(1 - remainder),
 so gap() adds 2 * remainder, and the reported upper bound never undershoots
 the true one. upper(t) vanishes as t grows only for summable schedules; for
@@ -30,11 +30,9 @@ the hyperbolic schedule it tends to 1 while lower(t) still decays like 1/t.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
-
 import numpy as np
 
-from .dynamics import CHUNK, Trajectory
+from .dynamics import Trajectory, gains
 from .errors import (
     ConsensusInitialCondition,
     FjfadeError,
@@ -92,11 +90,11 @@ def lower_bound(
 
 
 def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon: int) -> np.ndarray:
-    """lower_bound for every t in 0..horizon via the scalar recurrence.
+    """lower_bound for every t in 0..horizon: `dynamics.gains` at mu = sigma_max.
 
     The lower bound is realized by the trajectory aligned with the second
-    singular direction, so it satisfies the same one-step recursion
-    m_{t+1} = sigma (1 - lambda_t) m_t + lambda_t, m_0 = 1, drawing lambda CHUNK steps at a time.
+    singular direction, so it is that mode's gain, m_0 = 1 and
+    m_{t+1} = sigma (1 - lambda_t) m_t + lambda_t, over Python floats.
     """
     sigma_max = float(sigma_max)
     if not 0.0 < sigma_max < 1.0:
@@ -104,10 +102,7 @@ def lower_bound_series(sigma_max: float, schedule: CompetitionSchedule, horizon:
     _check_vanishing(schedule)
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
-    lams = chain.from_iterable(schedule.values(np.arange(lo, min(lo + CHUNK, horizon))).tolist()
-                               for lo in range(0, horizon, CHUNK))  # Python floats: no numpy scalars
-    series = accumulate(lams, lambda m, lam: sigma_max * (1.0 - lam) * m + lam, initial=1.0)
-    return np.fromiter(series, float, horizon + 1)
+    return np.fromiter(gains(sigma_max, schedule, horizon), float, horizon + 1)
 
 
 def upper_bound(

@@ -71,8 +71,8 @@ def _say(args, msg: str) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    result = run_experiment(cfg)
     out_dir = resolve_out_dir(cfg, args.out)
+    result = run_experiment(cfg)
     write_outputs(result, out_dir)
     d = result.draw
     seed_note = f" graph_seed={d.seed_used} resamples={d.resamples}" if d.seed_used is not None else ""

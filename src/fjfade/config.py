@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .deviation import MAX_STEPS
 from .errors import ConfigError, InvalidParameter
 from .schedules import SCHEDULE_PARAMS, TAIL_EPS, CompetitionSchedule, make_schedule
 
@@ -96,6 +97,8 @@ class ExperimentConfig:
         if not 0.0 < self.tail_eps < 1.0:
             raise ConfigError(f"tail_eps must lie in (0, 1), got {self.tail_eps!r}",
                               field="experiment.tail_eps")
+        if not self.eps_conv > 0.0:
+            raise ConfigError(f"eps_conv must be > 0, got {self.eps_conv!r}", field="experiment.eps_conv")
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -245,9 +248,8 @@ def parse_config(text: str) -> ExperimentConfig:
         params = _read(text, name, items, {key: keys[key] for key in ("kind", *names)})
         if kind == "adversarial":
             tstar, target = params["tstar"], params.get("target")
-            if tstar is not None and not 0 <= tstar <= MAX_HORIZON:
-                # the held and nominal runs step to tstar, and an auto search stops at the same count
-                bound = ">= 0" if tstar < 0 else f"at most {MAX_HORIZON}"
+            if tstar is not None and not 0 <= tstar <= MAX_STEPS:
+                bound = ">= 0" if tstar < 0 else f"at most {MAX_STEPS}"
                 raise _error(text, name, "tstar", f"tstar must be {bound}, got {tstar}")
             if target is not None and not 0 <= target < n:
                 raise _error(text, name, "target", f"target must lie in [0, {n - 1}], got {target}")

@@ -21,6 +21,8 @@ from .network import WeightedNetwork
 from .schedules import make_adversarial_nonuniform, zero_consensus
 
 STRICT_DROP_MARGIN = 1e-12
+# Steps an auto tstar search takes before it gives up; a config caps a fixed tstar at the same count.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,39 +65,25 @@ def _held_agent_inputs(weighted: WeightedNetwork, x0: np.ndarray, target: int) -
     return x_ss
 
 
-def find_tstar(
-    weighted: WeightedNetwork,
-    x0: np.ndarray,
-    target: int,
-    max_steps: int = 1_000_000,
-) -> int:
+def _search_tstar(weighted: WeightedNetwork, x0: np.ndarray, target: int) -> int:
     """Smallest tstar after which the nominal run stays strictly below x0[target].
 
-    The inputs are checked first, as in `deviation_experiment`. W is then
-    nonnegative and row stochastic, so every entry of W x is a convex
+    `deviation_experiment` has checked the inputs, so W is nonnegative and
+    row stochastic: every entry of W x is a convex
     combination of entries of x and max_i x_t[i] never increases along the
     plain consensus run. At the first step t with max(x_t) < x0[target] the
     target can never again reach its initial opinion, so tstar is one past
     the last step before t where it still did. The pass needs no tolerance,
     keeps O(n) memory and raises ConvergenceFailure if the certificate has
-    not fired by step max_steps.
+    not fired by step MAX_STEPS.
     """
-    x0 = np.asarray(x0, dtype=float)
-    _held_agent_inputs(weighted, x0, target)
-    return _search_tstar(weighted, x0, target, max_steps)
-
-
-def _search_tstar(weighted: WeightedNetwork, x0: np.ndarray, target: int, max_steps: int = 1_000_000) -> int:
-    """`find_tstar`'s pass over the nominal run, for inputs already checked."""
     for t, x in enumerate(iterate(weighted, x0, zero_consensus())):
         if x.max() < x0[target]:
             return last_not_below + 1
         if x[target] >= x0[target]:  # always true at t = 0
             last_not_below = t
-        if t >= max_steps:
-            raise ConvergenceFailure(
-                f"maximum opinion still at or above x0[target] after {max_steps} steps"
-            )
+        if t >= MAX_STEPS:
+            raise ConvergenceFailure(f"maximum opinion still at or above x0[target] after {MAX_STEPS} steps")
 
 
 def deviation_experiment(
@@ -112,9 +100,9 @@ def deviation_experiment(
     a maximal opinion, W >= 0 (InvalidParameter) and a strict drop
     (NoStrictDrop). With W >= 0 and a maximal target the held run dominates
     the nominal one, y_t >= x_t, by induction on t. A tstar of None is found
-    by `find_tstar`'s search, which skips its second check of the inputs, and
-    certified; a fixed tstar is certified when the nominal run's target sits
-    below x0[target] at step tstar. The reported consensus value is
+    by `_search_tstar`, which reads the inputs checked here, and certified; a
+    fixed tstar is certified when the nominal run's target sits below
+    x0[target] at step tstar. The reported consensus value is
     perron^T y_tstar and the deviation is its distance from the nominal x_ss.
     One more held step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the
     held limit is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no

@@ -7,12 +7,14 @@ schedule per column; `modal_distances` gets l2 distances without them.
 Every step uses the same evaluation order (the product with W first,
 then the convex combination), and a held target is pinned to x_0 after
 it, so a held run past tstar is bit-identical to the zero schedule.
+`gains` is the one scalar recursion, g_{t+1} = mu (1 - lambda_t) g_t + lambda_t,
+that both `modal_distances` and `bounds.lower_bound_series` read.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,9 +32,13 @@ CHUNK = 1024  # steps of lambda values drawn per table
 BUFFER_ELEMENTS = 2**16  # numbers in one lambda table, and in one buffer simulate reduces
 
 
-def _lambda_rows(table: Callable[[np.ndarray], np.ndarray], rows: int) -> Iterator[np.ndarray]:
-    """Yield lambda_0, lambda_1, ... as the rows of table(ts), drawn `rows` steps at a time."""
-    return itertools.chain.from_iterable(table(np.arange(t, t + rows)) for t in itertools.count(0, rows))
+def gains(mu: float | np.ndarray, schedule: CompetitionSchedule, horizon: int) -> Iterator[float | np.ndarray]:
+    """Yield g_0 = 1, ..., g_horizon of g_{t+1} = mu (1 - lambda_t) g_t + lambda_t, for a float mu
+    or an array of them (broadcast at the first step), of either sign. Lambda is drawn CHUNK steps
+    at a time as Python floats, so a float mu stays on Python floats, with no numpy scalars."""
+    lams = itertools.chain.from_iterable(schedule.values(np.arange(lo, min(lo + CHUNK, horizon))).tolist()
+                                         for lo in range(0, horizon, CHUNK))
+    return itertools.accumulate(lams, lambda g, lam: mu * (1.0 - lam) * g + lam, initial=1.0)
 
 
 def _start(weighted: WeightedNetwork, x0: np.ndarray) -> np.ndarray:
@@ -80,7 +86,8 @@ def iterate(
 
     WT = weighted.W.T
     x = np.tile(x0, (len(schedules), 1))
-    lams = enumerate(_lambda_rows(table, max(1, min(CHUNK, BUFFER_ELEMENTS // len(schedules)))))
+    rows = max(1, min(CHUNK, BUFFER_ELEMENTS // len(schedules)))  # lambda_0, lambda_1, ... as table rows
+    lams = enumerate(itertools.chain.from_iterable(table(np.arange(t, t + rows)) for t in itertools.count(0, rows)))
     while True:
         yield x.T if per_column else x[0]
         t, lam = next(lams)
@@ -167,12 +174,11 @@ def modal_distances(
     or an n x B block under a uniform schedule, evaluated in symmetric W's eigenbasis.
 
     e_t = x_t - x_ss 1 obeys e_{t+1} = (1 - lambda_t) W e_t + lambda_t e_0, so
-    each mode (mu, v) of `weighted.modes` scales v^T e_0 by a gain g_t, with
-    g_0 = 1 and g_{t+1} = mu (1 - lambda_t) g_t + lambda_t in the operation
-    order of `bounds.lower_bound_series`: d_t^2 = sum g_t^2 (v^T e_0)^2. That
-    costs O(n B) a step, with no product with W; each buffer of at most
-    BUFFER_ELEMENTS gains is reduced and yielded as a new block of its rows,
-    which `np.concatenate` stacks into the series. Lambda is drawn as in `iterate`.
+    each mode (mu, v) of `weighted.modes` scales v^T e_0 by its gain g_t from
+    `gains`, the recursion `bounds.lower_bound_series` reads at sigma_max:
+    d_t^2 = sum g_t^2 (v^T e_0)^2. That costs O(n B) a step, with no product
+    with W; each buffer of at most BUFFER_ELEMENTS gains is reduced and yielded
+    as a new block of its rows, which `np.concatenate` stacks into the series.
     """
     if horizon < 0:
         raise InvalidParameter(f"horizon must be >= 0, got {horizon}")
@@ -182,15 +188,11 @@ def modal_distances(
     starts = np.asarray(starts, dtype=float)
     C2 = np.square(V.T @ (starts - weighted.consensus_value(starts)))
     rows = max(1, min(CHUNK, BUFFER_ELEMENTS // weighted.n))
-    lams = _lambda_rows(schedule.values, rows)
-    G, g = np.empty((rows, weighted.n)), np.ones(weighted.n)
+    G, g = np.empty((rows, weighted.n)), gains(mu, schedule, horizon)
     for lo in range(0, horizon + 1, rows):
         block = G[:min(rows, horizon + 1 - lo)]
-        for i in range(len(block)):
-            if lo + i:  # g_t reads lambda_{t-1}, as x_t does in iterate
-                lam = next(lams)
-                g = mu * (1.0 - lam) * g + lam
-            block[i] = g
+        for i, gain in enumerate(itertools.islice(g, len(block))):
+            block[i] = gain
         yield np.sqrt(D := np.square(block, out=block) @ C2, out=D)
 
 

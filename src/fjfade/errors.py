@@ -18,7 +18,7 @@ class DisconnectedNetwork(FjfadeError):
 
 
 class ConvergenceFailure(FjfadeError):
-    """`find_tstar`'s switch-time certificate did not fire within its step cap."""
+    """The auto tstar search's certificate did not fire within `deviation.MAX_STEPS` steps."""
 
 
 class NonUniformUnsupported(FjfadeError):

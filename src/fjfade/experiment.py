@@ -12,6 +12,7 @@ information, floats rendered with repr. Same seed, same bytes.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from collections.abc import Iterable, Iterator
@@ -265,12 +266,18 @@ def render_manifest(result: ExperimentResult) -> str:
 
 
 def resolve_out_dir(cfg: ExperimentConfig, override: str | None = None) -> Path:
-    """Relative output paths are rooted at $EXPERIMENT_OUT_DIR when set."""
+    """Relative output paths are rooted at $EXPERIMENT_OUT_DIR when set. Nothing is created, but a
+    path that is, or lies under, a non-directory raises the FileExistsError or NotADirectoryError
+    that `write_outputs`' mkdir would, so a run fails before it simulates."""
     out = Path(override if override is not None else cfg.out_dir)
     if not out.is_absolute():
         root = os.environ.get("EXPERIMENT_OUT_DIR")
         if root:
             out = Path(root) / out
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
     return out
 
 

@@ -35,7 +35,7 @@ from fjfade import (
     zero_consensus,
 )
 from fjfade.bounds import envelope, envelope_error
-from fjfade.dynamics import CHUNK
+from fjfade.dynamics import CHUNK, gains
 
 FAR = 600  # finite stand-in for the infinite tail
 
@@ -93,6 +93,18 @@ def lower_bound_series_loop(sigma, sched, horizon):
     for t in range(horizon):
         m = sigma * (1.0 - lam[t]) * m + lam[t]
         out[t + 1] = m
+    return out
+
+
+def modal_gains_loop(mu, sched, horizon):
+    """The per-step numpy loop of every mode's gain that modal_distances ran
+    before `gains`, kept as its oracle: numpy-scalar lambdas, ones to start."""
+    lam = sched.values(np.arange(horizon))
+    out = np.empty((horizon + 1, mu.size))
+    out[0] = g = np.ones(mu.size)
+    for t in range(horizon):
+        g = mu * (1.0 - lam[t]) * g + lam[t]
+        out[t + 1] = g
     return out
 
 
@@ -162,6 +174,31 @@ class TestLowerBound:
     def test_array_steps(self):
         for sched in (exponential(0.5), hyperbolic(), custom([0.8, 0.3, 0.1])):
             assert_array_form(lambda t: lower_bound(0.7, sched, t))
+
+
+UNIFORM_KINDS = [constant(0.3), exponential(0.05), hyperbolic(), zero_consensus(), custom([0.8, 0.3, 0.1])]
+GAIN_HORIZONS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK]
+
+
+class TestGains:
+    # the one recursion both the lower edge and the modal distances read: any
+    # other operation order, say mu * ((1 - lam) g) + lam, breaks bit equality
+    @pytest.mark.parametrize("sched", UNIFORM_KINDS, ids=[s.kind.value for s in UNIFORM_KINDS])
+    @pytest.mark.parametrize("horizon", GAIN_HORIZONS)
+    def test_float_mu_matches_scalar_loop(self, sched, horizon):
+        for mu in (0.9, 0.5, 0.0, -0.9):
+            series = np.fromiter(gains(mu, sched, horizon), float, horizon + 1)
+            np.testing.assert_array_equal(series, lower_bound_series_loop(mu, sched, horizon))
+
+    @pytest.mark.parametrize("sched", UNIFORM_KINDS, ids=[s.kind.value for s in UNIFORM_KINDS])
+    @pytest.mark.parametrize("horizon", GAIN_HORIZONS)
+    def test_array_mu_matches_modal_loop(self, sched, horizon):
+        mu = np.array([0.999, 0.9, 0.5, 0.0, -0.3, -0.9, -0.999])
+        rows = np.empty((horizon + 1, mu.size))
+        for t, g in enumerate(gains(mu, sched, horizon)):  # g_0 is the float 1.0, broadcast
+            rows[t] = g
+        assert t == horizon
+        np.testing.assert_array_equal(rows, modal_gains_loop(mu, sched, horizon))
 
 
 class TestUpperBound:

@@ -723,6 +723,25 @@ class TestErrors:
         assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out", ["taken.md", "taken.md/sub", "taken.md/sub/deeper", "taken.md/../sub"])
+    def test_out_path_is_checked_before_the_run(self, config_path, tmp_path, monkeypatch, capsys, out):
+        # the run fails too, but the path error is the one printed, as write_outputs' mkdir words it
+        def failing(*args, **kwargs):
+            raise FjfadeError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        (tmp_path / "taken.md").write_text("kept\n")
+        with pytest.raises(OSError) as mkdir:
+            (tmp_path / out).mkdir(parents=True, exist_ok=True)
+        assert main(["run", str(config_path), "--out", str(tmp_path / out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {mkdir.value}\n"
+
+    def test_failed_run_creates_no_out_dir(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: pytest.fail("the experiment ran"))
+        with pytest.raises(pytest.fail.Exception):
+            main(["run", str(config_path), "--out", str(tmp_path / "new" / "deep"), "--quiet"])
+        assert not (tmp_path / "new").exists()
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.ini"
         path.write_bytes(RUN_CONFIG.replace("out_dir = results", "out_dir = r\xe9sultats").encode("latin-1"))

@@ -58,7 +58,7 @@ def configs(draw):
         f"n = {n}",
         f"horizon = {draw(st.integers(1, 40))}",
         f"seed = {draw(st.integers(0, 50))}",
-        f"eps_conv = {draw(st.sampled_from([1e-12, 1e-8, 1.2345678901e-08, 1e-2, 10.0]))!r}",
+        f"eps_conv = {draw(mostly([1e-12, 1e-8, 1.2345678901e-08, 1e-2, 10.0], [0.0, -1e-08]))!r}",
         # 1e-320 is in range but subnormal: 1 / tail_eps overflows
         f"tail_eps = {draw(mostly([1e-16, 1e-14, 1e-6, 0.5], [0.0, -1.0, 1e-320]))!r}",
         f"emit_alt_distance = {draw(st.sampled_from(['true', 'false']))}",

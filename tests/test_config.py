@@ -135,6 +135,10 @@ class TestRejection:
                 parse_config(GOOD.replace("horizon = 40", f"horizon = {horizon}"))
         with pytest.raises(ConfigError, match="seed"):
             parse_config(GOOD.replace("seed = 3", "seed = -1"))
+        for eps_conv in ("0", "-1e-8"):  # no distance falls below it, so converged_at would never fire
+            with pytest.raises(ConfigError, match=f"eps_conv must be > 0, got {float(eps_conv)!r}") as info:
+                parse_config(GOOD.replace("eps_conv = 1e-9", f"eps_conv = {eps_conv}"))
+            assert info.value.field == "experiment.eps_conv"
         for old, new in (
             ("rate = 0.5", "rate = inf"),
             ("eps_conv = 1e-9", "eps_conv = nan"),

@@ -22,7 +22,6 @@ from fjfade import (
     NoStrictDrop,
     deviation,
     deviation_experiment,
-    find_tstar,
     generate_erdos_renyi,
     iterate,
     make_adversarial_nonuniform,
@@ -107,7 +106,6 @@ class TestTwoAgentHandCase:
 
     def test_auto_tstar_matches_hand_value(self, path2):
         x0 = np.array([1.0, 0.0])
-        assert find_tstar(path2, x0, target=0) == 1
         rep = deviation_experiment(path2, x0)
         assert rep.tstar == 1
         assert rep.strict_drop_certified
@@ -120,9 +118,11 @@ class TestTwoAgentHandCase:
 
 
 class TestFindTstar:
+    """The auto tstar search, read as `deviation_experiment(...).tstar`."""
+
     def test_last_step_at_or_above_start(self, study_weights, study_x0):
         target = int(np.argmax(study_x0))
-        tstar = find_tstar(study_weights, study_x0, target)
+        tstar = deviation_experiment(study_weights, study_x0, target).tstar
         xs = list(islice(iterate(study_weights, study_x0, zero_consensus()), tstar + 6))
         # definition: tstar is one past the last step where the free-running
         # target still matches its initial opinion
@@ -130,24 +130,27 @@ class TestFindTstar:
         assert xs[tstar][target] < study_x0[target]
 
     def test_at_least_one(self, star3):
-        assert find_tstar(star3, np.array([3.0, 0.0, 0.0]), 0) >= 1
+        assert deviation_experiment(star3, np.array([3.0, 0.0, 0.0]), 0).tstar >= 1
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         # the drop at agent 0 reaches agent 5 only at step 5, so the maximum
         # stays at 3 through step 4 and the certificate cannot fire by step 3
         w = metropolis_weights(path_graph(6))
         x0 = np.array([0.0, 3.0, 3.0, 3.0, 3.0, 3.0])
-        with pytest.raises(ConvergenceFailure):
-            find_tstar(w, x0, 5, max_steps=3)
-        assert find_tstar(w, x0, 5, max_steps=5) == 5
+        monkeypatch.setattr(deviation, "MAX_STEPS", 3)
+        with pytest.raises(ConvergenceFailure, match="after 3 steps"):
+            deviation_experiment(w, x0, 5)
+        monkeypatch.setattr(deviation, "MAX_STEPS", 5)
+        assert deviation_experiment(w, x0, 5).tstar == 5
 
-    def test_slow_path_certified_at_step_one(self):
+    def test_slow_path_certified_at_step_one(self, monkeypatch):
         # the run takes thousands of steps to settle, but the maximum drops
         # below the target's start at step 1
         n = 64
         w = metropolis_weights(path_graph(n))
         x0 = 5.0 * np.arange(n) / (n - 1)
-        assert find_tstar(w, x0, n - 1, max_steps=10) == 1
+        monkeypatch.setattr(deviation, "MAX_STEPS", 10)
+        assert deviation_experiment(w, x0, n - 1).tstar == 1
 
     def test_negative_weight_rejected(self, star3):
         # the certificate needs W >= 0, which a replace(...)-built W need not keep
@@ -175,11 +178,11 @@ class TestFindTstar:
         target = int(np.argmax(x0))
         if w.consensus_value(x0) >= x0[target] - 1e-12:
             return  # no strict drop: nothing to certify
-        assert find_tstar(w, x0, target) == persistence_oracle(w, x0, target)
+        assert deviation_experiment(w, x0, target).tstar == persistence_oracle(w, x0, target)
 
     def test_auto_tstar_checks_the_inputs_once(self, study_weights, study_x0, monkeypatch):
-        # deviation_experiment checks its inputs, then searches without find_tstar's second check
-        expected = find_tstar(study_weights, study_x0, int(np.argmax(study_x0)))
+        # deviation_experiment checks its inputs, then searches without a second check
+        expected = persistence_oracle(study_weights, study_x0, int(np.argmax(study_x0)))
         check, calls = deviation._held_agent_inputs, []
         monkeypatch.setattr(deviation, "_held_agent_inputs", lambda *args: calls.append(args) or check(*args))
         assert deviation_experiment(study_weights, study_x0).tstar == expected
@@ -193,7 +196,7 @@ class TestFindTstar:
         x0 = 5.0 * np.arange(n) / (n - 1)
         tracemalloc.start()
         try:
-            tstar = find_tstar(w, x0, n - 1)
+            tstar = deviation_experiment(w, x0, n - 1).tstar
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -24,8 +24,8 @@ from fjfade import (
     constant,
     custom,
     complete_graph,
+    deviation_experiment,
     exponential,
-    find_tstar,
     generate_erdos_renyi,
     hyperbolic,
     infinite_products,
@@ -490,7 +490,7 @@ class TestReferenceRecursion:
             dev = np.array(list(islice(reference_states(weighted.W, x0, sched), horizon + 1))) - x_ss
             assert np.abs(traj.distances[:, j] - np.linalg.norm(dev, axis=1)).max() <= tol
             assert np.abs(traj.avg_distances[:, j] - np.abs(dev).mean(axis=1)).max() <= tol
-        # find_tstar is one past the last step at which the plain consensus
+        # the auto tstar is one past the last step at which the plain consensus
         # run still holds the target at x0[target], searched until the maximum
         # opinion falls below it
         target = int(np.argmax(x0))
@@ -501,7 +501,7 @@ class TestReferenceRecursion:
                 break
             if x[target] >= x0[target]:
                 last = t
-        assert find_tstar(weighted, x0, target) == last + 1
+        assert deviation_experiment(weighted, x0, target).tstar == last + 1
 
     @given(run_configs())
     @settings(max_examples=30, deadline=None)
