@@ -18,9 +18,9 @@ Lambda_{k+1}^inf lambda_k = Lambda_{k+1}^inf - Lambda_k^inf, the upper bound
 has the closed form upper(t) = lower(t) + gap(t) with gap(t) = 2 (1 - Lambda_t^inf),
 or gap(t) = 1 for a non-summable schedule, whose every Lambda^inf is 0; the
 gap does not depend on sigma_max. Every bound here takes a step or an
-integer array of steps >= 1 and costs O(max t): one pass of
-`dynamics.gains` at mu = sigma_max and one table lookup.
-A truncated table overestimates Lambda_t^inf by up to a factor 1/(1 - remainder),
+integer array of steps >= 1, in O(max t) memory and O(max t + cutoff) time:
+one pass of `dynamics.gains` at mu = sigma_max and one streamed `suffix_products`.
+A truncated product overestimates Lambda_t^inf by up to a factor 1/(1 - remainder),
 so gap() adds 2 * remainder, and the reported upper bound never undershoots
 the true one. upper(t) vanishes as t grows only for summable schedules; for
 the hyperbolic schedule it tends to 1 while lower(t) still decays like 1/t.
@@ -110,7 +110,7 @@ def upper_bound(
 ) -> float | np.ndarray:
     """Worst-case ratio upper bound, lower_bound + gap, at step t or at each
     step of an integer array t, with Lambda^inf truncated at tail_eps.
-    O(max t); certified, see gap()."""
+    O(max t) memory; certified, see gap()."""
     return lower_bound(sigma_max, schedule, t) + gap(schedule, t, tail_eps)
 
 
@@ -130,10 +130,10 @@ def gap(
     schedule: CompetitionSchedule, t: int | np.ndarray, tail_eps: float = TAIL_EPS
 ) -> float | np.ndarray:
     """upper_bound - lower_bound at step t or at each step of an integer
-    array t; independent of sigma_max. O(max t).
+    array t; independent of sigma_max. O(max t) memory.
 
     gap(t) = 1 for a non-summable schedule, whose every Lambda^inf is 0.
-    Otherwise gap(t) = 2 (1 - Lambda_t^inf + remainder), where the table of
+    Otherwise gap(t) = 2 (1 - Lambda_t^inf + remainder), where the product
     Lambda_t^inf is cut off at tail_eps in (0, 1) (see infinite_products).
     1 - Lambda_t^inf enters the upper bound twice, so the certified slack is
     2 * remainder.

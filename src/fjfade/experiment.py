@@ -198,7 +198,7 @@ def _schedule_manifest_lines(run: RunResult, tail_eps: float) -> list[str]:
                 lines.append(f"{key} = {text}")
     lines.append(f"bounds = {str(run.bounds_used).lower()}")
     if run.bounds_used:
-        table = infinite_products(run.schedule, tail_eps)  # its closed-form facts: no table is built
+        table = infinite_products(run.schedule, tail_eps)  # its closed-form facts: no product is multiplied
         lines.append(f"truncation_kind = {table.schedule.kind.value}")
         lines.append(f"truncation_exact = {str(table.exact).lower()}")
         lines.append(f"truncation_cutoff = {table.cutoff}")

@@ -41,10 +41,11 @@ SCHEDULE_PARAMS = {
     ScheduleKind.ZERO: (),
     ScheduleKind.CUSTOM: ("seq",),
 }
-# Default cutoff of a truncated product: the table stops where lambda_k falls to TAIL_EPS, its
-# remainder bounds the rest, and MAX_TERMS caps its length: 40 MB, about 120 MB while it is built.
+# Default cutoff of a truncated product: it stops where lambda_k falls to TAIL_EPS, its remainder bounds
+# the rest, and MAX_TERMS caps its time at about 1 s; it streams PIECE factors at a time, in O(PIECE) memory.
 TAIL_EPS = 1e-14
-MAX_TERMS = 5_000_000
+MAX_TERMS = 50_000_000
+PIECE = 2**16
 
 
 @dataclass(frozen=True)
@@ -200,17 +201,19 @@ def lambda_product(
     return float(np.prod(1.0 - schedule.values(np.arange(s, t + 1))))
 
 
-def suffix_products(schedule: CompetitionSchedule, t: int) -> np.ndarray:
-    """Array R with R[j] = Lambda_j^t for j = 0..t+1 (R[t+1] = 1).
-
-    `partition_of_unity` reads every suffix product at once, and
-    `infinite_products` stores R for t = cutoff - 1 as its Lambda^inf table.
-    """
-    if t < 0:
-        return np.ones(1)
-    f = 1.0 - schedule.values(np.arange(t + 1))
-    out = np.ones(t + 2)
-    out[:-1] = np.cumprod(f[::-1])[::-1]
+def suffix_products(schedule: CompetitionSchedule, t: int, first: int | None = None) -> np.ndarray:
+    """Array R with R[j] = Lambda_j^t for j = 0..first, t + 1 by default (R[t+1] = 1): one product
+    from k = t down, PIECE factors at a time, keeping only R[0..first]. cumprod multiplies in
+    sequence from the carried product, so R has the bits of one whole cumprod."""
+    first = t + 1 if first is None else first
+    out, carry = np.ones(first + 1), 1.0
+    for hi in range(t + 1, 0, -PIECE):
+        lo = max(hi - PIECE, 0)
+        f = 1.0 - schedule.values(np.arange(hi - 1, lo - 1, -1))  # f[i] = 1 - lambda_{hi-1-i}
+        f[0] *= carry
+        carry = np.cumprod(f, out=f)[-1]
+        top = min(hi, first + 1)  # entries lo..top-1 are kept; the slices are empty when top <= lo
+        out[lo:top] = f[hi - top:][::-1]
     return out
 
 
@@ -225,13 +228,11 @@ def partition_of_unity(schedule: CompetitionSchedule, t: int) -> float:
 
 @dataclass(frozen=True)
 class InfiniteProducts:
-    """Lambda_s^inf = back[min(s, cutoff)], the table built on first read; a
-    run's manifest reports exact, cutoff and remainder, which need no table.
-
-    For a summable schedule back[j] = prod_{i=j}^{cutoff-1} (1 - lambda_i),
-    and the factors beyond cutoff multiply to within [1 - remainder, 1]; a
-    non-summable one has every limit 0 and back = [0.0]. Tables of
-    closed-form kinds are exact, with remainder 0.
+    """Lambda_s^inf for a schedule; a run's manifest reports exact, cutoff and remainder,
+    which multiply no products. For a summable schedule Lambda_s^inf is read as
+    Lambda_{min(s, cutoff)}^{cutoff-1}, and the factors beyond cutoff multiply to within
+    [1 - remainder, 1]; a non-summable one has every limit 0. Closed-form kinds are exact,
+    with remainder 0.
     """
 
     schedule: CompetitionSchedule
@@ -239,25 +240,23 @@ class InfiniteProducts:
     cutoff: int
     remainder: float
 
-    @cached_property
-    def back(self) -> np.ndarray:
-        return suffix_products(self.schedule, self.cutoff - 1) if self.schedule.summable else np.zeros(1)
-
     def lam_to_inf(self, s: int | np.ndarray) -> float | np.ndarray:
         """Lambda_s^inf at a start index s, or at each start of an integer array s."""
         ss = np.asarray(s)
         if ss.size and ss.min() < 0:
             raise InvalidParameter(f"product starts must be >= 0, got {s}")
-        limits = np.take(self.back, ss, mode="clip")  # back[min(s, cutoff)], no index copy
+        first = min(int(ss.max(initial=0)), self.cutoff)
+        back = suffix_products(self.schedule, self.cutoff - 1, first) if self.schedule.summable else np.zeros(1)
+        limits = np.take(back, ss, mode="clip")  # back[min(s, cutoff)], no index copy
         return float(limits) if ss.ndim == 0 else limits
 
 
 def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS) -> InfiniteProducts:
-    """The closed-form facts of a schedule's Lambda_s^inf table; `back` builds the table on first read.
+    """The closed-form facts of a schedule's Lambda_s^inf; `lam_to_inf` multiplies the products.
 
     Only the exponential kind is truncated, at cutoff = ceil(-log(tail_eps) / rate),
     the first step with lambda_k <= tail_eps; tail_eps must lie in (0, 1).
-    A rate so small that the table would pass MAX_TERMS raises InvalidParameter.
+    A rate so small that the product would pass MAX_TERMS raises InvalidParameter.
     """
     # exact: zero, a summable (lam = 0) constant and custom past its seq have every factor 1, and every
     # limit of a non-summable kind is 0: (1 - lam)^m -> 0 for lam > 0, and hyperbolic Lambda_s^t = s / (t + 1)
@@ -273,7 +272,7 @@ def infinite_products(schedule: CompetitionSchedule, tail_eps: float = TAIL_EPS)
         if terms > MAX_TERMS:
             raise InvalidParameter(
                 f"exponential rate {rate} is too small for tail_eps = {tail_eps}: "
-                f"needs {terms:.3g} terms, cap MAX_TERMS = {MAX_TERMS}"
+                f"needs {terms:.3g} terms, over the cap MAX_TERMS = {MAX_TERMS} (about 1 s of products)"
             )
         cutoff = max(1, math.ceil(terms))
         remainder = math.exp(-rate * cutoff) / (1.0 - math.exp(-rate))

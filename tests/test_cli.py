@@ -548,7 +548,7 @@ def test_write_outputs_holds_no_whole_csv(tmp_path):
 
 def slow_exponential_run(sections):
     """The study graph at horizon 1,000 with `sections` exponential schedules at rates near 1e-4,
-    whose Lambda^inf tables hold about 322,000 entries (2.6 MB) each."""
+    whose Lambda^inf products run to about 322,000 terms (2.6 MB as a stored table) each."""
     head = STUDY_CONFIG.read_text().split("[schedule.")[0].replace("horizon = 10000", "horizon = 1000")
     body = "".join(f"[schedule.e{j}]\nkind = exponential\nrate = {1e-4 * (1 + 0.01 * j)!r}\n\n"
                    for j in range(sections))
@@ -558,6 +558,7 @@ def slow_exponential_run(sections):
 class TestOneTableAtATime:
     @pytest.mark.parametrize("sections", [1, 6])
     def test_each_table_is_built_once(self, tmp_path, monkeypatch, sections):
+        # one backward product per schedule, run by its CSV's envelope; the manifest runs none
         built = []
         monkeypatch.setattr(schedules, "suffix_products",
                             lambda *args: built.append(args) or suffix_products(*args))
@@ -565,7 +566,8 @@ class TestOneTableAtATime:
         assert len(built) == sections
 
     def test_peak_memory_does_not_grow_with_sections(self, tmp_path):
-        # the manifest reads the tables' closed-form facts and each CSV drops its table when done
+        # the manifest reads the products' closed-form facts, and each CSV streams its product and
+        # keeps 1,001 entries: six sections peak within one stored table's size of one section
         table_bytes = 8 * (infinite_products(exponential(1e-4)).cutoff + 1)
         peaks = []
         for sections in (1, 6):
@@ -658,12 +660,23 @@ class TestErrors:
         assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
     def test_term_cap_exits_2_before_writing(self, tmp_path, capsys):
-        # the manifest reads each bounded schedule's cutoff, so its term cap is checked before any file
+        # the manifest reads each bounded schedule's cutoff, so its term cap is checked before any file;
+        # 6e-7 needs 53.7M terms at the default tail_eps, just past the cap
+        for rate, terms in [("1e-9", "3.22e+10"), ("6e-7", "5.37e+07")]:
+            path = tmp_path / "slow.ini"
+            path.write_text(RUN_CONFIG.replace("rate = 0.5", f"rate = {rate}"))
+            assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert f"needs {terms} terms, over the cap MAX_TERMS = 50000000 (about 1 s of products)" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_slow_rate_runs_without_a_table(self, tmp_path):
+        # Lambda^inf streams its 32M-term product: a rate of 1e-6 was past the cap while it was a table
         path = tmp_path / "slow.ini"
-        path.write_text(RUN_CONFIG.replace("rate = 0.5", "rate = 1e-9"))
-        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-        assert "needs 3.22e+10 terms, cap MAX_TERMS = 5000000" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        path.write_text(VERIFY_CONFIG.replace("rate = 0.5", "rate = 1e-6"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert main(["verify", str(path), "--quiet"]) == 0
+        assert "truncation_cutoff = 32236192\n" in (tmp_path / "out" / "manifest.ini").read_text()
 
     @pytest.mark.parametrize("command", ["run", "verify", "tstar"])
     def test_er_without_edges_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, command):

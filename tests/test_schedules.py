@@ -31,7 +31,8 @@ from fjfade import (
     partition_of_unity,
     zero_consensus,
 )
-from fjfade.schedules import SCHEDULE_PARAMS, suffix_products
+from fjfade import schedules
+from fjfade.schedules import PIECE, SCHEDULE_PARAMS, suffix_products
 
 # scalar-loop oracle values, frozen
 LAMBDA_2_7_EXP_HALF = 0.35917216287486375
@@ -323,11 +324,22 @@ class TestInfiniteProducts:
         assert gap(half, 3) == pytest.approx(2 * (TAIL_SUM_3_EXP_HALF + remainder), abs=2e-12)
 
     def test_term_cap(self):
-        with pytest.raises(InvalidParameter, match="cap MAX_TERMS = 5000000"):
+        with pytest.raises(InvalidParameter, match="cap MAX_TERMS = 50000000"):
             infinite_products(exponential(1e-9))
         # -log(tail_eps) / rate overflows to inf here
         with pytest.raises(InvalidParameter, match="cap MAX_TERMS"):
             gap(exponential(1e-320), 1)
+
+    def test_slow_rate_memory_does_not_grow_with_cutoff(self):
+        # the backward product streams PIECE factors at a time; a stored table for this 4.6M-term
+        # cutoff held 37 MB, and about 110 MB while it was built, to read 1,000 steps
+        tracemalloc.start()
+        try:
+            gaps = gap(exponential(7e-6), np.arange(1, 1001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gaps.shape == (1000,) and peak < 8 * 2**20
 
     @pytest.mark.parametrize("tail_eps", [0.0, -1.0, 1.0])
     def test_tail_eps_range(self, tail_eps):
@@ -344,23 +356,37 @@ class TestInfiniteProducts:
     @pytest.mark.parametrize("read", ["back", "lam_to_inf"])
     @pytest.mark.parametrize("tail_eps", [1e-14, 1.5e-12])
     @pytest.mark.parametrize("sched", [constant(0.0), constant(0.3), exponential(0.5), exponential(0.05),
-                                       hyperbolic(), zero_consensus(), custom([0.5, 0.25, 0.1])],
+                                       hyperbolic(), zero_consensus(), custom([0.5, 0.25, 0.1]),
+                                       exponential(1e-4)],
                              ids=lambda s: s.label)
-    def test_table_is_built_on_first_read(self, sched, tail_eps, read):
+    def test_table_is_built_on_first_read(self, monkeypatch, sched, tail_eps, read):
+        """The facts multiply no products. Each read runs one backward product ("back" reads
+        `suffix_products` itself), whose kept entries have the bits of one whole-table cumprod,
+        across the PIECE boundaries of exponential(1e-4), whose cutoffs 272,253 and 322,362 span
+        five pieces."""
+        calls = []
+        monkeypatch.setattr(schedules, "suffix_products",
+                            lambda *args: calls.append(args) or suffix_products(*args))
         table = infinite_products(sched, tail_eps)
-        assert "back" not in vars(table)  # exact, cutoff and remainder need no table
         if sched.kind.value == "exponential":
             cutoff = max(1, math.ceil(-math.log(tail_eps) / sched.rate))
             facts = (False, cutoff, math.exp(-sched.rate * cutoff) / (1.0 - math.exp(-sched.rate)))
         else:
             facts = (True, len(sched.seq), 0.0)
         assert (table.exact, table.cutoff, table.remainder) == facts
-        if read == "back":
-            table.back
-        else:
-            table.lam_to_inf(np.arange(3))
-        expected = suffix_products(sched, table.cutoff - 1) if sched.summable else np.zeros(1)
-        assert vars(table)["back"].tobytes() == expected.tobytes()
+        assert calls == []
+        whole = np.ones(table.cutoff + 1)  # Lambda_j^{cutoff-1} for j = 0..cutoff, in one cumprod
+        whole[:-1] = np.cumprod(1.0 - sched.values(np.arange(table.cutoff))[::-1])[::-1]
+        limits = whole if sched.summable else np.zeros(1)
+        ks = (1, 3, PIECE - 1, PIECE, PIECE + 1, table.cutoff + 5)
+        for k in ks:
+            if read == "back":
+                first = min(k, table.cutoff)
+                got, expected = suffix_products(sched, table.cutoff - 1, first), whole[:first + 1]
+            else:
+                got, expected = table.lam_to_inf(np.arange(k)), np.take(limits, np.arange(k), mode="clip")
+            assert got.tobytes() == expected.tobytes()
+        assert len(calls) == (len(ks) if read == "lam_to_inf" and sched.summable else 0)
 
     def test_cutoff_is_unchanged(self):
         # the -log form gives the log(1 / tail_eps) cutoff wherever that is finite
