@@ -22,13 +22,14 @@ WEIGHT_KINDS = ("metropolis", "lazy_metropolis", "row_stochastic")
 # cap), its CSV text in 1,024-row parts; `verify` keeps four series and caps its trials to fit.
 SCHEDULE_BUDGET_MB = 100
 MAX_HORIZON = 10**6
-# W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap.
+# W and its factorizations are dense n x n float64 matrices: 800 MB each at the cap. Metropolis weights on
+# a path, star or complete graph have closed-form modes: `run` holds W alone, and `verify` adds their basis.
 MAX_AGENTS = 10_000
 # The squared l2 distance from consensus, at most n (2 |x0|)^2, stays finite for n <= MAX_AGENTS.
 MAX_OPINION = 1e150
-# Besides its dense n x n matrices, near 48 bytes per agent pair (`run` on paths: 80, 139 and 221 MB
-# at n = 1,000, 1,500 and 2,000), a run's edge arrays add about 21 bytes per edge (complete graphs:
-# 90, 161 and 262 MB, 1 BLAS thread, lazy Metropolis weights): 250 MB at the cap.
+# Besides its dense n x n matrices (`run` on lazy Metropolis paths: 45, 54 and 68 MB at n = 1,000, 1,500
+# and 2,000), a run's edge arrays and the weight builder's per-edge temporaries add about 38 bytes per edge
+# (complete graphs: 63, 97 and 143 MB, 1 BLAS thread, lazy Metropolis weights): 450 MB at the cap.
 MAX_EDGES = 12_000_000
 
 

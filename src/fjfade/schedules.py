@@ -201,19 +201,20 @@ def lambda_product(
     return float(np.prod(1.0 - schedule.values(np.arange(s, t + 1))))
 
 
-def suffix_products(schedule: CompetitionSchedule, t: int, first: int | None = None) -> np.ndarray:
-    """Array R with R[j] = Lambda_j^t for j = 0..first, t + 1 by default (R[t+1] = 1): one product
-    from k = t down, PIECE factors at a time, keeping only R[0..first]. cumprod multiplies in
-    sequence from the carried product, so R has the bits of one whole cumprod."""
+def suffix_products(schedule: CompetitionSchedule, t: int, first: int | None = None, start: int = 0) -> np.ndarray:
+    """Array R with R[j - start] = Lambda_j^t for j = start..first, first = t + 1 by default
+    (Lambda_{t+1}^t = 1): one product from k = t down to start, PIECE factors at a time, keeping
+    only those entries; it multiplies no factor when start > t. cumprod multiplies in sequence
+    from the carried product, so R has the bits of one whole cumprod from k = t down to 0."""
     first = t + 1 if first is None else first
-    out, carry = np.ones(first + 1), 1.0
-    for hi in range(t + 1, 0, -PIECE):
-        lo = max(hi - PIECE, 0)
+    out, carry = np.ones(first + 1 - start), 1.0
+    for hi in range(t + 1, start, -PIECE):
+        lo = max(hi - PIECE, start)
         f = 1.0 - schedule.values(np.arange(hi - 1, lo - 1, -1))  # f[i] = 1 - lambda_{hi-1-i}
         f[0] *= carry
         carry = np.cumprod(f, out=f)[-1]
         top = min(hi, first + 1)  # entries lo..top-1 are kept; the slices are empty when top <= lo
-        out[lo:top] = f[hi - top:][::-1]
+        out[lo - start:top - start] = f[hi - top:][::-1]
     return out
 
 
@@ -245,9 +246,14 @@ class InfiniteProducts:
         ss = np.asarray(s)
         if ss.size and ss.min() < 0:
             raise InvalidParameter(f"product starts must be >= 0, got {s}")
-        first = min(int(ss.max(initial=0)), self.cutoff)
-        back = suffix_products(self.schedule, self.cutoff - 1, first) if self.schedule.summable else np.zeros(1)
-        limits = np.take(back, ss, mode="clip")  # back[min(s, cutoff)], no index copy
+        # the product stops at the smallest start; a start at or past the cutoff reads its empty product, 1.0
+        start = int(ss.min(initial=self.cutoff))
+        first = min(int(ss.max(initial=start)), self.cutoff)
+        back = (suffix_products(self.schedule, self.cutoff - 1, first, start) if self.schedule.summable
+                else np.zeros(1))
+        limits, flat = np.empty(ss.shape), ss.reshape(-1)  # back[min(s, cutoff) - start], PIECE at a time
+        for lo in range(0, flat.size, PIECE):
+            np.take(back, flat[lo:lo + PIECE] - start, mode="clip", out=limits.reshape(-1)[lo:lo + PIECE])
         return float(limits) if ss.ndim == 0 else limits
 
 

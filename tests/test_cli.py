@@ -451,6 +451,21 @@ class TestFactorizedOnce:
         assert experiment.verify_bounds(parse_config(VERIFY_CONFIG), trials=3).passed
         assert factorizations == ["eigh"]
 
+    @pytest.mark.parametrize("graph, weights", [("path", "metropolis"), ("path", "lazy_metropolis"),
+                                                ("star", "metropolis"), ("star", "lazy_metropolis"),
+                                                ("complete", "lazy_metropolis")])
+    def test_named_graphs_factorize_nothing(self, factorizations, graph, weights):
+        # Metropolis weights on a path, star or complete graph have closed-form modes
+        text = PATH300_CONFIG.replace("n = 300", "n = 60").replace("kind = path", f"kind = {graph}")
+        cfg = parse_config(text.replace("kind = lazy_metropolis", f"kind = {weights}"))
+        result = run_experiment(cfg)
+        render_manifest(result)
+        for run in result.runs:
+            render_csv(result, run)
+        verified = experiment.verify_bounds(cfg, trials=3)
+        assert verified.passed and all(c.witness_max_lower_deficit <= 1e-12 for c in verified.checks)
+        assert factorizations == []
+
 
 class TestBlockRun:
     @pytest.mark.parametrize("cfg", [load_config(STUDY_CONFIG), parse_config(PATH300_CONFIG)],

@@ -228,8 +228,9 @@ class TestPerEdgeOracles:
         assert row_stochastic_weights(net, seed).W.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("graph", [generate_erdos_renyi(300, 0.3, 1), generate_erdos_renyi(400, 0.02, 2),
-                                       complete_graph(200), star_graph(300)], ids=["er_dense", "er_sparse",
-                                                                                   "complete", "star"])
+                                       complete_graph(200), star_graph(300), generate_erdos_renyi(200, 0.05, 0),
+                                       path_graph(500)],
+                             ids=["er_dense", "er_sparse", "complete", "star", "er200", "path"])
     def test_large_graphs_bit_for_bit(self, graph):
         assert graph.connected is bfs_connected_oracle(graph)
         for lazy in (False, True):
@@ -502,6 +503,59 @@ class TestSpectralOracle:
         assert not w.doubly_stochastic
         with pytest.raises(InvalidParameter, match="not primitive"):
             w.sigma_max
+
+
+NAMED_GRAPHS = {"path": path_graph, "star": star_graph, "complete": complete_graph}
+
+
+class TestNamedModes:
+    """Metropolis weights on a path, star or complete graph have closed-form modes."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+    @pytest.mark.parametrize("graph", NAMED_GRAPHS)
+    @pytest.mark.parametrize("n", [3, 4, 5, 50, 300, 1000])
+    def test_closed_form_matches_eigh(self, factorizations, n, graph, lazy):
+        w = metropolis_weights(NAMED_GRAPHS[graph](n), lazy=lazy)
+        mu, V = w.modes
+        assert w.sigma_max == np.abs(mu).max()
+        assert factorizations == []
+        A = w.W - 1.0 / n
+        np.testing.assert_allclose(np.sort(mu), np.linalg.eigvalsh(A), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(V.T @ V, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(A @ V, V * mu, rtol=0, atol=1e-13)
+
+    def test_sigma_max_builds_no_eigenvectors(self):
+        # sigma_max reads the closed-form eigenvalues, and W is compared 64 rows at a
+        # time: eigh held A and its eigenvectors, twice W's 32 MB
+        w = metropolis_weights(path_graph(2000), lazy=True)
+        tracemalloc.start()
+        try:
+            sigma_max = w.sigma_max
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigma_max == 1.0 - 2.0 / 3.0 * np.sin(np.pi / 4000) ** 2
+        assert peak < w.W.nbytes / 4
+
+    @pytest.mark.parametrize("graph", NAMED_GRAPHS)
+    def test_any_other_w_is_factorized(self, factorizations, graph):
+        # one diagonal entry of the last, partial row block moved by one ulp
+        w = metropolis_weights(NAMED_GRAPHS[graph](70), lazy=True)
+        W = w.W.copy()
+        W[69, 69] = np.nextafter(W[69, 69], 1.0)
+        assert replace(w, W=W).sigma_max > 0.0
+        assert factorizations == ["eigh"]
+
+    def test_hand_built_path_weights_are_factorized(self, factorizations):
+        # W on the path's edges, not Metropolis: 1/4 on every edge
+        net = path_graph(40)
+        W = np.zeros((40, 40))
+        i, j = net.edges.T
+        W[i, j] = W[j, i] = 0.25
+        np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+        w = WeightedNetwork(net, W)
+        assert w.sigma_max == pytest.approx(np.abs(np.linalg.eigvalsh(W - 1.0 / 40)).max(), abs=1e-15)
+        assert factorizations == ["eigh"]
 
 
 class TestConsensusValue:

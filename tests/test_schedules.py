@@ -388,6 +388,27 @@ class TestInfiniteProducts:
             assert got.tobytes() == expected.tobytes()
         assert len(calls) == (len(ks) if read == "lam_to_inf" and sched.summable else 0)
 
+    def test_product_stops_at_the_smallest_start(self, monkeypatch):
+        # lam_to_inf multiplies the factors from the cutoff down to min(s) only, with the bits of
+        # one whole cumprod; starts at or past the cutoff multiply none (the 40M-step read of
+        # exponential(1e-6) multiplied all 32M factors below its cutoff and took about 1 s)
+        sched = exponential(1e-4)
+        table = infinite_products(sched)
+        whole = np.ones(table.cutoff + 1)
+        whole[:-1] = np.cumprod(1.0 - sched.values(np.arange(table.cutoff))[::-1])[::-1]
+        drawn, values = [], CompetitionSchedule.values
+        monkeypatch.setattr(CompetitionSchedule, "values",
+                            lambda self, ts: drawn.append(np.size(ts)) or values(self, ts))
+        for lo, hi in ((1, 5), (PIECE + 3, 2 * PIECE + 10), (table.cutoff - 2, table.cutoff + 5)):
+            drawn.clear()
+            got = table.lam_to_inf(np.arange(lo, hi)[::-1])
+            assert got.tobytes() == np.take(whole, np.arange(lo, hi)[::-1], mode="clip").tobytes()
+            assert sum(drawn) == table.cutoff - lo
+        drawn.clear()
+        assert table.lam_to_inf(table.cutoff + 7) == 1.0
+        assert lambda_product(exponential(1e-6), 40_000_000, math.inf) == 1.0
+        assert drawn == []
+
     def test_cutoff_is_unchanged(self):
         # the -log form gives the log(1 / tail_eps) cutoff wherever that is finite
         for eps in (1e-16, 1e-14, 1e-10, 1e-6, 0.5):
