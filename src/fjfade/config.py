@@ -28,8 +28,8 @@ MAX_AGENTS = 10_000
 # The squared l2 distance from consensus, at most n (2 |x0|)^2, stays finite for n <= MAX_AGENTS.
 MAX_OPINION = 1e150
 # Besides its dense n x n matrices (`run` on lazy Metropolis paths: 45, 54 and 68 MB at n = 1,000, 1,500
-# and 2,000), a run's edge arrays and the weight builder's per-edge temporaries add about 38 bytes per edge
-# (complete graphs: 63, 97 and 143 MB, 1 BLAS thread, lazy Metropolis weights): 450 MB at the cap.
+# and 2,000), a run's edges peak at about 41 bytes each while the graph is built, before W exists (complete
+# graphs: 53, 74 and 108 MB, 1 BLAS thread), and the weights keep 16: under 500 MB at the cap.
 MAX_EDGES = 12_000_000
 
 
@@ -132,9 +132,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def _bool(raw: str) -> bool:
-    words = {"true": True, "yes": True, "on": True, "1": True,
-             "false": False, "no": False, "off": False, "0": False}
-    return words[raw.strip().lower()]
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
 def _int_or(word: str):

@@ -59,14 +59,14 @@ def iterate(
     """Yield the states x_0, x_1, x_2, ... of the dynamics, without end.
 
     x0 is one start, an n vector; `schedule` is one schedule, or a list of S
-    run as the columns of a block of S C-contiguous rows, one product with
-    W.T per step. Each state is a new n vector (or n x S `.T` view), never
-    touched again. Shape, finiteness and held targets are checked at the
-    first draw. Each step x <- (1 - lam) x W.T + lam x0 reads one lambda per
-    column from a table of at most CHUNK rows and BUFFER_ELEMENTS numbers,
-    valid since each schedule checked itself when built. A held column reads
-    0, then pins its target to x0[target] through step tstar: the per-agent
-    step's bits.
+    run as the columns of a block of S C-contiguous rows, each stepped by its
+    own row product with W.T, so it keeps its single run's bits. Each state
+    is a new n vector (or n x S `.T` view), never touched again. Shape,
+    finiteness and held targets are checked at the first draw. Each step
+    x <- (1 - lam) x W.T + lam x0 reads one lambda per column from a table
+    of at most CHUNK rows and BUFFER_ELEMENTS numbers, valid since each
+    schedule checked itself when built. A held column reads 0, then pins
+    its target to x0[target] through step tstar: the per-agent step's bits.
     """
     x0 = _start(weighted, x0)
     per_column = isinstance(schedule, (list, tuple))
@@ -91,7 +91,7 @@ def iterate(
     while True:
         yield x.T if per_column else x[0]
         t, lam = next(lams)
-        x = x @ WT
+        x = (x[:, None, :] @ WT)[:, 0]
         x *= 1.0 - lam
         x += lam * x0
         for j, target, tstar in held:

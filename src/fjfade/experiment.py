@@ -107,10 +107,8 @@ def build_network(cfg: ExperimentConfig) -> NetworkDraw:
 
 
 def build_weights(cfg: ExperimentConfig, net: Network) -> tuple[WeightedNetwork, int]:
-    if cfg.weights == "metropolis":
-        return metropolis_weights(net), 0
-    if cfg.weights == "lazy_metropolis":
-        return metropolis_weights(net, lazy=True), 0
+    if cfg.weights in ("metropolis", "lazy_metropolis"):
+        return metropolis_weights(net, lazy=cfg.weights == "lazy_metropolis"), 0
     # independent stream: entropy (seed, 1) so graph resampling cannot alias it
     draws = 2 * len(net.edges) + net.n
     return row_stochastic_weights(net, seed=[cfg.seed, 1]), draws

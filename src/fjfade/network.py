@@ -10,7 +10,7 @@ which makes them primitive whenever the underlying network is connected.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,7 @@ class Network:
 
     n: int
     edges: np.ndarray
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -53,12 +54,10 @@ class Network:
             if dup.size:
                 i, j = divmod(int(keys[dup[0]]), self.n)
                 raise InvalidParameter(f"duplicate edge ({i}, {j})")
+        # degrees are counted before e is frozen, as bincount would copy a read-only array
+        object.__setattr__(self, "degrees", np.bincount(e.ravel(), minlength=self.n))
         e.flags.writeable = False
         object.__setattr__(self, "edges", e)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def connected(self) -> bool:
@@ -105,8 +104,9 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Network:
     rng = np.random.default_rng(seed)
     # row i draws pairs (i, i+1..n-1): chunked draws equal one long draw
     js = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
-    i = np.repeat(np.arange(n - 1), [len(row) for row in js])
-    return Network(n=n, edges=np.column_stack((i, np.concatenate(js))))
+    edges = np.column_stack((np.repeat(np.arange(n - 1), [len(row) for row in js]), np.concatenate(js)))
+    del js  # the rows go before Network copies the edges
+    return Network(n=n, edges=edges)
 
 
 def path_graph(n: int) -> Network:
@@ -150,10 +150,11 @@ class WeightedNetwork:
 
     @cached_property
     def symmetric(self) -> bool:
-        """Whether W is symmetric within 1e-12 (then doubly stochastic), checked 64 rows at a time."""
+        """Whether W is symmetric within 1e-12 (then doubly stochastic): exactly on a `named_modes` match,
+        else checked 64 rows at a time."""
         W = self.W
         blocks = (W[i:i + 64] - W[:, i:i + 64].T for i in range(0, len(W), 64))
-        return all(np.abs(b).max() <= 1e-12 for b in blocks)
+        return self._named_modes is not None or all(np.abs(b).max() <= 1e-12 for b in blocks)
 
     @cached_property
     def doubly_stochastic(self) -> bool:
@@ -258,16 +259,25 @@ def metropolis_weights(net: Network, lazy: bool = False) -> WeightedNetwork:
     """
     if not net.connected:
         raise DisconnectedNetwork("metropolis weights need a connected network")
-    n = net.n
-    deg = net.degrees
     i, j = net.edges.T
-    W = np.zeros((n, n))
-    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    if lazy:  # (W + I) / 2 bit for bit, as halving is exact
-        W /= 2.0
-        W.flat[::n + 1] += 0.5
+    W = np.zeros((net.n, net.n))
+    W[i, j] = W[j, i] = 1.0
+    for lo in range(0, net.n, 64):
+        _metropolis_rows(W[lo:lo + 64], lo, net.degrees, lazy)
     return WeightedNetwork(network=net, W=W)
+
+
+def _metropolis_rows(rows: np.ndarray, lo: int, degrees: np.ndarray, lazy: bool) -> None:
+    """Turn rows lo, lo + 1, ... of a 0/1 adjacency matrix into Metropolis weights in place: an edge
+    weighs the smaller of its ends' levels 1 / (1 + d_i), 1 / (1 + max(d_i, d_j)) in every bit, the zero
+    diagonal becomes the row complement, and lazy rows take (W + I) / 2, bit for bit as halving is exact."""
+    level = 1.0 / (1.0 + degrees)
+    i = np.arange(lo, lo + len(rows))
+    rows *= np.minimum(level[i, None], level)
+    rows[i - lo, i] = 1.0 - rows.sum(axis=1)
+    if lazy:
+        rows /= 2.0
+        rows[i - lo, i] += 0.5
 
 
 def named_modes(net: Network, W: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]] | None:
@@ -294,28 +304,22 @@ def named_modes(net: Network, W: np.ndarray) -> tuple[np.ndarray, Callable[[], n
         gaps[1] = 1.0
     else:
         return None
-    # every edge of these graphs ends at an agent of the largest degree, so all weigh the same
-    weight = 1.0 / (1.0 + net.degrees.max())
     for lazy in (False, True):
-        if _is_metropolis(W, adjacent, weight, lazy):
+        if _is_metropolis(W, adjacent, net.degrees, lazy):
             mu = 1.0 - (gaps / 2.0 if lazy else gaps)
             mu[0] = 0.0
             return mu, basis
     return None
 
 
-def _is_metropolis(W: np.ndarray, adjacent: Callable[[np.ndarray, np.ndarray], np.ndarray], weight: float,
+def _is_metropolis(W: np.ndarray, adjacent: Callable[[np.ndarray, np.ndarray], np.ndarray], degrees: np.ndarray,
                    lazy: bool) -> bool:
-    """Whether W is, bit for bit, what `metropolis_weights` writes when agents i and j
-    are joined where adjacent(i, j) holds and every edge weighs `weight`; 64 rows at a time."""
-    n = len(W)
+    """Whether W is, bit for bit, what `metropolis_weights` writes when agents i and j are joined
+    where adjacent(i, j) holds, so exactly symmetric; 64 rows at a time."""
+    n = len(degrees)
     for lo in range(0, n, 64):
-        i = np.arange(lo, min(lo + 64, n))
-        rows = np.where(adjacent(i[:, None], np.arange(n)), weight, 0.0)
-        rows[i - lo, i] = 1.0 - rows.sum(axis=1)
-        if lazy:
-            rows /= 2.0
-            rows[i - lo, i] += 0.5
+        rows = adjacent(np.arange(lo, min(lo + 64, n))[:, None], np.arange(n)).astype(float)
+        _metropolis_rows(rows, lo, degrees, lazy)
         if not np.array_equal(W[lo:lo + 64], rows):
             return False
     return True

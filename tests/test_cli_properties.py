@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from fjfade.cli import main
@@ -50,8 +50,8 @@ def schedule_sections(draw, n):
 
 
 @st.composite
-def configs(draw):
-    n = draw(st.integers(2, 8))
+def configs(draw, max_n=8, min_sections=1):
+    n = draw(st.integers(2, max_n))
     graph = draw(st.sampled_from(["er", "path", "star", "complete"]))
     text = [
         "[experiment]",
@@ -77,7 +77,7 @@ def configs(draw):
         size = draw(mostly([n], [n - 1, n + 1]))
         values = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.5, -4.0]), min_size=size, max_size=size))
         text.append("values = " + " ".join(map(repr, values)))
-    labels = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=min_sections, max_size=4, unique=True))
     for label in labels:
         text += ["", f"[schedule.{label}]", *draw(schedule_sections(n))]
     return "\n".join(text) + "\n"
@@ -150,3 +150,22 @@ def test_main_exits_0_1_or_2_and_never_raises(text, args):
         assert args[0] == "verify" and "FAIL" in stdout.getvalue(), (argv, text, stdout.getvalue())
     if code == 2:
         assert "error" in stderr.getvalue(), (argv, text)
+
+
+@pytest.mark.filterwarnings("ignore:custom schedule is not non-increasing")
+@given(text=configs(max_n=40, min_sections=2))
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_each_section_writes_the_bytes_of_its_run_alone(text):
+    # the schedules of a run advance as the columns of one block, each by its own
+    # row product with W.T, so the schedules beside a section change none of its bytes
+    head, *sections = text.split("\n[schedule.")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.ini"
+        path.write_text(text)
+        assume(main(["run", str(path), "--out", str(Path(tmp) / "all"), "--quiet"]) == 0)
+        for section in sections:
+            label = section.split("]", 1)[0]
+            path.write_text(head + "\n[schedule." + section)
+            assert main(["run", str(path), "--out", str(Path(tmp) / label), "--quiet"]) == 0
+            alone = (Path(tmp) / label / f"{label}.csv").read_bytes()
+            assert (Path(tmp) / "all" / f"{label}.csv").read_bytes() == alone, (label, text)

@@ -196,7 +196,7 @@ class TestSimulate:
 
     def test_block_stream_yields_fresh_columns(self, study_weights):
         # a schedule list streams as n x S arrays that later steps never
-        # overwrite, and its held columns match their single runs
+        # overwrite, and each column, held or not, is its single run in every bit
         x0 = np.random.default_rng(8).standard_normal(20)
         scheds = [make_adversarial_nonuniform(5, 2), hyperbolic(), make_adversarial_nonuniform(20, 7),
                   constant(0.3), make_adversarial_nonuniform(0, 19), zero_consensus()]
@@ -210,11 +210,12 @@ class TestSimulate:
         np.testing.assert_array_equal(xs[0], np.tile(x0[:, None], 6))
         for j, sched in enumerate(scheds):
             single = states(study_weights, x0, sched, 29)
-            np.testing.assert_allclose(np.array(xs)[:, :, j], single, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(np.array(xs)[:, :, j], single)
 
     def test_schedule_per_column_matches_single_runs(self, study_weights, study_x0):
-        # one start under a list of schedules: each column is that schedule's
-        # single run up to round-off, all centred on the start's one x_ss
+        # one start under a list of schedules: each column steps by its own row
+        # product with W.T, so it is that schedule's single run in every bit,
+        # all centred on the start's one x_ss
         scheds = [exponential(0.5), hyperbolic(), constant(0.3), make_adversarial_nonuniform(7, 4)]
         block = simulate(study_weights, study_x0, scheds, horizon=300)
         assert block.distances.shape == (301, 4)
@@ -224,10 +225,10 @@ class TestSimulate:
             one = simulate(study_weights, study_x0, sched, horizon=300)
             col = block.column(j)
             assert col.x_ss == one.x_ss
-            np.testing.assert_allclose(col.distances, one.distances, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(col.avg_distances, one.avg_distances, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(col.distances, one.distances)
+            np.testing.assert_array_equal(col.avg_distances, one.avg_distances)
             e_one = deviations(study_weights, study_x0, sched, 300)[-1]
-            np.testing.assert_allclose(e_block[:, j], e_one, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(e_block[:, j], e_one)
             assert col.distances[-1] == np.linalg.norm(e_block[:, j])
             assert one.distances[-1] == np.linalg.norm(e_one)
             assert np.shares_memory(col.distances, block.distances)

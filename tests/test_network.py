@@ -261,6 +261,17 @@ class TestErdosRenyi:
         assert len(net.edges) == 11209
         assert peak < 8 * 2**20
 
+    def test_dense_draw_memory_per_edge(self):
+        # the per-row arrays are stacked into one (m, 2) array and dropped before Network
+        # copies it: 41 bytes an edge at the peak, against 58 with all of them alive at once
+        tracemalloc.start()
+        try:
+            net = generate_erdos_renyi(1500, 0.3, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(net.edges) < 48
+
     def test_extremes(self):
         np.testing.assert_array_equal(generate_erdos_renyi(6, 0.0, 3).edges, edge_array(()), strict=True)
         np.testing.assert_array_equal(generate_erdos_renyi(6, 1.0, 3).edges, complete_graph(6).edges, strict=True)
@@ -320,6 +331,20 @@ class TestMetropolisWeights:
         np.testing.assert_array_equal(
             metropolis_weights(graph, lazy=True).W, (metropolis_weights(graph).W + np.eye(graph.n)) / 2.0
         )
+
+    def test_builder_memory_per_edge(self):
+        # W starts as the adjacency matrix and is weighed 64 rows at a time, so no
+        # array per edge is built: under 1 byte an edge above W, against 24 when
+        # max(d_i, d_j) was taken edge by edge
+        net = complete_graph(1500)
+        assert net.connected  # cached before the count
+        tracemalloc.start()
+        try:
+            w = metropolis_weights(net, lazy=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - w.W.nbytes) / len(net.edges) < 4
 
     @pytest.mark.parametrize("n", [63, 65, 130])
     @pytest.mark.parametrize("delta", [0.0, 5e-13, 2e-12, np.nan])
@@ -513,7 +538,7 @@ class TestNamedModes:
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
     @pytest.mark.parametrize("graph", NAMED_GRAPHS)
-    @pytest.mark.parametrize("n", [3, 4, 5, 50, 300, 1000])
+    @pytest.mark.parametrize("n", [3, 4, 5, 50, 63, 64, 65, 128, 129, 300, 1000])
     def test_closed_form_matches_eigh(self, factorizations, n, graph, lazy):
         w = metropolis_weights(NAMED_GRAPHS[graph](n), lazy=lazy)
         mu, V = w.modes
@@ -536,6 +561,24 @@ class TestNamedModes:
             tracemalloc.stop()
         assert sigma_max == 1.0 - 2.0 / 3.0 * np.sin(np.pi / 4000) ** 2
         assert peak < w.W.nbytes / 4
+
+    def test_a_match_settles_symmetric(self, factorizations):
+        # a W that named_modes matched equals symmetric rows in every bit, so
+        # `symmetric` reads no column block W[:, a:b] of it
+        column_reads = []
+
+        class Reads(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, tuple) and isinstance(key[0], slice) and key[0] == slice(None):
+                    column_reads.append(key)
+                return super().__getitem__(key)
+
+        for graph in NAMED_GRAPHS.values():
+            w = metropolis_weights(graph(130), lazy=True)
+            w = replace(w, W=w.W.view(Reads))
+            assert w.symmetric and w.doubly_stochastic
+            assert w.sigma_max == np.abs(w.modes[0]).max()
+        assert column_reads == [] and factorizations == []
 
     @pytest.mark.parametrize("graph", NAMED_GRAPHS)
     def test_any_other_w_is_factorized(self, factorizations, graph):
