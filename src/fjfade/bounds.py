@@ -48,12 +48,12 @@ CONSENSUS_FLOOR = 1e-14
 
 
 def envelope_error(
-    weighted: WeightedNetwork, schedule: CompetitionSchedule | NonUniformSchedule, label: str
+    weighted: WeightedNetwork, schedule: CompetitionSchedule | NonUniformSchedule | None, label: str
 ) -> FjfadeError | None:
     """None when the envelope applies: W doubly stochastic (`weighted.doubly_stochastic`,
-    read from W's column sums) with sigma_max in (0, 1), and a uniform, vanishing
-    schedule. Else the typed error that says why not, naming the schedule's `label`;
-    sigma_max is read only for doubly stochastic W, so other W never factorize here."""
+    read from W's column sums) with sigma_max in (0, 1), and a uniform, vanishing schedule,
+    never an adversarial section's None. Else the typed error that says why not, naming its
+    `label`; sigma_max is read only for doubly stochastic W, so other W never factorize here."""
     where = f"schedule {label!r}"
     if not weighted.doubly_stochastic:
         return InvalidParameter(f"{where}: rate bounds need doubly stochastic weights")

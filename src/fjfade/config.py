@@ -92,7 +92,7 @@ class ExperimentConfig:
         edges = {"complete": pairs, "er": self.graph.p * pairs}.get(self.graph.kind, 0)
         if edges > MAX_EDGES:
             raise ConfigError(f"{self.graph.kind} graph on {self.n} agents expects {edges:.3g} edges, over the "
-                              f"cap of {MAX_EDGES} that holds its edge arrays near 250 MB", field="graph")
+                              f"cap of {MAX_EDGES} that holds its edge arrays under 500 MB", field="graph")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer", field="experiment.seed")
         if not 0.0 < self.tail_eps < 1.0:

@@ -100,36 +100,31 @@ def deviation_experiment(
     a maximal opinion, W >= 0 (InvalidParameter) and a strict drop
     (NoStrictDrop). With W >= 0 and a maximal target the held run dominates
     the nominal one, y_t >= x_t, by induction on t. A tstar of None is found
-    by `_search_tstar`, which reads the inputs checked here, and certified; a
-    fixed tstar is certified when the nominal run's target sits below
-    x0[target] at step tstar. The reported consensus value is
-    perron^T y_tstar and the deviation is its distance from the nominal x_ss.
-    One more held step gives y_{tstar+1}, after which y_{t+1} = W y_t, so the
-    held limit is exactly perron^T y_{tstar+1}. Memory is O(n); W needs no
-    spectral data.
+    by `_search_tstar`, which reads the inputs checked here. The held and
+    nominal runs are the columns of one `iterate` block, each with the bits
+    of its run alone; for either kind of tstar, strict_drop_certified says
+    the nominal target sits below x0[target] at step tstar. perron^T y_tstar
+    is the consensus value, and its distance from x_ss the deviation. After
+    the held step to y_{tstar+1}, y_{t+1} = W y_t, so the held limit is
+    exactly perron^T y_{tstar+1}. Memory is O(n); W needs no spectral data.
     """
     x0 = np.asarray(x0, dtype=float)
     if target is None:
         target = int(np.argmax(x0))
     x_ss = _held_agent_inputs(weighted, x0, target)
-    certified = tstar is None
-    if certified:
+    if tstar is None:
         tstar = _search_tstar(weighted, x0, target)
-    held = iterate(weighted, x0, make_adversarial_nonuniform(tstar=tstar, target=target))
-    if not certified:
-        x_tstar = next(islice(iterate(weighted, x0, zero_consensus()), tstar, None))
-        certified = bool(x_tstar[target] < x0[target])
-
-    y_tstar, y_next = islice(held, tstar, tstar + 2)
-    perron = weighted.perron
-    y_consensus_value = float(perron @ y_tstar)
+    block = iterate(weighted, x0, [make_adversarial_nonuniform(tstar, target), zero_consensus()])
+    at_tstar, at_next = islice(block, tstar, tstar + 2)
+    y_tstar, x_tstar = at_tstar.T  # the held and the nominal run, as the block's contiguous rows
+    y_consensus_value = float(weighted.perron @ y_tstar)
     return DeviationReport(
         tstar=tstar,
         target=target,
         x_limit_nominal=x_ss,
         y_tstar=y_tstar,
-        y_limit_value=float(perron @ y_next),
+        y_limit_value=float(weighted.perron @ at_next.T[0]),
         y_consensus_value=y_consensus_value,
         deviation=abs(y_consensus_value - x_ss),
-        strict_drop_certified=certified,
+        strict_drop_certified=bool(x_tstar[target] < x0[target]),
     )

@@ -17,7 +17,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +129,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     weighted, weight_draws = build_weights(cfg, draw.network)
     weighted.sigma_max  # run reports it; factor W before the block pass so their allocations do not stack
     x0, x0_draws = draw_x0(cfg)
+    bounded = [envelope_error(weighted, spec.schedule, spec.label) is None for spec in cfg.schedules]
+    for spec in compress(cfg.schedules, bounded):
+        infinite_products(spec.schedule, cfg.tail_eps)  # a rate past MAX_TERMS raises before any step
 
     reports = [deviation_experiment(weighted, x0, target=spec.target, tstar=spec.tstar)
                if spec.is_adversarial else None for spec in cfg.schedules]
@@ -136,11 +139,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                  for spec, rep in zip(cfg.schedules, reports)]
     block = simulate(weighted, x0, schedules, cfg.horizon)
     runs = []
-    for j, (spec, sched, report) in enumerate(zip(cfg.schedules, schedules, reports)):
+    for j, (spec, sched, report, bounds_used) in enumerate(zip(cfg.schedules, schedules, reports, bounded)):
         traj = block.column(j)
         runs.append(RunResult(
             spec=spec, schedule=sched, trajectory=traj,
-            csv_name=f"{spec.label}.csv", bounds_used=envelope_error(weighted, sched, spec.label) is None,
+            csv_name=f"{spec.label}.csv", bounds_used=bounds_used,
             converged_at=traj.converged_at(cfg.eps_conv), report=report,
         ))
     return ExperimentResult(
@@ -280,7 +283,7 @@ def resolve_out_dir(cfg: ExperimentConfig, override: str | None = None) -> Path:
 
 
 def write_outputs(result: ExperimentResult, out_dir: Path) -> list[Path]:
-    manifest = render_manifest(result)  # a rate past MAX_TERMS raises here, before any file is written
+    manifest = render_manifest(result)  # run_experiment has checked each bounded rate against MAX_TERMS
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -335,9 +338,9 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
     A negative `trials`, or one whose starts, two blocks of distances (one
     reduced, the next being made), gain buffer and four O(horizon) series
     would pass SCHEDULE_BUDGET_MB, raises InvalidParameter before any draw,
-    and so does a config with no uniform schedule. A uniform schedule outside
-    the envelope raises the error of `bounds.envelope_error`, the rule behind
-    `run`'s `bounds` flag; the first failing schedule's error is raised.
+    and so does a config with no uniform schedule. Before any modal pass, a
+    uniform schedule outside the envelope (`bounds.envelope_error`, `run`'s
+    `bounds` rule) or past MAX_TERMS raises the first failing schedule's error.
     """
     if trials < 0:
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
@@ -355,6 +358,7 @@ def verify_bounds(cfg: ExperimentConfig, trials: int = 20, self_test: bool = Fal
         error = envelope_error(weighted, spec.schedule, spec.label)
         if error is not None:
             raise error
+        infinite_products(spec.schedule, cfg.tail_eps)  # a rate past MAX_TERMS raises here
 
     witness = worst_case_initial_condition(weighted, x_ss_target=1.0)
     rng = np.random.default_rng([cfg.seed, 3])

@@ -15,6 +15,7 @@ from fjfade import (
     Network,
     cli,
     constant,
+    deviation,
     deviation_experiment,
     dynamics,
     experiment,
@@ -675,7 +676,7 @@ class TestErrors:
         assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
     def test_term_cap_exits_2_before_writing(self, tmp_path, capsys):
-        # the manifest reads each bounded schedule's cutoff, so its term cap is checked before any file;
+        # each bounded schedule's term cap is checked before any step, so no file is written;
         # 6e-7 needs 53.7M terms at the default tail_eps, just past the cap
         for rate, terms in [("1e-9", "3.22e+10"), ("6e-7", "5.37e+07")]:
             path = tmp_path / "slow.ini"
@@ -684,6 +685,32 @@ class TestErrors:
             err = capsys.readouterr().err
             assert f"needs {terms} terms, over the cap MAX_TERMS = 50000000 (about 1 s of products)" in err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_term_cap_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys, command):
+        # the cap fails the command before the switch-time search, the block pass or the modal pass
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a step ran before the term cap was checked")
+
+        monkeypatch.setattr(experiment, "simulate", unreachable)
+        monkeypatch.setattr(experiment, "modal_distances", unreachable)
+        monkeypatch.setattr(deviation, "_search_tstar", unreachable)
+        path = tmp_path / "slow.ini"
+        path.write_text(RUN_CONFIG.replace("rate = 0.5", "rate = 1e-8").replace("tstar = 10", "tstar = auto"))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), "--quiet", *out]) == 2
+        assert "over the cap MAX_TERMS" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_term_cap_spares_a_section_without_bounds(self, tmp_path):
+        # row-stochastic W is not doubly stochastic: the envelope does not apply, so no product is needed
+        path = tmp_path / "slow.ini"
+        path.write_text(RUN_CONFIG.replace("kind = metropolis", "kind = row_stochastic")
+                        .replace("rate = 0.5", "rate = 1e-8"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        manifest = configparser.ConfigParser()
+        manifest.read(tmp_path / "out" / "manifest.ini")
+        assert manifest["run.fast"]["rate"] == "1e-08" and manifest["run.fast"]["bounds"] == "false"
 
     def test_slow_rate_runs_without_a_table(self, tmp_path):
         # Lambda^inf streams its 32M-term product: a rate of 1e-6 was past the cap while it was a table

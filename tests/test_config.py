@@ -169,8 +169,8 @@ class TestRejection:
         with pytest.raises(ConfigError, match=f"expects {re.escape(edges)} edges, over the cap of 12000000") as info:
             parse_config(text)
         assert info.value.field == "graph"
-        # about 21 bytes an edge: 250 MB at the cap
-        assert "over the cap of 12000000 that holds its edge arrays near 250 MB (field 'graph')" in str(info.value)
+        # about 41 bytes an edge while the graph is built: under 500 MB at the cap
+        assert "over the cap of 12000000 that holds its edge arrays under 500 MB (field 'graph')" in str(info.value)
 
     @pytest.mark.parametrize("graph, n", [("kind = complete", 4899), ("kind = er\np = 0.24", 10000),
                                           ("kind = path", 10000)])

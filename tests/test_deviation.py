@@ -8,7 +8,7 @@ against a nominal consensus of 1/2.
 
 import tracemalloc
 from dataclasses import fields, replace
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -204,6 +204,17 @@ class TestFindTstar:
         assert peak < 2**20
 
 
+class TestOneBlock:
+    @pytest.mark.parametrize("tstar, passes", [(7, 1), (None, 2)])
+    def test_iterate_passes(self, study_weights, study_x0, monkeypatch, tstar, passes):
+        # the held and the nominal run are the columns of one block; an auto tstar is searched for first
+        calls = []
+        monkeypatch.setattr(deviation, "iterate", lambda *args: calls.append(args) or iterate(*args))
+        rep = deviation_experiment(study_weights, study_x0, tstar=tstar)
+        assert len(calls) == passes
+        assert rep.strict_drop_certified
+
+
 class TestValidation:
     def test_target_must_be_argmax(self, star3):
         with pytest.raises(InvalidParameter):
@@ -273,11 +284,13 @@ class TestLockstepReference:
                 deviation_experiment(w, x0, target=target, tstar=tstar)
             return
         rep = deviation_experiment(w, x0, target=target, tstar=tstar)
-        ref = lockstep_reference(w, x0, target, tstar)
-        for field in fields(DeviationReport):
-            got, want = getattr(rep, field.name), getattr(ref, field.name)
+        wants = [lockstep_reference(w, x0, target, tstar)]
+        if tstar is None:  # the found tstar, given as a fixed one, reports the same in every field
+            wants.append(deviation_experiment(w, x0, target=target, tstar=rep.tstar))
+        for want, field in product(wants, fields(DeviationReport)):
+            got, want = getattr(rep, field.name), getattr(want, field.name)
             if isinstance(want, np.ndarray):
-                assert np.array_equal(got, want), field.name
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
             else:
                 assert type(got) is type(want) and got == want, field.name
 
